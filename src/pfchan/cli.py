@@ -11,11 +11,14 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import fields
+from enum import Enum
+from functools import partial
 
 from .config import ChannelConfig
 from .errors import ConfigError, RunAbort, SetupError
 from .report import bits_from_hex, bits_from_string, random_payload
-from .sim import EvictionBehavior, SimParams, render_trace, run_channel_sim
+from .sim import SimParams, render_trace, run_channel_sim
 from .sweep import (
     CSV_HEADER,
     DEFAULT_GRIDS,
@@ -27,27 +30,32 @@ from .sweep import (
     summary_table,
 )
 
-CHANNEL_KEYS = (
-    "page_size",
-    "region_size",
-    "page_gap",
-    "pair_offset",
-    "base_page",
-    "sync_period_ns",
-    "guard_offset_ns",
-    "payload_bits",
-)
-SIM_KEYS = (
-    "cache_capacity",
-    "disk_latency",
-    "mem_latency",
-    "switch_cost",
-    "eviction_policy",
-    "readahead",
-    "tick_ns",
-    "eviction_behavior",
-)
-_STRING_KEYS = ("eviction_policy", "eviction_behavior")
+CHANNEL_KEYS = tuple(f.name for f in fields(ChannelConfig))
+SIM_KEYS = tuple(f.name for f in fields(SimParams))
+# Fields whose default is an enum member take that enum's values as text.
+_ENUM_TYPES = {
+    f.name: type(f.default)
+    for f in fields(ChannelConfig) + fields(SimParams)
+    if isinstance(f.default, Enum)
+}
+
+
+def parse_setting(key: str, text: str):
+    """Convert one setting from text: an enum field takes one of its enum's
+    values, every other field an integer."""
+    if key not in CHANNEL_KEYS and key not in SIM_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    enum_type = _ENUM_TYPES.get(key)
+    if enum_type is not None:
+        try:
+            return enum_type(text)
+        except ValueError:
+            choices = ", ".join(member.value for member in enum_type)
+            raise ConfigError(f"{key} must be one of {choices}, got {text!r}") from None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{key} expects an integer, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,18 +80,10 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in CHANNEL_KEYS and key not in SIM_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _STRING_KEYS:
-            values[key] = value
-        else:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} expects an integer, got {value!r}"
-                ) from None
+        try:
+            values[key] = parse_setting(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -97,19 +97,6 @@ def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
             merged[key] = cli_value
     channel_kwargs = {k: v for k, v in merged.items() if k in CHANNEL_KEYS}
     sim_kwargs = {k: v for k, v in merged.items() if k in SIM_KEYS}
-    if "eviction_behavior" in sim_kwargs and isinstance(
-        sim_kwargs["eviction_behavior"], str
-    ):
-        try:
-            sim_kwargs["eviction_behavior"] = EvictionBehavior(
-                sim_kwargs["eviction_behavior"]
-            )
-        except ValueError:
-            choices = ", ".join(b.value for b in EvictionBehavior)
-            raise ConfigError(
-                f"eviction_behavior must be one of {choices}, got "
-                f"{sim_kwargs['eviction_behavior']!r}"
-            ) from None
     return ChannelConfig(**channel_kwargs), SimParams(**sim_kwargs)
 
 
@@ -144,27 +131,21 @@ def _payload_from_args(args, cfg: ChannelConfig) -> list[int]:
     return random_payload(args.seed, cfg.payload_bits)
 
 
-def _write_report_csv(path: str, cell: CellResult) -> None:
+def _csv_value(value):
+    """Booleans as 0/1 and unknowns as empty cells."""
+    if value is None:
+        return ""
+    return int(value) if isinstance(value, bool) else value
+
+
+def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
+    cell = CellResult.from_report(
+        "payload_bits", report.payload_bits, 0, seed, cfg, report
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         writer.writerow(cell.csv_row())
-
-
-def _report_cell(variable: str, value: int, seed: int, cfg, report) -> CellResult:
-    return CellResult(
-        variable=variable,
-        value=value,
-        repetition=0,
-        seed=seed,
-        payload_bits=report.payload_bits,
-        page_gap=cfg.page_gap,
-        region_bytes=cfg.region_size,
-        sync_period_ns=cfg.sync_period_ns,
-        ber=report.ber,
-        bandwidth_bps=report.bandwidth_bps,
-        indeterminate_slots=report.indeterminate_slots,
-    )
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -180,10 +161,7 @@ def cmd_simulate(args) -> int:
         f"indeterminate={report.indeterminate_slots}"
     )
     if args.out:
-        _write_report_csv(
-            args.out,
-            _report_cell("payload_bits", report.payload_bits, args.seed, cfg, report),
-        )
+        _write_report_csv(args.out, args.seed, cfg, report)
         print(f"wrote {args.out}")
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -209,23 +187,12 @@ def cmd_send(args) -> int:
         f"{unconfirmed} unconfirmed evictions"
     )
     if args.out:
+        columns = [f.name for f in fields(live.SenderSlotLog)]
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "slot", "p1", "p2", "target", "deadline_ns", "start_ns",
-                    "end_ns", "advice_ok", "evict_confirmed", "overrun",
-                ]
-            )
+            writer.writerow(columns)
             for rec in log:
-                writer.writerow(
-                    [
-                        rec.slot, rec.p1, rec.p2, rec.target, rec.deadline_ns,
-                        rec.start_ns, rec.end_ns, int(rec.advice_ok),
-                        "" if rec.evict_confirmed is None else int(rec.evict_confirmed),
-                        int(rec.overrun),
-                    ]
-                )
+                writer.writerow(_csv_value(getattr(rec, name)) for name in columns)
         print(f"wrote {args.out}")
     return 0
 
@@ -258,10 +225,7 @@ def cmd_receive(args) -> int:
             f"indeterminate={report.indeterminate_slots}"
         )
     if args.out:
-        _write_report_csv(
-            args.out,
-            _report_cell("payload_bits", report.payload_bits, args.seed, cfg, report),
-        )
+        _write_report_csv(args.out, args.seed, cfg, report)
         print(f"wrote {args.out}")
     return 0
 
@@ -333,14 +297,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
-    for key in CHANNEL_KEYS:
-        group.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
-    for key in SIM_KEYS:
-        flag = f"--{key.replace('_', '-')}"
-        if key in _STRING_KEYS:
-            group.add_argument(flag, dest=key)
-        else:
-            group.add_argument(flag, type=int, dest=key)
+    for key in CHANNEL_KEYS + SIM_KEYS:
+        group.add_argument(
+            f"--{key.replace('_', '-')}", type=partial(parse_setting, key), dest=key
+        )
 
 
 def _add_payload(parser: argparse.ArgumentParser) -> None:

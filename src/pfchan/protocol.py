@@ -49,7 +49,7 @@ class ObservedOrder(Enum):
     AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PagePair:
     """The two page indices probed during one slot."""
 

@@ -57,7 +57,8 @@ def compute_metrics(
     return ber, bandwidth_bps
 
 
-@dataclass(frozen=True)
+# Slotted: the live receiver pickles one per slot to the parent.
+@dataclass(frozen=True, slots=True)
 class SlotRecord:
     """What one slot produced at the receiver."""
 
@@ -134,43 +135,4 @@ class TransmissionReport:
             elapsed_ns=elapsed_ns,
             ber=ber,
             bandwidth_bps=bandwidth,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "sent": list(self.sent),
-            "received": list(self.received),
-            "elapsed_ns": self.elapsed_ns,
-            "ber": self.ber,
-            "bandwidth_bps": self.bandwidth_bps,
-            "per_slot": [
-                {
-                    "slot": rec.slot,
-                    "p1": rec.pair.p1,
-                    "p2": rec.pair.p2,
-                    "order": rec.order.value,
-                    "decoded": rec.decoded,
-                }
-                for rec in self.per_slot
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransmissionReport":
-        slots = [
-            SlotRecord(
-                slot=rec["slot"],
-                pair=PagePair(p1=rec["p1"], p2=rec["p2"], slot=rec["slot"]),
-                order=ObservedOrder(rec["order"]),
-                decoded=rec["decoded"],
-            )
-            for rec in data["per_slot"]
-        ]
-        return cls(
-            sent=list(data["sent"]),
-            received=list(data["received"]),
-            per_slot=slots,
-            elapsed_ns=data["elapsed_ns"],
-            ber=data["ber"],
-            bandwidth_bps=data["bandwidth_bps"],
         )

@@ -57,7 +57,6 @@ class SimParams:
     disk_latency: int = 1000
     mem_latency: int = 1
     switch_cost: int = 10
-    eviction_policy: str = "lru"
     readahead: int = 1
     tick_ns: int = 1
     eviction_behavior: EvictionBehavior = EvictionBehavior.ALWAYS
@@ -76,10 +75,6 @@ class SimParams:
             )
         if self.switch_cost < 0:
             raise ConfigError(f"switch_cost must be >= 0, got {self.switch_cost}")
-        if self.eviction_policy != "lru":
-            raise ConfigError(
-                f"unsupported eviction_policy {self.eviction_policy!r}, only 'lru'"
-            )
         if self.readahead < 1:
             raise ConfigError(
                 f"readahead counts pages fetched per hard fault and must be "
@@ -200,11 +195,14 @@ class CacheSchedSim:
 
     # -- single access (used by the sender and by standalone callers) ------
 
-    def plan_access(self, thread: str, page: int, start_tick: int):
-        """Classify and trace an access without committing its cache effect.
+    def plan_access(
+        self, thread: str, page: int, start_tick: int
+    ) -> tuple[FaultKind, int]:
+        """Classify and trace an access starting at start_tick.
 
-        Returns (fault, completion_tick, commit). The channel run defers
-        commit so a late-arriving probe can observe the pre-access state.
+        Returns (fault, completion_tick) and leaves the cache untouched until
+        land_access applies the access, so a probe that runs before the
+        completion tick still sees the pre-access state.
         """
         p = self.params
         process = self._process_of(thread)
@@ -214,17 +212,15 @@ class CacheSchedSim:
             # The fetch completes after disk_latency; the retried access then
             # needs the core back, which the yield released at +switch_cost.
             resume = max(start_tick + p.disk_latency, start_tick + p.switch_cost)
-            completion = resume + p.mem_latency
+            return fault, resume + p.mem_latency
+        return fault, start_tick + p.mem_latency
+
+    def land_access(self, thread: str, page: int, fault: FaultKind) -> None:
+        """Apply the cache effect of an access that plan_access classified."""
+        if fault is FaultKind.HARD:
+            self._fetch(page, self._process_of(thread))
         else:
-            completion = start_tick + p.mem_latency
-
-        def commit() -> None:
-            if fault is FaultKind.HARD:
-                self._fetch(page, process)
-            else:
-                self._hit(page, process)
-
-        return fault, completion, commit
+            self._hit(page, self._process_of(thread))
 
     def touch(self, thread: str, page: int) -> tuple[FaultKind, int]:
         """Run one access to completion at the current clock.
@@ -233,10 +229,16 @@ class CacheSchedSim:
         thread on a disk fetch, yields, and finishes one mem_latency after the
         fetch lands.
         """
-        fault, completion, commit = self.plan_access(thread, page, self.clock)
-        commit()
+        fault, completion = self.plan_access(thread, page, self.clock)
+        self.land_access(thread, page, fault)
         self.clock = completion
         return fault, completion
+
+    def probe_at(self, tick: int, pair: PagePair) -> ObservedOrder:
+        """Run the receiver's slot on pair starting at tick."""
+        self.clock = tick
+        order, _ = self.run_spy_slot(pair)
+        return order
 
     # -- the receiver's two-thread slot ------------------------------------
 
@@ -321,12 +323,13 @@ def run_channel_sim(
 ) -> TransmissionReport:
     """Drive a full transmission through the model and report on it.
 
-    Per slot: the sender evicts the pair (when the modeled kernel honors the
-    advice), touches the encode target, and the receiver probes at its guard
-    deadline. Deadlines convert to ticks via tick_ns. The sender may drift
-    past its deadline when a slot's work exceeds the period; if its encode
-    has not finished by the receiver's probe tick, the probe observes the
-    pre-touch state, which is what makes aggressive bit rates lossy.
+    Per slot, in tick order: the sender evicts the pair (when the modeled
+    kernel honors the advice) and starts touching the encode target, and the
+    receiver probes at its guard deadline. Deadlines convert to ticks via
+    tick_ns. The sender may drift past its deadline when a slot's work
+    exceeds the period. The touch lands in the cache only at its completion
+    tick, and a probe that runs before then observes the pre-touch state,
+    which is what makes aggressive bit rates lossy.
 
     Reported bandwidth uses the nominal channel time of one period per bit,
     not the modeled work time.
@@ -340,45 +343,29 @@ def run_channel_sim(
     sim = CacheSchedSim(params, cfg.region_pages)
     period_ticks = max(1, cfg.sync_period_ns // params.tick_ns)
     guard_ticks = cfg.guard_ns // params.tick_ns
+    always_honor = params.eviction_behavior is EvictionBehavior.ALWAYS
     sender_free = 0
     slots: list[SlotRecord] = []
 
     for k, bit in enumerate(payload):
         pair = page_pair_for_slot(cfg, k)
         target = encode_target(bit, pair)
-        honor_advice = (
-            params.eviction_behavior is EvictionBehavior.ALWAYS
-            or k < cfg.slots_per_wrap
-        )
-
         sender_start = max(k * period_ticks, sender_free)
         probe_tick = k * period_ticks + guard_ticks
 
-        def encode_slot():
-            # Eviction advice and the touch go back to back at sender_start.
-            sim.clock = sender_start
-            if honor_advice:
-                sim.evict(pair.pages)
-            return sim.plan_access("trojan", target, sender_start)
-
-        # Apply eviction+touch and the probe in modeled time order. The touch
-        # only lands in the cache at its completion tick, so a probe arriving
-        # mid-encode sees both pages still evicted.
+        order = None
         if probe_tick < sender_start:
-            sim.clock = probe_tick
-            order, _ = sim.run_spy_slot(pair)
-            _, encode_done, commit_touch = encode_slot()
-            commit_touch()
-        else:
-            _, encode_done, commit_touch = encode_slot()
-            if probe_tick >= encode_done:
-                commit_touch()
-                sim.clock = probe_tick
-                order, _ = sim.run_spy_slot(pair)
-            else:
-                sim.clock = probe_tick
-                order, _ = sim.run_spy_slot(pair)
-                commit_touch()
+            order = sim.probe_at(probe_tick, pair)
+        # Eviction advice and the touch go back to back at sender_start.
+        if always_honor or k < cfg.slots_per_wrap:
+            sim.evict(pair.pages)
+        fault, encode_done = sim.plan_access("trojan", target, sender_start)
+        # The touch lands at encode_done; a probe mid-encode sees it missing.
+        if order is None and probe_tick < encode_done:
+            order = sim.probe_at(probe_tick, pair)
+        sim.land_access("trojan", target, fault)
+        if order is None:
+            order = sim.probe_at(probe_tick, pair)
         sender_free = encode_done
         slots.append(
             SlotRecord(slot=k, pair=pair, order=order, decoded=decode_from_order(order))

@@ -88,6 +88,24 @@ class CellResult:
     bandwidth_bps: float
     indeterminate_slots: int
 
+    @classmethod
+    def from_report(
+        cls, variable: str, value: int, repetition: int, seed: int, cfg, report
+    ) -> "CellResult":
+        return cls(
+            variable=variable,
+            value=value,
+            repetition=repetition,
+            seed=seed,
+            payload_bits=report.payload_bits,
+            page_gap=cfg.page_gap,
+            region_bytes=cfg.region_size,
+            sync_period_ns=cfg.sync_period_ns,
+            ber=report.ber,
+            bandwidth_bps=report.bandwidth_bps,
+            indeterminate_slots=report.indeterminate_slots,
+        )
+
     def csv_row(self) -> list:
         return [
             self.variable,
@@ -166,26 +184,41 @@ def _run_sim_cell(
 # -- live orchestration ----------------------------------------------------
 # Entry points are module level so forked children can run them directly.
 
-def _live_sender_entry(region_path, cfg, payload, epoch_ns):
+CHILD_POLL_S = 0.2
+
+
+def _live_sender_entry(region_path, cfg, payload, epoch_ns, capabilities):
     from . import live
 
     with live.open_region(region_path, cfg) as region:
-        live.trojan_send(region, cfg, payload, epoch_ns)
+        live.trojan_send(region, cfg, payload, epoch_ns, capabilities=capabilities)
 
 
-def _live_receiver_entry(region_path, cfg, payload, epoch_ns, queue):
+def _live_receiver_entry(region_path, cfg, payload, epoch_ns, capabilities, queue):
     from . import live
 
     with live.open_region(region_path, cfg) as region:
         report = live.spy_receive(
-            region, cfg, len(payload), epoch_ns, expected=payload
+            region, cfg, len(payload), epoch_ns, expected=payload,
+            capabilities=capabilities,
         )
-    queue.put(report.to_dict())
+    queue.put(report)
+
+
+def _abort_if_any_failed(children) -> None:
+    for name, proc in children:
+        if proc.exitcode not in (None, 0):
+            raise RunAbort(f"live {name} child exited with code {proc.exitcode}")
 
 
 def _run_live_cell(
-    cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int
+    cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int, capabilities
 ) -> TransmissionReport:
+    """One sender/receiver process pair. A child that exits non-zero, or a
+    receiver that exits without a report, aborts the cell within about
+    CHILD_POLL_S instead of leaving a row."""
+    from queue import Empty
+
     from . import live
 
     payload = random_payload(seed, cfg.payload_bits)
@@ -194,29 +227,46 @@ def _run_live_cell(
     queue = ctx.Queue()
     epoch = time.clock_gettime_ns(time.CLOCK_REALTIME) + lead_ns
     receiver = ctx.Process(
-        target=_live_receiver_entry, args=(region_file, cfg, payload, epoch, queue)
+        target=_live_receiver_entry,
+        args=(region_file, cfg, payload, epoch, capabilities, queue),
     )
     sender = ctx.Process(
-        target=_live_sender_entry, args=(region_file, cfg, payload, epoch)
+        target=_live_sender_entry, args=(region_file, cfg, payload, epoch, capabilities)
     )
+    children = (("sender", sender), ("receiver", receiver))
     receiver.start()
     sender.start()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
+    deadline = time.monotonic() + budget
     try:
-        result = queue.get(timeout=budget)
-    except Exception as exc:
-        raise RunAbort(f"live cell produced no report within {budget:.0f}s") from exc
-    finally:
+        report = None
+        while report is None:
+            _abort_if_any_failed(children)
+            if time.monotonic() > deadline:
+                raise RunAbort(f"live cell produced no report within {budget:.0f}s")
+            # sampled before the get, so a get that times out after the
+            # receiver exited has drained the queue once
+            receiver_alive = receiver.is_alive()
+            try:
+                report = queue.get(timeout=CHILD_POLL_S)
+            except Empty:
+                if not receiver_alive:
+                    _abort_if_any_failed(children)
+                    raise RunAbort("live receiver child exited without a report") from None
         sender.join(timeout=10)
         receiver.join(timeout=10)
-        for proc in (sender, receiver):
-            if proc.is_alive():  # pragma: no cover - stuck child
+    finally:
+        for _, proc in children:
+            if proc.is_alive():
                 proc.terminate()
-    return TransmissionReport.from_dict(result)
+                proc.join()
+    _abort_if_any_failed(children)
+    return report
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute every cell of the sweep and collect rows in grid order."""
+    caps = None
     if spec.backend == "live":
         from . import live
 
@@ -237,22 +287,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 report = _run_sim_cell(cfg, spec.params, seed)
             else:
                 report = _run_live_cell(
-                    cfg, seed, spec.region_file, spec.live_lead_ns
+                    cfg, seed, spec.region_file, spec.live_lead_ns, caps
                 )
             rows.append(
-                CellResult(
-                    variable=spec.variable,
-                    value=value,
-                    repetition=rep,
-                    seed=seed,
-                    payload_bits=cfg.payload_bits,
-                    page_gap=cfg.page_gap,
-                    region_bytes=cfg.region_size,
-                    sync_period_ns=cfg.sync_period_ns,
-                    ber=report.ber,
-                    bandwidth_bps=report.bandwidth_bps,
-                    indeterminate_slots=report.indeterminate_slots,
-                )
+                CellResult.from_report(spec.variable, value, rep, seed, cfg, report)
             )
     return SweepResult(spec=spec, rows=tuple(rows))
 

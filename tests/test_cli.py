@@ -1,11 +1,16 @@
 """End-to-end CLI runs, in process, checking exit codes and artifacts."""
 from __future__ import annotations
 
+from contextlib import nullcontext
+from dataclasses import fields
+
 import pytest
 
 import pfchan.live
-from pfchan.cli import main
-from pfchan.live import BackendCapabilities
+from pfchan.cli import build_parser, main, parse_setting
+from pfchan.config import ChannelConfig
+from pfchan.live import BackendCapabilities, SenderSlotLog
+from pfchan.sim import SimParams
 from pfchan.sweep import CSV_HEADER
 
 MIB = 1024 * 1024
@@ -78,6 +83,8 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("piglets = 3\n", "unknown config key"),
         ("page_gap\n", "expected key=value"),
         ("page_gap = wide\n", "expects an integer"),
+        ("eviction_behavior = sometimes\n", "bad.cfg:1: eviction_behavior must be one of"),
+        ("# removed knob\neviction_policy = lru\n", "bad.cfg:2: unknown config key"),
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
@@ -87,8 +94,20 @@ def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_every_setting_has_an_override_flag():
+    for f in fields(ChannelConfig) + fields(SimParams):
+        text = "first-wrap" if f.name == "eviction_behavior" else "3"
+        args = build_parser().parse_args(
+            ["simulate", f"--{f.name.replace('_', '-')}", text]
+        )
+        assert getattr(args, f.name) == parse_setting(f.name, text)
+
+
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("simulate", "--bogus", "1") == 1
+    assert "error:" in capsys.readouterr().err
+    # removed along with the eviction_policy setting
+    assert run_cli("simulate", "--eviction-policy", "lru") == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -116,12 +135,13 @@ def test_malformed_bit_payload_exits_1(capsys):
     assert run_cli("simulate", *SMALL, "--bits", "10romeo") == 1
 
 
-def test_eviction_behavior_flag():
+def test_eviction_behavior_flag(capsys):
     assert run_cli(
         "simulate", *SMALL, "--payload-bits", "8",
         "--eviction-behavior", "first-wrap",
     ) == 0
     assert run_cli("simulate", *SMALL, "--eviction-behavior", "sometimes") == 1
+    assert "eviction_behavior must be one of" in capsys.readouterr().err
 
 
 def test_sweep_writes_grid_csv(tmp_path, capsys):
@@ -237,3 +257,23 @@ def test_send_without_region_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "setup error" in capsys.readouterr().err
+
+
+def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
+    log = [
+        SenderSlotLog(0, 0, 32, 32, 10, 11, 12, True, None, False),
+        SenderSlotLog(1, 64, 96, 64, 20, 25, 29, False, False, True),
+    ]
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a: log)
+    out_csv = tmp_path / "sender.csv"
+    code = run_cli(
+        "send", "--region-file", "unused", "--epoch", "0", "--bits", "01",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    assert out_csv.read_text().splitlines() == [
+        "slot,p1,p2,target,deadline_ns,start_ns,end_ns,advice_ok,evict_confirmed,overrun",
+        "0,0,32,32,10,11,12,1,,0",
+        "1,64,96,64,20,25,29,0,0,1",
+    ]

@@ -1,6 +1,7 @@
 """Metric and payload checks, with a brute-force comparison oracle."""
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -113,11 +114,14 @@ def test_report_counts_indeterminate_as_error():
     assert report.received[3] != sent[3]
 
 
-def test_report_round_trip_dict():
+def test_report_survives_pickling():
+    # the live receiver hands its report to the parent through a
+    # multiprocessing queue, which pickles it
     sent = [1, 0, 1]
-    report = TransmissionReport.build(sent, _slots([1, 0, 1]), elapsed_ns=30)
-    clone = TransmissionReport.from_dict(report.to_dict())
+    report = TransmissionReport.build(sent, _slots([1, None, 1]), elapsed_ns=30)
+    clone = pickle.loads(pickle.dumps(report))
     assert clone == report
+    assert clone.indeterminate_slots == 1
 
 
 def test_blind_report_has_no_error_claim():

@@ -42,8 +42,6 @@ def test_params_validation():
     with pytest.raises(ConfigError):
         SimParams(switch_cost=-1)
     with pytest.raises(ConfigError):
-        SimParams(eviction_policy="fifo")
-    with pytest.raises(ConfigError):
         SimParams(readahead=0)
     with pytest.raises(ConfigError):
         SimParams(tick_ns=0)

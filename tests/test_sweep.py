@@ -1,13 +1,17 @@
 """Harness checks: reproducibility, grid mechanics, calibration choice."""
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 import pfchan.live
+from pfchan import sweep
 from pfchan.config import ChannelConfig
-from pfchan.errors import ConfigError, SetupError
+from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
-from pfchan.sim import EvictionBehavior, SimParams
+from pfchan.sim import EvictionBehavior, SimParams, run_channel_sim
 from pfchan.sweep import (
     CSV_HEADER,
     SweepSpec,
@@ -194,3 +198,75 @@ def test_emit_report_writes_csv_and_summarizes(tmp_path):
     lines = summary.splitlines()
     assert "page_gap" in lines[0] and "sim" in lines[0]
     assert len(lines) == 2 + len(result.spec.values)
+
+
+# -- live cell orchestration, with the child entry points replaced ----------
+# The children are forked, so they run the monkeypatched entry points.
+
+READY = BackendCapabilities(
+    shared_readonly_mapping=True,
+    cache_advice_eviction=True,
+    cpu_affinity=True,
+    switch_on_hard_fault=True,
+)
+TINY = ChannelConfig(
+    region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
+)
+
+
+def _healthy_sender(region_path, cfg, payload, epoch_ns, capabilities):
+    if capabilities is not READY:
+        os._exit(9)
+
+
+def _healthy_receiver(region_path, cfg, payload, epoch_ns, capabilities, queue):
+    if capabilities is not READY:
+        os._exit(9)
+    queue.put(run_channel_sim(cfg, SimParams(), payload))
+
+
+def _run_tiny_cell(tmp_path):
+    return sweep._run_live_cell(TINY, 7, str(tmp_path / "r.bin"), 10_000_000, READY)
+
+
+def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(sweep, "_live_sender_entry", _healthy_sender)
+    monkeypatch.setattr(sweep, "_live_receiver_entry", _healthy_receiver)
+    spec = SweepSpec(
+        variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
+        params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
+        live_lead_ns=10_000_000,
+    )
+    (row,) = run_sweep(spec).rows
+    assert (row.payload_bits, row.ber) == (8, 0.0)
+
+
+def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
+    # the receiver still reports, as one decoding noise would
+    def dying_sender(*args):
+        raise SetupError("region vanished")
+
+    monkeypatch.setattr(sweep, "_live_sender_entry", dying_sender)
+    monkeypatch.setattr(sweep, "_live_receiver_entry", _healthy_receiver)
+    with pytest.raises(RunAbort, match="sender child exited with code 1"):
+        _run_tiny_cell(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "exit_code,message",
+    [(5, "receiver child exited with code 5"), (0, "receiver child exited without a report")],
+)
+def test_live_cell_with_a_dead_receiver_aborts_fast(
+    monkeypatch, tmp_path, exit_code, message
+):
+    def dead_receiver(*args):
+        os._exit(exit_code)
+
+    monkeypatch.setattr(sweep, "_live_sender_entry", _healthy_sender)
+    monkeypatch.setattr(sweep, "_live_receiver_entry", dead_receiver)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match=message):
+        _run_tiny_cell(tmp_path)
+    # the report budget is over 30 s; a dead receiver must not wait it out
+    assert time.monotonic() - start < 5
