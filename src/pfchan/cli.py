@@ -179,7 +179,7 @@ def cmd_send(args) -> int:
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
-        log = live.trojan_send(region, cfg, payload, epoch)
+        log = live.trojan_send(region, cfg, payload, epoch, cpu=args.cpu)
     overruns = sum(1 for rec in log if rec.overrun)
     unconfirmed = sum(1 for rec in log if rec.evict_confirmed is False)
     print(
@@ -341,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--create-region",
         action="store_true",
         help="write the backing file first if it is missing or too small",
+    )
+    p.add_argument(
+        "--cpu", type=int, help="core to pin the sender to (default: unpinned)"
     )
     p.set_defaults(func=cmd_send)
 

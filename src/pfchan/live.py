@@ -32,6 +32,7 @@ import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from mmap import MAP_PRIVATE, PROT_READ, PROT_WRITE, mmap as _mmap
 
@@ -231,19 +232,33 @@ class SharedRegion:
             os.POSIX_FADV_DONTNEED,
         )
 
-    def residency(self) -> list[bool] | None:
-        """Page-cache residency of every region page, or None if the platform
-        offers no probe. Diagnostics only."""
+    def residency(self, *pages: int) -> list[bool] | None:
+        """Page-cache residency of the given pages, in order, or None if the
+        platform offers no probe. Diagnostics only.
+
+        Each page is checked with its own one-page mincore call, so the cost
+        does not grow with the region. Since Linux 5.0, mincore on a file
+        the caller can neither write nor owns reports only the pages mapped
+        in the caller's own page tables, so on someone else's region file
+        every page reads as evicted. Confirmation therefore stays a
+        diagnostic and never steers the channel. A non-blocking read
+        (preadv with RWF_NOWAIT) is no substitute: reading an evicted page
+        that way starts readahead, which brings the page back into the
+        cache and undoes the eviction it was meant to check.
+        """
         if not _HAVE_MINCORE:  # pragma: no cover
             return None
-        n = self.page_count
-        vec = (ctypes.c_ubyte * n)()
-        rc = _libc.mincore(
-            ctypes.c_void_p(self._addr), ctypes.c_size_t(self.length), vec
-        )
-        if rc != 0:
-            return None
-        return [bool(b & 1) for b in vec]
+        vec = (ctypes.c_ubyte * 1)()
+        resident = []
+        for page in pages:
+            if not (0 <= page < self.page_count):
+                raise ConfigError(
+                    f"page {page} outside region of {self.page_count} pages"
+                )
+            if _libc.mincore(self._addr + page * self.page_size, self.page_size, vec):
+                return None
+            resident.append(bool(vec[0] & 1))
+        return resident
 
     def close(self) -> None:
         if getattr(self, "_view", None) is not None:
@@ -327,11 +342,10 @@ def evict_pair(region: SharedRegion, pair: PagePair) -> EvictOutcome:
         region.advise_dontneed(pair.p2)
     except OSError as exc:
         return EvictOutcome(pair=pair, advice_ok=False, confirmed=None, error=str(exc))
-    residency = region.residency()
+    residency = region.residency(pair.p1, pair.p2)
     if residency is None:
         return EvictOutcome(pair=pair, advice_ok=True, confirmed=None)
-    confirmed = not residency[pair.p1] and not residency[pair.p2]
-    return EvictOutcome(pair=pair, advice_ok=True, confirmed=confirmed)
+    return EvictOutcome(pair=pair, advice_ok=True, confirmed=not any(residency))
 
 
 def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
@@ -374,14 +388,14 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
                         region.load_byte(3)
                         region.advise_dontneed(2)
                         region.advise_dontneed(3)
-                        residency = region.residency()
+                        residency = region.residency(2, 3)
                         if residency is None:
                             advice_ok = True
                             notes.append(
                                 "no residency probe; eviction advice accepted "
                                 "but unverified"
                             )
-                        elif residency[2] or residency[3]:
+                        elif any(residency):
                             advice_ok = False
                             notes.append(
                                 "eviction advice accepted but pages stayed resident"
@@ -439,50 +453,74 @@ def _wait_until_ns(deadline_ns: int) -> None:
             time.sleep((delta - _SPIN_NS) / 1e9)
 
 
+@contextmanager
+def _pinned(cpu: int | None, who: str):
+    """Run the block with the whole process on one core: cpu, or the lowest
+    usable one when cpu is None. The original affinity comes back on exit,
+    and a core that cannot be pinned is a startup failure."""
+    try:
+        original = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu if cpu is not None else min(original)})
+    except (AttributeError, OSError) as exc:
+        raise SetupError(f"cannot pin {who} to one core: {exc}") from exc
+    try:
+        yield
+    finally:
+        try:
+            os.sched_setaffinity(0, original)
+        except OSError:  # pragma: no cover
+            pass
+
+
 def trojan_send(
     region: SharedRegion,
     cfg: ChannelConfig,
     payload: list[int],
     epoch_ns: int,
     capabilities: BackendCapabilities | None = None,
+    cpu: int | None = None,
 ) -> list[SenderSlotLog]:
     """Transmit the payload: per slot, evict the pair then touch the encode
     target at the sender deadline.
 
-    The sender is deliberately not pinned; only the receiver's thread pair
-    needs to share a core. A missed deadline is logged and the slot still
-    runs, since skipping would desynchronize every later slot. A failed
-    eviction advice call abandons the slot's touch (the pair state is
-    unknown) and the transmission moves on.
+    With cpu given, the process is pinned to that core before the first
+    slot, which keeps the sender's waits and syscalls off the receiver's
+    core; failure to pin is a startup failure. Without it the sender runs
+    unpinned, since only the receiver's thread pair needs to share a core.
+    A missed deadline is logged and the slot still runs, since skipping
+    would desynchronize every later slot. A failed eviction advice call
+    abandons the slot's touch (the pair state is unknown) and the
+    transmission moves on.
     """
     _require_ready(capabilities)
     log: list[SenderSlotLog] = []
-    for k, bit in enumerate(payload):
-        pair = page_pair_for_slot(cfg, k)
-        target = encode_target(bit, pair)
-        deadline = slot_deadline(cfg, epoch_ns, k, "sender")
-        arrived = _now_ns()
-        _wait_until_ns(deadline)
-        start = _now_ns()
-        outcome = evict_pair(region, pair)
-        if outcome.advice_ok:
-            # pread, not a mapped touch: a page table entry would pin the
-            # target against the next wrap's eviction advice
-            region.load_byte(target)
-        log.append(
-            SenderSlotLog(
-                slot=k,
-                p1=pair.p1,
-                p2=pair.p2,
-                target=target,
-                deadline_ns=deadline,
-                start_ns=start,
-                end_ns=_now_ns(),
-                advice_ok=outcome.advice_ok,
-                evict_confirmed=outcome.confirmed,
-                overrun=arrived > deadline,
+    with _pinned(cpu, "sender") if cpu is not None else nullcontext():
+        for k, bit in enumerate(payload):
+            pair = page_pair_for_slot(cfg, k)
+            target = encode_target(bit, pair)
+            deadline = slot_deadline(cfg, epoch_ns, k, "sender")
+            arrived = _now_ns()
+            _wait_until_ns(deadline)
+            start = _now_ns()
+            outcome = evict_pair(region, pair)
+            if outcome.advice_ok:
+                # pread, not a mapped touch: a page table entry would pin the
+                # target against the next wrap's eviction advice
+                region.load_byte(target)
+            log.append(
+                SenderSlotLog(
+                    slot=k,
+                    p1=pair.p1,
+                    p2=pair.p2,
+                    target=target,
+                    deadline_ns=deadline,
+                    start_ns=start,
+                    end_ns=_now_ns(),
+                    advice_ok=outcome.advice_ok,
+                    evict_confirmed=outcome.confirmed,
+                    overrun=arrived > deadline,
+                )
             )
-        )
     return log
 
 
@@ -542,15 +580,8 @@ def spy_receive(
             sent=[], received=[], per_slot=[], elapsed_ns=0, ber=0.0, bandwidth_bps=0.0
         )
 
-    try:
-        original_affinity = os.sched_getaffinity(0)
-        target_cpu = cpu if cpu is not None else min(original_affinity)
-        os.sched_setaffinity(0, {target_cpu})
-    except (AttributeError, OSError) as exc:
-        raise SetupError(f"cannot pin receiver to one core: {exc}") from exc
-
     slots: list[SlotRecord] = []
-    try:
+    with _pinned(cpu, "receiver"):
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
@@ -568,11 +599,6 @@ def spy_receive(
                 )
             )
         end_ns = _now_ns()
-    finally:
-        try:
-            os.sched_setaffinity(0, original_affinity)
-        except OSError:  # pragma: no cover
-            pass
 
     elapsed = max(1, end_ns - epoch_ns)
     if expected is not None:

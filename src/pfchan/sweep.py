@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -53,7 +54,8 @@ class SweepSpec:
     backend: str = "sim"
     seed: int = 0
     region_file: str | None = None  # live backend only
-    live_lead_ns: int = 500_000_000
+    # margin from both live endpoints reporting ready to slot 0
+    live_lead_ns: int = 20_000_000
 
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
@@ -183,83 +185,139 @@ def _run_sim_cell(
 
 # -- live orchestration ----------------------------------------------------
 # Entry points are module level so forked children can run them directly.
+# Each child talks to the parent over its own pipe: ("ready", None) once its
+# region is open, then ("result", value) when it is done, or ("error", text)
+# from whatever step failed. The parent answers "ready" with the epoch. A
+# child that exits closes its end, so the parent sees the exit at once as
+# end of file on the pipe.
 
-CHILD_POLL_S = 0.2
+
+def _ready(conn) -> int:
+    """Tell the parent this endpoint is set up; return the epoch it sends."""
+    conn.send(("ready", None))
+    return conn.recv()
 
 
-def _live_sender_entry(region_path, cfg, payload, epoch_ns, capabilities):
+def _live_sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
     from . import live
 
     with live.open_region(region_path, cfg) as region:
-        live.trojan_send(region, cfg, payload, epoch_ns, capabilities=capabilities)
+        live.trojan_send(
+            region, cfg, payload, _ready(conn), capabilities=capabilities, cpu=cpu
+        )
 
 
-def _live_receiver_entry(region_path, cfg, payload, epoch_ns, capabilities, queue):
+def _live_receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
     from . import live
 
     with live.open_region(region_path, cfg) as region:
-        report = live.spy_receive(
-            region, cfg, len(payload), epoch_ns, expected=payload,
+        return live.spy_receive(
+            region, cfg, len(payload), _ready(conn), expected=payload, cpu=cpu,
             capabilities=capabilities,
         )
-    queue.put(report)
+
+
+def _child_main(entry, conn, *args) -> None:
+    """Run one endpoint in a forked child and send its result, or the text
+    of the exception that stopped it before the child exits non-zero."""
+    try:
+        result = entry(*args, conn)
+    except BaseException as exc:
+        try:
+            conn.send(("error", repr(exc)))
+        except OSError:
+            pass
+        raise
+    conn.send(("result", result))
 
 
 def _abort_if_any_failed(children) -> None:
-    for name, proc in children:
+    for name, proc, _ in children:
         if proc.exitcode not in (None, 0):
             raise RunAbort(f"live {name} child exited with code {proc.exitcode}")
+
+
+def _collect(children, kind: str, deadline: float) -> dict[str, object]:
+    """One message of this kind from every child, by name. A child that
+    sends an error, or closes its pipe by exiting, aborts the cell."""
+    from multiprocessing.connection import wait
+
+    waiting = {conn: (name, proc) for name, proc, conn in children}
+    got: dict[str, object] = {}
+    while waiting:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            names = " and ".join(name for name, _ in waiting.values())
+            raise RunAbort(f"live {names} sent no {kind} before the cell's deadline")
+        for conn in wait(list(waiting), timeout=remaining):
+            name, proc = waiting.pop(conn)
+            try:
+                got_kind, value = conn.recv()
+            except EOFError:
+                got_kind, value = "exit", None
+            if got_kind == kind:
+                got[name] = value
+                continue
+            proc.join(timeout=10)
+            if proc.exitcode == 0:
+                missing = "reporting ready" if kind == "ready" else "a report"
+                raise RunAbort(f"live {name} child exited without {missing}")
+            detail = f": {value}" if got_kind == "error" else ""
+            raise RunAbort(f"live {name} child exited with code {proc.exitcode}{detail}")
+    return got
 
 
 def _run_live_cell(
     cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int, capabilities
 ) -> TransmissionReport:
-    """One sender/receiver process pair. A child that exits non-zero, or a
-    receiver that exits without a report, aborts the cell within about
-    CHILD_POLL_S instead of leaving a row."""
-    from queue import Empty
-
+    """One sender/receiver process pair. Slot 0 starts lead_ns after both
+    children have opened the region and reported ready. A child that fails
+    or exits early aborts the cell, with its error text when it sent one,
+    instead of leaving a row."""
     from . import live
 
     payload = random_payload(seed, cfg.payload_bits)
     live.create_backing_file(region_file, cfg.region_size)
     ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    epoch = time.clock_gettime_ns(time.CLOCK_REALTIME) + lead_ns
-    receiver = ctx.Process(
-        target=_live_receiver_entry,
-        args=(region_file, cfg, payload, epoch, capabilities, queue),
-    )
-    sender = ctx.Process(
-        target=_live_sender_entry, args=(region_file, cfg, payload, epoch, capabilities)
-    )
-    children = (("sender", sender), ("receiver", receiver))
-    receiver.start()
-    sender.start()
+    # the receiver gets the lowest usable core and the sender the next one,
+    # so the sender's syscalls stay off the receiver's core; with a single
+    # usable core the sender stays unpinned
+    usable = sorted(os.sched_getaffinity(0))
+    receiver_cpu, sender_cpu = usable[0], (usable[1] if len(usable) > 1 else None)
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     deadline = time.monotonic() + budget
+    children = []
     try:
-        report = None
-        while report is None:
-            _abort_if_any_failed(children)
-            if time.monotonic() > deadline:
-                raise RunAbort(f"live cell produced no report within {budget:.0f}s")
-            # sampled before the get, so a get that times out after the
-            # receiver exited has drained the queue once
-            receiver_alive = receiver.is_alive()
+        for name, entry, cpu in (
+            ("receiver", _live_receiver_entry, receiver_cpu),
+            ("sender", _live_sender_entry, sender_cpu),
+        ):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_child_main,
+                args=(entry, child_conn, region_file, cfg, payload, capabilities, cpu),
+            )
+            proc.start()
+            # only the child may hold its end, or its exit would not read as
+            # end of file here; closing before the next fork keeps it so
+            child_conn.close()
+            children.append((name, proc, conn))
+        _collect(children, "ready", deadline)
+        epoch = time.clock_gettime_ns(time.CLOCK_REALTIME) + lead_ns
+        for _, _, conn in children:
             try:
-                report = queue.get(timeout=CHILD_POLL_S)
-            except Empty:
-                if not receiver_alive:
-                    _abort_if_any_failed(children)
-                    raise RunAbort("live receiver child exited without a report") from None
-        sender.join(timeout=10)
-        receiver.join(timeout=10)
+                conn.send(epoch)
+            except OSError:
+                pass  # that child has exited; collecting its result says how
+        report = _collect(children, "result", deadline)["receiver"]
+        for _, proc, _ in children:
+            proc.join(timeout=10)
     finally:
-        for _, proc in children:
+        for _, proc, conn in children:
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
+            conn.close()
     _abort_if_any_failed(children)
     return report
 

@@ -265,7 +265,7 @@ def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
         SenderSlotLog(1, 64, 96, 64, 20, 25, 29, False, False, True),
     ]
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
-    monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a: log)
+    monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
     out_csv = tmp_path / "sender.csv"
     code = run_cli(
         "send", "--region-file", "unused", "--epoch", "0", "--bits", "01",
@@ -277,3 +277,16 @@ def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
         "0,0,32,32,10,11,12,1,,0",
         "1,64,96,64,20,25,29,0,0,1",
     ]
+
+
+def test_send_cpu_flag_pins_the_sender(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(
+        pfchan.live, "trojan_send", lambda *a, **kw: calls.append(kw) or []
+    )
+    assert run_cli("send", "--region-file", "unused", "--epoch", "0", "--bits", "01") == 0
+    assert run_cli(
+        "send", "--region-file", "unused", "--epoch", "0", "--bits", "01", "--cpu", "1"
+    ) == 0
+    assert [kw["cpu"] for kw in calls] == [None, 1]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import inspect
 import os
+import time
 
 import pytest
 
@@ -122,6 +123,23 @@ def test_evict_pair_shape(region_file):
     assert outcome.confirmed in (True, False, None)
 
 
+def test_residency_sees_a_page_arrive_and_leave(tmp_path, region_file):
+    if not probe_capabilities(scratch_dir=str(tmp_path)).transmission_ready():
+        pytest.skip("eviction advice is not honored on this filesystem")
+    with open_region(region_file, small_cfg()) as region:
+        region.load_byte(5)
+        region.load_byte(9)
+        assert region.residency(5, 9) == [True, True]
+        region.advise_dontneed(9)
+        assert region.residency(5, 9) == [True, False]
+        # a check that started readahead would have brought the page back
+        # by now and made the eviction it confirms untrue
+        time.sleep(0.05)
+        assert region.residency(9) == [False]
+        with pytest.raises(ConfigError):
+            region.residency(64)
+
+
 def test_probe_capabilities_never_raises(tmp_path):
     caps = probe_capabilities(scratch_dir=str(tmp_path))
     assert isinstance(caps, BackendCapabilities)
@@ -205,6 +223,16 @@ def test_sender_follows_shared_schedule(region_file):
         assert rec.start_ns >= rec.deadline_ns
         assert rec.end_ns >= rec.start_ns
         assert rec.advice_ok is True
+
+
+def test_sender_pins_only_when_asked(region_file):
+    before = os.sched_getaffinity(0)
+    with open_region(region_file, small_cfg()) as region:
+        trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=min(before))
+        assert os.sched_getaffinity(0) == before
+        with pytest.raises(SetupError, match="cannot pin sender"):
+            trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=4095)
+    assert os.sched_getaffinity(0) == before
 
 
 def test_sender_empty_payload(region_file):

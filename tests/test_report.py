@@ -116,7 +116,7 @@ def test_report_counts_indeterminate_as_error():
 
 def test_report_survives_pickling():
     # the live receiver hands its report to the parent through a
-    # multiprocessing queue, which pickles it
+    # multiprocessing pipe, which pickles it
     sent = [1, 0, 1]
     report = TransmissionReport.build(sent, _slots([1, None, 1]), elapsed_ns=30)
     clone = pickle.loads(pickle.dumps(report))

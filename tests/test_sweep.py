@@ -214,15 +214,17 @@ TINY = ChannelConfig(
 )
 
 
-def _healthy_sender(region_path, cfg, payload, epoch_ns, capabilities):
+def _healthy_sender(region_path, cfg, payload, capabilities, cpu, conn):
     if capabilities is not READY:
         os._exit(9)
+    sweep._ready(conn)
 
 
-def _healthy_receiver(region_path, cfg, payload, epoch_ns, capabilities, queue):
+def _healthy_receiver(region_path, cfg, payload, capabilities, cpu, conn):
     if capabilities is not READY:
         os._exit(9)
-    queue.put(run_channel_sim(cfg, SimParams(), payload))
+    sweep._ready(conn)
+    return run_channel_sim(cfg, SimParams(), payload)
 
 
 def _run_tiny_cell(tmp_path):
@@ -242,6 +244,31 @@ def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
     assert (row.payload_bits, row.ber) == (8, 0.0)
 
 
+def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp_path):
+    # the sender is slower to get ready; slot 0 must still come lead_ns
+    # after the later of the two, and both must get the same epoch
+    real_ready = sweep._ready
+
+    def recording_ready(conn):
+        ready_ns = time.clock_gettime_ns(time.CLOCK_REALTIME)
+        epoch_ns = real_ready(conn)
+        (tmp_path / f"ready-{os.getpid()}").write_text(f"{ready_ns} {epoch_ns}")
+        return epoch_ns
+
+    def slow_sender(*args):
+        time.sleep(0.3)
+        _healthy_sender(*args)
+
+    monkeypatch.setattr(sweep, "_ready", recording_ready)
+    monkeypatch.setattr(sweep, "_live_sender_entry", slow_sender)
+    monkeypatch.setattr(sweep, "_live_receiver_entry", _healthy_receiver)
+    _run_tiny_cell(tmp_path)
+    records = [tuple(map(int, p.read_text().split())) for p in tmp_path.glob("ready-*")]
+    assert len(records) == 2
+    (ready_a, epoch_a), (ready_b, epoch_b) = records
+    assert epoch_a == epoch_b >= max(ready_a, ready_b) + 10_000_000
+
+
 def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
     # the receiver still reports, as one decoding noise would
     def dying_sender(*args):
@@ -249,7 +276,8 @@ def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
 
     monkeypatch.setattr(sweep, "_live_sender_entry", dying_sender)
     monkeypatch.setattr(sweep, "_live_receiver_entry", _healthy_receiver)
-    with pytest.raises(RunAbort, match="sender child exited with code 1"):
+    message = r"sender child exited with code 1: SetupError\('region vanished'\)"
+    with pytest.raises(RunAbort, match=message):
         _run_tiny_cell(tmp_path)
 
 
@@ -261,6 +289,7 @@ def test_live_cell_with_a_dead_receiver_aborts_fast(
     monkeypatch, tmp_path, exit_code, message
 ):
     def dead_receiver(*args):
+        sweep._ready(args[-1])
         os._exit(exit_code)
 
     monkeypatch.setattr(sweep, "_live_sender_entry", _healthy_sender)
@@ -270,3 +299,49 @@ def test_live_cell_with_a_dead_receiver_aborts_fast(
         _run_tiny_cell(tmp_path)
     # the report budget is over 30 s; a dead receiver must not wait it out
     assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize(
+    "failure,message",
+    [
+        ("raise", r"child exited with code 1: RunAbort\('no region for me'\)"),
+        ("exit 0", "child exited without reporting ready"),
+    ],
+)
+def test_live_cell_with_a_child_that_dies_before_ready_aborts_fast(
+    monkeypatch, tmp_path, role, failure, message
+):
+    def unready(*args):
+        if failure == "raise":
+            raise RunAbort("no region for me")
+        os._exit(0)
+
+    monkeypatch.setattr(sweep, "_live_sender_entry", _healthy_sender)
+    monkeypatch.setattr(sweep, "_live_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(sweep, f"_live_{role}_entry", unready)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match=f"live {role} {message}"):
+        _run_tiny_cell(tmp_path)
+    # the healthy partner is left waiting for an epoch and must not hold
+    # the cell open until the budget runs out
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("usable,expected", [({0, 1}, "0 1"), ({0}, "0 None")])
+def test_live_cell_pins_the_endpoints_to_distinct_cores(
+    monkeypatch, tmp_path, usable, expected
+):
+    def recording(name, entry):
+        def wrapped(region_path, cfg, payload, capabilities, cpu, conn):
+            (tmp_path / name).write_text(str(cpu))
+            return entry(region_path, cfg, payload, capabilities, cpu, conn)
+
+        return wrapped
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
+    for name, entry in (("sender", _healthy_sender), ("receiver", _healthy_receiver)):
+        monkeypatch.setattr(sweep, f"_live_{name}_entry", recording(name, entry))
+    _run_tiny_cell(tmp_path)
+    cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
+    assert cores == expected
