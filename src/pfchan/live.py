@@ -32,7 +32,7 @@ import itertools
 import os
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from mmap import MAP_PRIVATE, PROT_READ, PROT_WRITE, mmap as _mmap
 
@@ -455,12 +455,15 @@ def _wait_until_ns(deadline_ns: int) -> None:
 
 @contextmanager
 def _pinned(cpu: int | None, who: str):
-    """Run the block with the whole process on one core: cpu, or the lowest
-    usable one when cpu is None. The original affinity comes back on exit,
-    and a core that cannot be pinned is a startup failure."""
+    """Run the block with the whole process on core cpu, or unpinned when
+    cpu is None. The original affinity comes back on exit, and a core that
+    cannot be pinned is a startup failure."""
+    if cpu is None:
+        yield
+        return
     try:
         original = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu if cpu is not None else min(original)})
+        os.sched_setaffinity(0, {cpu})
     except (AttributeError, OSError) as exc:
         raise SetupError(f"cannot pin {who} to one core: {exc}") from exc
     try:
@@ -494,7 +497,7 @@ def trojan_send(
     """
     _require_ready(capabilities)
     log: list[SenderSlotLog] = []
-    with _pinned(cpu, "sender") if cpu is not None else nullcontext():
+    with _pinned(cpu, "sender"):
         for k, bit in enumerate(payload):
             pair = page_pair_for_slot(cfg, k)
             target = encode_target(bit, pair)
@@ -580,8 +583,13 @@ def spy_receive(
             sent=[], received=[], per_slot=[], elapsed_ns=0, ber=0.0, bandwidth_bps=0.0
         )
 
+    try:
+        core = cpu if cpu is not None else min(os.sched_getaffinity(0))
+    except (AttributeError, OSError) as exc:
+        raise SetupError(f"cannot pin receiver to one core: {exc}") from exc
+
     slots: list[SlotRecord] = []
-    with _pinned(cpu, "receiver"):
+    with _pinned(core, "receiver"):
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))

@@ -217,9 +217,16 @@ def _live_receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
         )
 
 
-def _child_main(entry, conn, *args) -> None:
+def _child_main(entry, conn, parent_ends, *args) -> None:
     """Run one endpoint in a forked child and send its result, or the text
-    of the exception that stopped it before the child exits non-zero."""
+    of the exception that stopped it before the child exits non-zero.
+
+    The fork copies the parent's ends of every pipe made so far. Closing
+    them first leaves the parent their only holder, so a parent that dies
+    shows here as end of file instead of a wait for an epoch that never
+    comes."""
+    for parent_end in parent_ends:
+        parent_end.close()
     try:
         result = entry(*args, conn)
     except BaseException as exc:
@@ -293,9 +300,13 @@ def _run_live_cell(
             ("sender", _live_sender_entry, sender_cpu),
         ):
             conn, child_conn = ctx.Pipe()
+            parent_ends = [c for _, _, c in children] + [conn]
             proc = ctx.Process(
                 target=_child_main,
-                args=(entry, child_conn, region_file, cfg, payload, capabilities, cpu),
+                args=(
+                    entry, child_conn, parent_ends, region_file, cfg, payload,
+                    capabilities, cpu,
+                ),
             )
             proc.start()
             # only the child may hold its end, or its exit would not read as

@@ -1,7 +1,9 @@
 """Harness checks: reproducibility, grid mechanics, calibration choice."""
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -270,8 +272,10 @@ def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp
 
 
 def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
-    # the receiver still reports, as one decoding noise would
+    # the sender dies after slot 0 has been fixed; the receiver still
+    # reports, as one decoding noise would
     def dying_sender(*args):
+        sweep._ready(args[-1])
         raise SetupError("region vanished")
 
     monkeypatch.setattr(sweep, "_live_sender_entry", dying_sender)
@@ -345,3 +349,53 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
     _run_tiny_cell(tmp_path)
     cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
     assert cores == expected
+
+
+def _wait_for(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def test_live_children_exit_when_the_parent_dies_before_the_epoch(
+    monkeypatch, tmp_path
+):
+    # the cell's parent is killed after both children are ready but before
+    # it sends the epoch; each child must see end of file on its pipe rather
+    # than wait forever on an end that it or its partner also holds
+    def waiting_child(*args):
+        (tmp_path / f"child-{os.getpid()}").touch()
+        try:
+            sweep._ready(args[-1])
+        except EOFError:
+            (tmp_path / f"eof-{os.getpid()}").touch()
+            raise
+
+    real_collect = sweep._collect
+
+    def collect_then_hang(children, kind, deadline):
+        got = real_collect(children, kind, deadline)
+        (tmp_path / "all-ready").touch()
+        time.sleep(60)
+        return got
+
+    monkeypatch.setattr(sweep, "_live_sender_entry", waiting_child)
+    monkeypatch.setattr(sweep, "_live_receiver_entry", waiting_child)
+    monkeypatch.setattr(sweep, "_collect", collect_then_hang)
+    parent = multiprocessing.get_context("fork").Process(
+        target=_run_tiny_cell, args=(tmp_path,)
+    )
+    parent.start()
+    try:
+        _wait_for((tmp_path / "all-ready").exists)
+        parent.kill()
+        parent.join()
+        _wait_for(lambda: len(list(tmp_path.glob("eof-*"))) == 2)
+    finally:
+        parent.kill()
+        parent.join()
+        for marker in tmp_path.glob("child-*"):
+            pid = int(marker.name.split("-")[1])
+            if not (tmp_path / f"eof-{pid}").exists():
+                os.kill(pid, signal.SIGKILL)
