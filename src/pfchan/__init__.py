@@ -19,10 +19,8 @@ from .protocol import (
     encode_target,
     page_pair_for_slot,
     slot_deadline,
-    slot_plan,
 )
 from .report import (
-    SlotRecord,
     TransmissionReport,
     compute_metrics,
     random_payload,
@@ -59,7 +57,6 @@ __all__ = [
     "RunAbort",
     "SetupError",
     "SimParams",
-    "SlotRecord",
     "SweepResult",
     "SweepSpec",
     "TransmissionReport",
@@ -74,7 +71,6 @@ __all__ = [
     "run_channel_sim",
     "run_sweep",
     "slot_deadline",
-    "slot_plan",
 ]
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ from .protocol import (
     page_pair_for_slot,
     slot_deadline,
 )
-from .report import SlotRecord, TransmissionReport
+from .report import TransmissionReport
 
 try:
     _libc = ctypes.CDLL(None, use_errno=True)
@@ -103,23 +103,6 @@ class BackendCapabilities:
         ]
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class SlotObservation:
-    """Raw receiver observation for one slot: completion sequence numbers of
-    the two accessor threads taken from a shared atomic counter."""
-
-    slot: int
-    order: ObservedOrder
-    t1_seq: int
-    t2_seq: int
-
-    def __post_init__(self) -> None:
-        if self.t1_seq == self.t2_seq:
-            raise ConfigError(
-                f"completion sequence numbers must differ, both are {self.t1_seq}"
-            )
 
 
 @dataclass(frozen=True)
@@ -527,7 +510,7 @@ def trojan_send(
     return log
 
 
-def _probe_pair(region: SharedRegion, pair: PagePair) -> SlotObservation:
+def _probe_pair(region: SharedRegion, pair: PagePair) -> ObservedOrder:
     """Read both pages from two fresh threads and observe completion order.
 
     Each thread touches its page and then takes the next value from a shared
@@ -549,12 +532,7 @@ def _probe_pair(region: SharedRegion, pair: PagePair) -> SlotObservation:
     t2.join()
     if "t1" not in seqs or "t2" not in seqs:
         raise RunAbort(f"accessor thread died in slot {pair.slot}")
-    order = (
-        ObservedOrder.T1_LAST if seqs["t1"] > seqs["t2"] else ObservedOrder.T2_LAST
-    )
-    return SlotObservation(
-        slot=pair.slot, order=order, t1_seq=seqs["t1"], t2_seq=seqs["t2"]
-    )
+    return ObservedOrder.T1_LAST if seqs["t1"] > seqs["t2"] else ObservedOrder.T2_LAST
 
 
 def spy_receive(
@@ -573,6 +551,8 @@ def spy_receive(
     failure. When the expected payload is known the report carries a real
     error rate, otherwise it is built blind.
     """
+    if n_bits < 0:
+        raise ConfigError(f"n_bits must be non-negative, got {n_bits}")
     _require_ready(capabilities)
     if expected is not None and len(expected) != n_bits:
         raise ConfigError(
@@ -580,7 +560,7 @@ def spy_receive(
         )
     if n_bits == 0:
         return TransmissionReport(
-            sent=[], received=[], per_slot=[], elapsed_ns=0, ber=0.0, bandwidth_bps=0.0
+            sent=[], received=[], decoded=[], elapsed_ns=0, ber=0.0, bandwidth_bps=0.0
         )
 
     try:
@@ -588,27 +568,20 @@ def spy_receive(
     except (AttributeError, OSError) as exc:
         raise SetupError(f"cannot pin receiver to one core: {exc}") from exc
 
-    slots: list[SlotRecord] = []
+    decoded: list[int | None] = []
     with _pinned(core, "receiver"):
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
-            obs = _probe_pair(region, pair)
+            order = _probe_pair(region, pair)
             # release our page table entries so the pair stays evictable
             # when the schedule wraps back to it
             region.drop_mapping(pair.p1)
             region.drop_mapping(pair.p2)
-            slots.append(
-                SlotRecord(
-                    slot=k,
-                    pair=pair,
-                    order=obs.order,
-                    decoded=decode_from_order(obs.order),
-                )
-            )
+            decoded.append(decode_from_order(order))
         end_ns = _now_ns()
 
     elapsed = max(1, end_ns - epoch_ns)
     if expected is not None:
-        return TransmissionReport.build(expected, slots, elapsed)
-    return TransmissionReport.build_blind(slots, elapsed)
+        return TransmissionReport.build(expected, decoded, elapsed)
+    return TransmissionReport.build_blind(decoded, elapsed)

@@ -83,12 +83,6 @@ def page_pair_for_slot(cfg: ChannelConfig, k: int) -> PagePair:
     return PagePair(p1=p1, p2=p2, slot=k)
 
 
-def slot_plan(cfg: ChannelConfig, n_slots: int) -> list[PagePair]:
-    """The first n_slots pairs. Sender and receiver both derive their page
-    schedule from this single routine so they can never disagree."""
-    return [page_pair_for_slot(cfg, k) for k in range(n_slots)]
-
-
 def encode_target(bit: int, pair: PagePair) -> int:
     """Page the sender must touch: P2 for a 1, P1 for a 0.
 

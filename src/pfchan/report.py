@@ -5,7 +5,6 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .protocol import ObservedOrder, PagePair
 
 
 def random_payload(seed: int, n_bits: int) -> list[int]:
@@ -57,30 +56,20 @@ def compute_metrics(
     return ber, bandwidth_bps
 
 
-# Slotted: the live receiver pickles one per slot to the parent.
-@dataclass(frozen=True, slots=True)
-class SlotRecord:
-    """What one slot produced at the receiver."""
-
-    slot: int
-    pair: PagePair
-    order: ObservedOrder
-    decoded: int | None
-
-
 @dataclass(frozen=True)
 class TransmissionReport:
     """Aggregate outcome of one transmission.
 
-    received always has one bit per slot. A slot whose order was ambiguous
-    decodes to None; when the ground-truth payload is known the recorded bit
-    is the complement of the sent one, so plain Hamming distance charges the
-    slot as an error.
+    decoded holds what the receiver made of each slot: the bit, or None when
+    the slot's order was ambiguous. received always has one bit per slot;
+    for an ambiguous slot with a known payload the recorded bit is the
+    complement of the sent one, so plain Hamming distance charges the slot
+    as an error.
     """
 
     sent: list[int]
     received: list[int]
-    per_slot: list[SlotRecord] = field(repr=False)
+    decoded: list[int | None] = field(repr=False)
     elapsed_ns: int
     ber: float
     bandwidth_bps: float
@@ -91,26 +80,25 @@ class TransmissionReport:
 
     @property
     def indeterminate_slots(self) -> int:
-        return sum(1 for rec in self.per_slot if rec.decoded is None)
+        return self.decoded.count(None)
 
     @classmethod
     def build(
-        cls, sent: list[int], slots: list[SlotRecord], elapsed_ns: int
+        cls, sent: list[int], decoded: list[int | None], elapsed_ns: int
     ) -> "TransmissionReport":
         """Report against a known payload; indeterminate slots count as errors."""
-        if len(sent) != len(slots):
+        if len(sent) != len(decoded):
             raise ConfigError(
-                f"payload has {len(sent)} bits but {len(slots)} slots were observed"
+                f"payload has {len(sent)} bits but {len(decoded)} slots were observed"
             )
         received = [
-            rec.decoded if rec.decoded is not None else 1 - sent[k]
-            for k, rec in enumerate(slots)
+            bit if bit is not None else 1 - sent[k] for k, bit in enumerate(decoded)
         ]
         ber, bandwidth = compute_metrics(sent, received, elapsed_ns)
         return cls(
             sent=list(sent),
             received=received,
-            per_slot=list(slots),
+            decoded=list(decoded),
             elapsed_ns=elapsed_ns,
             ber=ber,
             bandwidth_bps=bandwidth,
@@ -118,7 +106,7 @@ class TransmissionReport:
 
     @classmethod
     def build_blind(
-        cls, slots: list[SlotRecord], elapsed_ns: int
+        cls, decoded: list[int | None], elapsed_ns: int
     ) -> "TransmissionReport":
         """Report with no ground truth: sent mirrors received and BER is 0.
 
@@ -126,12 +114,12 @@ class TransmissionReport:
         slots are still visible through indeterminate_slots; an undecodable
         slot is recorded as 0.
         """
-        received = [rec.decoded if rec.decoded is not None else 0 for rec in slots]
+        received = [bit if bit is not None else 0 for bit in decoded]
         ber, bandwidth = compute_metrics(received, received, elapsed_ns)
         return cls(
             sent=list(received),
             received=received,
-            per_slot=list(slots),
+            decoded=list(decoded),
             elapsed_ns=elapsed_ns,
             ber=ber,
             bandwidth_bps=bandwidth,

@@ -32,7 +32,7 @@ from .protocol import (
     encode_target,
     page_pair_for_slot,
 )
-from .report import SlotRecord, TransmissionReport
+from .report import TransmissionReport
 
 SPY_PROCESS = "spy"
 SPY_THREADS = ("t1", "t2")
@@ -97,12 +97,11 @@ class AccessRecord:
 def render_trace(trace: list[AccessRecord]) -> str:
     """Line-oriented export, one access per line: tick,thread,page,fault_kind.
 
-    Records are emitted in tick order regardless of the order in which the
-    model applied them.
+    Records are emitted in the order given; run_channel_sim's trace_out is
+    already in tick order.
     """
-    ordered = sorted(trace, key=lambda rec: rec.tick)
     return "\n".join(
-        f"{rec.tick},{rec.thread},{rec.page},{rec.fault.value}" for rec in ordered
+        f"{rec.tick},{rec.thread},{rec.page},{rec.fault.value}" for rec in trace
     )
 
 
@@ -332,7 +331,9 @@ def run_channel_sim(
     which is what makes aggressive bit rates lossy.
 
     Reported bandwidth uses the nominal channel time of one period per bit,
-    not the modeled work time.
+    not the modeled work time. When trace_out is given, every modeled access
+    is appended to it in tick order, regardless of the order in which the
+    model applied them.
     """
     for bit in payload:
         if bit not in (0, 1):
@@ -345,7 +346,7 @@ def run_channel_sim(
     guard_ticks = cfg.guard_ns // params.tick_ns
     always_honor = params.eviction_behavior is EvictionBehavior.ALWAYS
     sender_free = 0
-    slots: list[SlotRecord] = []
+    decoded: list[int | None] = []
 
     for k, bit in enumerate(payload):
         pair = page_pair_for_slot(cfg, k)
@@ -367,12 +368,10 @@ def run_channel_sim(
         if order is None:
             order = sim.probe_at(probe_tick, pair)
         sender_free = encode_done
-        slots.append(
-            SlotRecord(slot=k, pair=pair, order=order, decoded=decode_from_order(order))
-        )
+        decoded.append(decode_from_order(order))
 
     elapsed_ns = len(payload) * cfg.sync_period_ns
-    report = TransmissionReport.build(payload, slots, elapsed_ns)
+    report = TransmissionReport.build(payload, decoded, elapsed_ns)
     if trace_out is not None:
         trace_out.extend(sorted(sim.trace, key=lambda rec: rec.tick))
     return report

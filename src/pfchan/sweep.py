@@ -68,10 +68,14 @@ class SweepSpec:
             raise ConfigError(
                 f"repetitions must be at least 1, got {self.repetitions}"
             )
+        if len(set(self.values)) != len(self.values):
+            raise ConfigError(f"sweep values must be distinct, got {self.values}")
         if self.backend not in BACKENDS:
             raise ConfigError(
                 f"unknown backend {self.backend!r}, expected one of {BACKENDS}"
             )
+        if self.backend == "live" and not self.region_file:
+            raise ConfigError("live sweeps need a region_file")
 
 
 @dataclass(frozen=True)
@@ -344,8 +348,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise SetupError(
                 "live backend lacks required capabilities:\n" + caps.summary()
             )
-        if not spec.region_file:
-            raise ConfigError("live sweeps need a region_file")
 
     rows: list[CellResult] = []
     for value in spec.values:

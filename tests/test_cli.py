@@ -164,6 +164,23 @@ def test_sweep_bad_values_exit_1(capsys):
     assert run_cli(
         "sweep", "--variable", "page_gap", "--values", "8,none", *SMALL
     ) == 1
+    # a repeated value would rerun the same cells under the same seeds
+    assert run_cli(
+        "sweep", "--variable", "page_gap", "--values", "8,16,8", *SMALL
+    ) == 1
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_sweep_live_without_region_file_exits_1_before_probing(monkeypatch, capsys):
+    probes = []
+    monkeypatch.setattr(
+        pfchan.live, "probe_capabilities", lambda *a, **k: probes.append(a)
+    )
+    code = run_cli("sweep", "--variable", "page_gap", "--values", "8",
+                   "--backend", "live", *SMALL)
+    assert code == 1
+    assert "region_file" in capsys.readouterr().err
+    assert probes == []
 
 
 def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
@@ -257,6 +274,21 @@ def test_send_without_region_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "setup error" in capsys.readouterr().err
+
+
+def test_receive_rejects_negative_n_bits_before_probing(tmp_path, monkeypatch, capsys):
+    probes = []
+    monkeypatch.setattr(
+        pfchan.live, "probe_capabilities", lambda *a, **k: probes.append(a)
+    )
+    region = pfchan.live.create_backing_file(str(tmp_path / "r.bin"), 16 * 4096)
+    code = run_cli(
+        "receive", "--region-size", str(16 * 4096), "--page-gap", "4",
+        "--region-file", region, "--epoch", "+0", "--blind", "--n-bits", "-3",
+    )
+    assert code == 1
+    assert "n_bits must be non-negative, got -3" in capsys.readouterr().err
+    assert probes == []
 
 
 def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from pfchan.protocol import (
     encode_target,
     page_pair_for_slot,
     slot_deadline,
-    slot_plan,
 )
 
 MIB = 1024 * 1024
@@ -74,14 +73,6 @@ def test_schedule_against_iterative_oracle_sampled():
     for k in (0, 1, 7, 85, 86, 1000, 4096):
         pair = page_pair_for_slot(cfg, k)
         assert (pair.p1, pair.p2) == iterative_pair_oracle(cfg, k)
-
-
-def test_slot_plan_matches_single_slot_queries():
-    cfg = make_cfg()
-    plan = slot_plan(cfg, 20)
-    assert len(plan) == 20
-    for k, pair in enumerate(plan):
-        assert pair == page_pair_for_slot(cfg, k)
 
 
 def test_encode_target_picks_pair_side():

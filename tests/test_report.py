@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfchan.errors import ConfigError
-from pfchan.protocol import ObservedOrder, PagePair
 from pfchan.report import (
-    SlotRecord,
     TransmissionReport,
     bits_from_hex,
     bits_from_string,
@@ -92,21 +90,9 @@ def test_bits_parsing_helpers():
         bits_from_hex("xz")
 
 
-def _slots(decodes):
-    out = []
-    for k, d in enumerate(decodes):
-        order = {
-            1: ObservedOrder.T1_LAST,
-            0: ObservedOrder.T2_LAST,
-            None: ObservedOrder.AMBIGUOUS,
-        }[d]
-        out.append(SlotRecord(slot=k, pair=PagePair(2 * k, 2 * k + 1, k), order=order, decoded=d))
-    return out
-
-
 def test_report_counts_indeterminate_as_error():
     sent = [1, 1, 0, 0]
-    report = TransmissionReport.build(sent, _slots([1, None, 0, None]), elapsed_ns=4)
+    report = TransmissionReport.build(sent, [1, None, 0, None], elapsed_ns=4)
     assert report.indeterminate_slots == 2
     assert report.ber == 0.5
     # The recorded bit for an undecodable slot must disagree with the sent one.
@@ -118,14 +104,14 @@ def test_report_survives_pickling():
     # the live receiver hands its report to the parent through a
     # multiprocessing pipe, which pickles it
     sent = [1, 0, 1]
-    report = TransmissionReport.build(sent, _slots([1, None, 1]), elapsed_ns=30)
+    report = TransmissionReport.build(sent, [1, None, 1], elapsed_ns=30)
     clone = pickle.loads(pickle.dumps(report))
     assert clone == report
     assert clone.indeterminate_slots == 1
 
 
 def test_blind_report_has_no_error_claim():
-    report = TransmissionReport.build_blind(_slots([1, None, 0]), elapsed_ns=3)
+    report = TransmissionReport.build_blind([1, None, 0], elapsed_ns=3)
     assert report.sent == report.received
     assert report.ber == 0.0
     assert report.indeterminate_slots == 1
@@ -133,7 +119,7 @@ def test_blind_report_has_no_error_claim():
 
 def test_report_rejects_slot_count_mismatch():
     with pytest.raises(ConfigError):
-        TransmissionReport.build([1, 0], _slots([1]), elapsed_ns=10)
+        TransmissionReport.build([1, 0], [1], elapsed_ns=10)
 
 
 def test_metrics_against_bruteforce_many_random_pairs():

@@ -239,7 +239,7 @@ def test_round_trip_small_payload():
     report = run_channel_sim(cfg, ideal_params(), payload)
     assert report.ber == 0.0
     assert report.received == payload
-    assert [rec.decoded for rec in report.per_slot] == payload
+    assert report.decoded == payload
     assert report.elapsed_ns == 64 * cfg.sync_period_ns
 
 
@@ -283,10 +283,7 @@ def test_wrap_retention_breaks_late_slots():
         ideal_params(eviction_behavior=EvictionBehavior.FIRST_WRAP),
         payload,
     )
-    for rec in report.per_slot[:4]:
-        assert rec.decoded == payload[rec.slot]
-    for rec in report.per_slot[4:]:
-        assert rec.decoded is None
+    assert report.decoded == payload[:4] + [None] * 4
     assert report.ber == 0.5
     assert report.indeterminate_slots == 4
 

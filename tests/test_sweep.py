@@ -58,6 +58,10 @@ def test_spec_validation():
         small_spec(repetitions=0)
     with pytest.raises(ConfigError):
         small_spec(backend="hardware")
+    with pytest.raises(ConfigError, match="distinct"):
+        small_spec(values=(8, 16, 8))
+    with pytest.raises(ConfigError, match="region_file"):
+        small_spec(backend="live")
 
 
 def test_cell_seed_is_a_stable_hash():
