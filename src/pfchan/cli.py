@@ -26,6 +26,7 @@ from .sweep import (
     SweepSpec,
     calibrate_page_gap,
     emit_report,
+    live_cpus,
     run_sweep,
     summary_table,
 )
@@ -230,6 +231,11 @@ def cmd_receive(args) -> int:
     return 0
 
 
+def _note_unpinned_sender(backend: str) -> None:
+    if backend == "live" and live_cpus()[1] is None:
+        print("note: one usable core, so the live sender shared the receiver's core")
+
+
 def cmd_sweep(args) -> int:
     cfg, params = resolve_settings(args)
     values = _parse_values(args.values) if args.values else DEFAULT_GRIDS[args.variable]
@@ -249,6 +255,7 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(summary_table(result))
+    _note_unpinned_sender(args.backend)
     return 0
 
 
@@ -269,6 +276,7 @@ def cmd_calibrate(args) -> int:
     if args.out:
         emit_report(result.sweep, args.out)
         print(f"wrote {args.out}")
+    _note_unpinned_sender(args.backend)
     return 0
 
 

@@ -8,16 +8,21 @@ disk_latency ticks, charges switch_cost, and hands the core to the other
 thread, which is the whole reason completion order leaks the bit. Soft
 faults and plain hits complete in mem_latency ticks and never yield.
 
+A slot makes exactly two accesses, so its schedule needs no event queue:
+t1 starts, t2 takes the core when t1 finishes or yields, and each thread
+that hard-faulted then resumes, t1 first, once its fetch has landed and the
+core is free.
+
 Nothing in here uses randomness or wall time, so identical inputs replay
 identical transcripts. run_channel_sim maps slot deadlines onto ticks with
 tick_ns; when a sender's modeled work has not finished by the receiver's
 probe deadline, the probe simply runs against the older cache state, which
-is how shrinking the sync period degrades the channel.
+is how shrinking the sync period degrades the channel. No access trace is
+kept unless run_channel_sim is given trace_out.
 """
 from __future__ import annotations
 
-import heapq
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,7 +121,6 @@ class CacheSchedSim:
         self.clock = 0
         self._cache: OrderedDict[int, None] = OrderedDict()
         self._mapped: dict[str, set[int]] = {}
-        self.trace: list[AccessRecord] = []
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -187,17 +191,12 @@ class CacheSchedSim:
         self._cache.move_to_end(page)
         self._map_table(process).add(page)
 
-    def _record(self, tick: int, thread: str, page: int, fault: FaultKind) -> AccessRecord:
-        rec = AccessRecord(tick=tick, thread=thread, page=page, fault=fault)
-        self.trace.append(rec)
-        return rec
-
     # -- single access (used by the sender and by standalone callers) ------
 
     def plan_access(
         self, thread: str, page: int, start_tick: int
     ) -> tuple[FaultKind, int]:
-        """Classify and trace an access starting at start_tick.
+        """Classify an access starting at start_tick.
 
         Returns (fault, completion_tick) and leaves the cache untouched until
         land_access applies the access, so a probe that runs before the
@@ -206,7 +205,6 @@ class CacheSchedSim:
         p = self.params
         process = self._process_of(thread)
         fault = self.classify_access(page, self.is_mapped(process, page))
-        self._record(start_tick, thread, page, fault)
         if fault is FaultKind.HARD:
             # The fetch completes after disk_latency; the retried access then
             # needs the core back, which the yield released at +switch_cost.
@@ -233,85 +231,70 @@ class CacheSchedSim:
         self.clock = completion
         return fault, completion
 
-    def probe_at(self, tick: int, pair: PagePair) -> ObservedOrder:
-        """Run the receiver's slot on pair starting at tick."""
+    def probe_at(
+        self, tick: int, pair: PagePair, trace_out: list[AccessRecord] | None = None
+    ) -> ObservedOrder:
+        """Run the receiver's slot on pair starting at tick, appending its two
+        accesses to trace_out when given."""
         self.clock = tick
-        order, _ = self.run_spy_slot(pair)
+        order, slot_trace = self.run_spy_slot(pair)
+        if trace_out is not None:
+            trace_out.extend(slot_trace)
         return order
 
     # -- the receiver's two-thread slot ------------------------------------
 
+    def _land_fetches(self, fetches: list[tuple[int, int]], up_to: int) -> None:
+        # Ready ticks rise in issue order, so the landed fetches are a prefix.
+        while fetches and fetches[0][0] <= up_to:
+            self._fetch(fetches.pop(0)[1], SPY_PROCESS)
+
     def run_spy_slot(self, pair: PagePair) -> tuple[ObservedOrder, list[AccessRecord]]:
         """Probe one pair with threads t1 -> p1 and t2 -> p2 on a single core.
 
-        t1 is scheduled first. The order is AMBIGUOUS unless exactly one
-        thread hard-faulted, because with zero or two hard faults completion
-        order reflects start order, not residency.
+        t1 accesses p1 at the current clock. A hard fault queues the fetch
+        for disk_latency later and frees the core after switch_cost; a hit
+        or soft fault finishes after mem_latency. t2 then accesses p2, after
+        every queued fetch whose ready tick has passed lands. Each thread
+        that hard-faulted resumes, t1 before t2, once the core is free and
+        its fetch is due; pending fetches land first, in issue order, and
+        the resumed access re-installs its page and maps it for the spy, so
+        a page pushed out by a sibling's readahead comes back.
+
+        The order is AMBIGUOUS unless exactly one thread hard-faulted,
+        because with zero or two hard faults completion order reflects start
+        order, not residency. Returns the order and the two accesses.
         """
         p = self.params
-        start = self.clock
-        # (available_tick, arrival_seq, thread, page, is_retry)
-        arrivals: list[tuple[int, int, str, int, bool]] = []
-        seq = 0
+        hard = FaultKind.HARD
+        spy = self._map_table(SPY_PROCESS)
+        core = self.clock
+        fetches: list[tuple[int, int]] = []  # (ready_tick, page), issue order
+        slot_trace = []
         for thread, page in zip(SPY_THREADS, pair.pages):
-            heapq.heappush(arrivals, (start, seq, thread, page, False))
-            seq += 1
-        runq: deque[tuple[str, int, bool]] = deque()
-        pending_fetches: list[tuple[int, int, str]] = []  # (ready_tick, page, process)
-        core_free = start
-        completions: dict[str, int] = {}
-        hard_faulted: dict[str, bool] = {t: False for t in SPY_THREADS}
-        slot_trace: list[AccessRecord] = []
-
-        def commit_fetches(up_to: int) -> None:
-            remaining = []
-            for ready, page, process in pending_fetches:
-                if ready <= up_to:
-                    self._fetch(page, process)
-                else:
-                    remaining.append((ready, page, process))
-            pending_fetches[:] = remaining
-
-        while arrivals or runq:
-            while arrivals and arrivals[0][0] <= core_free:
-                _, _, thread, page, is_retry = heapq.heappop(arrivals)
-                runq.append((thread, page, is_retry))
-            if not runq:
-                core_free = arrivals[0][0]
-                continue
-            thread, page, is_retry = runq.popleft()
-            commit_fetches(core_free)
-            if is_retry:
-                # The faulting access resumes; its page landed with the fetch.
-                self._cache.move_to_end(page)
-                completions[thread] = core_free + p.mem_latency
-                core_free = completions[thread]
-                continue
-            process = self._process_of(thread)
-            fault = self.classify_access(page, self.is_mapped(process, page))
-            slot_trace.append(self._record(core_free, thread, page, fault))
-            if fault is FaultKind.HARD:
-                hard_faulted[thread] = True
-                wake = core_free + p.disk_latency
-                pending_fetches.append((wake, page, process))
-                heapq.heappush(arrivals, (wake, seq, thread, page, True))
-                seq += 1
-                core_free = core_free + p.switch_cost
+            self._land_fetches(fetches, core)
+            fault = self.classify_access(page, page in spy)
+            slot_trace.append(AccessRecord(core, thread, page, fault))
+            if fault is hard:
+                fetches.append((core + p.disk_latency, page))
+                core += p.switch_cost
             else:
-                self._hit(page, process)
-                completions[thread] = core_free + p.mem_latency
-                core_free = completions[thread]
+                self._hit(page, SPY_PROCESS)
+                core += p.mem_latency
+        for rec in slot_trace:
+            if rec.fault is hard:
+                core = max(core, rec.tick + p.disk_latency)
+                self._land_fetches(fetches, core)
+                self._install_page(rec.page)
+                spy.add(rec.page)
+                core += p.mem_latency
+        self.clock = core
 
-        commit_fetches(core_free)
-        self.clock = max(completions.values())
-
-        if sum(hard_faulted.values()) != 1:
+        t1_hard, t2_hard = [rec.fault is hard for rec in slot_trace]
+        if t1_hard == t2_hard:
             return ObservedOrder.AMBIGUOUS, slot_trace
-        t1_last = completions["t1"] > completions["t2"]
-        return (
-            ObservedOrder.T1_LAST if t1_last else ObservedOrder.T2_LAST,
-            slot_trace,
-        )
+        # the one thread that hard-faulted resumes after its sibling is done
+        return (ObservedOrder.T1_LAST if t1_hard else ObservedOrder.T2_LAST), slot_trace
 
 
 def run_channel_sim(
@@ -331,9 +314,9 @@ def run_channel_sim(
     which is what makes aggressive bit rates lossy.
 
     Reported bandwidth uses the nominal channel time of one period per bit,
-    not the modeled work time. When trace_out is given, every modeled access
-    is appended to it in tick order, regardless of the order in which the
-    model applied them.
+    not the modeled work time. Only when trace_out is given are the modeled
+    accesses kept; they are appended to it in tick order, regardless of the
+    order in which the model applied them.
     """
     for bit in payload:
         if bit not in (0, 1):
@@ -347,6 +330,7 @@ def run_channel_sim(
     always_honor = params.eviction_behavior is EvictionBehavior.ALWAYS
     sender_free = 0
     decoded: list[int | None] = []
+    records: list[AccessRecord] | None = None if trace_out is None else []
 
     for k, bit in enumerate(payload):
         pair = page_pair_for_slot(cfg, k)
@@ -356,22 +340,24 @@ def run_channel_sim(
 
         order = None
         if probe_tick < sender_start:
-            order = sim.probe_at(probe_tick, pair)
+            order = sim.probe_at(probe_tick, pair, records)
         # Eviction advice and the touch go back to back at sender_start.
         if always_honor or k < cfg.slots_per_wrap:
             sim.evict(pair.pages)
         fault, encode_done = sim.plan_access("trojan", target, sender_start)
+        if records is not None:
+            records.append(AccessRecord(sender_start, "trojan", target, fault))
         # The touch lands at encode_done; a probe mid-encode sees it missing.
         if order is None and probe_tick < encode_done:
-            order = sim.probe_at(probe_tick, pair)
+            order = sim.probe_at(probe_tick, pair, records)
         sim.land_access("trojan", target, fault)
         if order is None:
-            order = sim.probe_at(probe_tick, pair)
+            order = sim.probe_at(probe_tick, pair, records)
         sender_free = encode_done
         decoded.append(decode_from_order(order))
 
     elapsed_ns = len(payload) * cfg.sync_period_ns
     report = TransmissionReport.build(payload, decoded, elapsed_ns)
-    if trace_out is not None:
-        trace_out.extend(sorted(sim.trace, key=lambda rec: rec.tick))
+    if records is not None:
+        trace_out.extend(sorted(records, key=lambda rec: rec.tick))
     return report

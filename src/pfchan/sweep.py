@@ -278,6 +278,14 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
     return got
 
 
+def live_cpus() -> tuple[int, int | None]:
+    """Cores for a live cell's (receiver, sender): the lowest usable core and
+    the next one, so the sender's syscalls stay off the receiver's core. With
+    a single usable core the sender is None and stays unpinned."""
+    usable = sorted(os.sched_getaffinity(0))
+    return usable[0], (usable[1] if len(usable) > 1 else None)
+
+
 def _run_live_cell(
     cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int, capabilities
 ) -> TransmissionReport:
@@ -290,11 +298,7 @@ def _run_live_cell(
     payload = random_payload(seed, cfg.payload_bits)
     live.create_backing_file(region_file, cfg.region_size)
     ctx = multiprocessing.get_context("fork")
-    # the receiver gets the lowest usable core and the sender the next one,
-    # so the sender's syscalls stay off the receiver's core; with a single
-    # usable core the sender stays unpinned
-    usable = sorted(os.sched_getaffinity(0))
-    receiver_cpu, sender_cpu = usable[0], (usable[1] if len(usable) > 1 else None)
+    receiver_cpu, sender_cpu = live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     deadline = time.monotonic() + budget
     children = []

@@ -1,12 +1,15 @@
 """End-to-end CLI runs, in process, checking exit codes and artifacts."""
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
+import pfchan.cli
 import pfchan.live
+import pfchan.sweep
 from pfchan.cli import build_parser, main, parse_setting
 from pfchan.config import ChannelConfig
 from pfchan.live import BackendCapabilities, SenderSlotLog
@@ -43,6 +46,18 @@ def test_simulate_writes_csv_and_trace(tmp_path, capsys):
     assert len(lines) == 2
     trace_lines = out_trace.read_text().splitlines()
     assert len(trace_lines) == 3 * 8  # one sender, two receiver rows per slot
+
+
+def test_simulate_small_cache_with_readahead_exits_0(capsys):
+    # t2's readahead pushes t1's page out of the 2-page cache before t1
+    # resumes; the resumed access re-installs it instead of crashing
+    code = run_cli(
+        "simulate", "--cache-capacity", "2", "--readahead", "2",
+        "--disk-latency", "5", "--switch-cost", "10",
+        "--region-size", "262144", "--page-gap", "8",
+    )
+    assert code == 0
+    assert "simulated 100 bits" in capsys.readouterr().out
 
 
 def test_config_file_feeds_settings(tmp_path):
@@ -207,6 +222,36 @@ def test_calibrate_reports_best_gap(capsys):
     )
     assert code == 0
     assert "best page_gap: 16" in capsys.readouterr().out
+
+
+UNPINNED_NOTE = "note: one usable core, so the live sender shared the receiver's core"
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize(
+    "backend, cores, notes", [("live", {0}, 1), ("live", {0, 1}, 0), ("sim", {0}, 0)]
+)
+def test_live_runs_say_when_the_sender_shared_the_receivers_core(
+    tmp_path, monkeypatch, capsys, command, backend, cores, notes
+):
+    # the live cells run as sim cells, so no live host is needed
+    run_sim = pfchan.sweep.run_sweep
+
+    def fake_run_sweep(spec):
+        return run_sim(replace(spec, backend="sim"))
+
+    monkeypatch.setattr(pfchan.cli, "run_sweep", fake_run_sweep)
+    monkeypatch.setattr(pfchan.sweep, "run_sweep", fake_run_sweep)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
+    argv = [command, "--values", "8,16", "--repetitions", "1"]
+    if command == "sweep":
+        argv += ["--variable", "page_gap"]
+    code = run_cli(
+        *argv, "--backend", backend, "--region-file", str(tmp_path / "r.bin"),
+        *SMALL, "--payload-bits", "20",
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines().count(UNPINNED_NOTE) == notes
 
 
 def test_probe_prints_capability_report(tmp_path, capsys):

@@ -7,7 +7,10 @@ then frozen.
 """
 from __future__ import annotations
 
+import hashlib
+import heapq
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,9 @@ from pfchan.errors import ConfigError
 from pfchan.protocol import FaultKind, ObservedOrder, PagePair, Residency
 from pfchan.report import random_payload
 from pfchan.sim import (
+    SPY_PROCESS,
+    SPY_THREADS,
+    AccessRecord,
     CacheSchedSim,
     EvictionBehavior,
     SimParams,
@@ -225,6 +231,172 @@ def test_hard_faults_yield_and_soft_faults_do_not(s1, s2, disk, mem, switch):
         assert order is ObservedOrder.AMBIGUOUS
 
 
+# -- reference scheduler ----------------------------------------------------
+
+def reference_spy_slot(sim, pair):
+    """A general event-loop scheduler for the spy slot, kept as the oracle
+    for CacheSchedSim.run_spy_slot.
+
+    Threads arrive on a heap ordered by (tick, arrival), wait in a FIFO run
+    queue for the core, and a hard fault re-arrives its thread when the fetch
+    is due. Queued fetches land whenever the core picks a thread at or after
+    their ready tick. A resumed access re-installs its page and maps it for
+    the spy, like any completed access.
+    """
+    p = sim.params
+    start = sim.clock
+    arrivals = []  # (available_tick, arrival_seq, thread, page, is_retry)
+    seq = 0
+    for thread, page in zip(SPY_THREADS, pair.pages):
+        heapq.heappush(arrivals, (start, seq, thread, page, False))
+        seq += 1
+    runq = deque()
+    pending = []  # (ready_tick, page)
+    core_free = start
+    completions = {}
+    hard_faulted = {t: False for t in SPY_THREADS}
+    slot_trace = []
+
+    def commit_fetches(up_to):
+        remaining = []
+        for ready, page in pending:
+            if ready <= up_to:
+                sim._fetch(page, SPY_PROCESS)
+            else:
+                remaining.append((ready, page))
+        pending[:] = remaining
+
+    while arrivals or runq:
+        while arrivals and arrivals[0][0] <= core_free:
+            _, _, thread, page, is_retry = heapq.heappop(arrivals)
+            runq.append((thread, page, is_retry))
+        if not runq:
+            core_free = arrivals[0][0]
+            continue
+        thread, page, is_retry = runq.popleft()
+        commit_fetches(core_free)
+        if is_retry:
+            sim._install_page(page)
+            sim._map_table(SPY_PROCESS).add(page)
+            completions[thread] = core_free + p.mem_latency
+            core_free = completions[thread]
+            continue
+        fault = sim.classify_access(page, sim.is_mapped(SPY_PROCESS, page))
+        slot_trace.append(AccessRecord(core_free, thread, page, fault))
+        if fault is FaultKind.HARD:
+            hard_faulted[thread] = True
+            wake = core_free + p.disk_latency
+            pending.append((wake, page))
+            heapq.heappush(arrivals, (wake, seq, thread, page, True))
+            seq += 1
+            core_free = core_free + p.switch_cost
+        else:
+            sim._hit(page, SPY_PROCESS)
+            completions[thread] = core_free + p.mem_latency
+            core_free = completions[thread]
+
+    commit_fetches(core_free)
+    sim.clock = max(completions.values())
+    if sum(hard_faulted.values()) != 1:
+        return ObservedOrder.AMBIGUOUS, slot_trace
+    if completions["t1"] > completions["t2"]:
+        return ObservedOrder.T1_LAST, slot_trace
+    return ObservedOrder.T2_LAST, slot_trace
+
+
+ORACLE_PAGES = 12
+oracle_page = st.integers(min_value=0, max_value=ORACLE_PAGES - 1)
+pre_state_op = st.tuples(
+    st.sampled_from(["mark", "mark-mapped", "evict", "touch"]), oracle_page
+)
+
+
+@st.composite
+def oracle_params(draw):
+    disk = draw(st.integers(min_value=2, max_value=40))
+    mem = draw(st.integers(min_value=1, max_value=disk - 1))
+    # negative offsets put switch_cost below disk_latency, the rest at or above
+    offset = draw(st.integers(min_value=-40, max_value=40))
+    return SimParams(
+        cache_capacity=draw(st.one_of(st.integers(2, 4), st.just(1 << 20))),
+        disk_latency=disk,
+        mem_latency=mem,
+        switch_cost=max(0, disk + offset),
+        readahead=draw(st.integers(min_value=1, max_value=4)),
+    )
+
+
+def sim_from_ops(params, ops):
+    sim = CacheSchedSim(params, ORACLE_PAGES)
+    for op, page in ops:
+        if op == "mark":
+            sim.mark_resident([page])
+        elif op == "mark-mapped":
+            sim.mark_resident([page], process=SPY_PROCESS)
+        elif op == "evict":
+            sim.evict([page])
+        else:
+            sim.touch("trojan", page)
+    return sim
+
+
+@given(
+    oracle_params(),
+    st.lists(pre_state_op, max_size=12),
+    st.lists(
+        st.tuples(oracle_page, oracle_page).filter(lambda pp: pp[0] != pp[1]),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=600, deadline=None)
+def test_run_spy_slot_matches_the_reference_scheduler(params, ops, pairs):
+    sim, ref = sim_from_ops(params, ops), sim_from_ops(params, ops)
+    for slot, (p1, p2) in enumerate(pairs):
+        pair = PagePair(p1=p1, p2=p2, slot=slot)
+        assert sim.run_spy_slot(pair) == reference_spy_slot(ref, pair)
+        assert sim.clock == ref.clock
+        assert list(sim._cache) == list(ref._cache)
+        assert sim._mapped == ref._mapped
+
+
+def test_resumed_access_restores_a_page_a_sibling_fetch_pushed_out():
+    # switch_cost >= disk_latency: t1's fetch lands before t2 runs, and t2's
+    # fetch lands before t1 resumes, pushing page 0 out of the 2-page cache.
+    sim = CacheSchedSim(
+        SimParams(cache_capacity=2, readahead=2, disk_latency=5, switch_cost=10), 64
+    )
+    order, trace = sim.run_spy_slot(PagePair(p1=0, p2=4, slot=0))
+    assert order is ObservedOrder.AMBIGUOUS
+    assert [(rec.tick, rec.fault) for rec in trace] == [
+        (0, FaultKind.HARD),
+        (10, FaultKind.HARD),
+    ]
+    # t1 resumes at 20 and re-installs 0; t2 resumes at 21 and re-installs 4
+    assert sim.clock == 22
+    assert list(sim._cache) == [0, 4]
+    assert sim.is_mapped(SPY_PROCESS, 0) and sim.is_mapped(SPY_PROCESS, 4)
+
+
+def test_resumed_access_restores_a_page_its_own_readahead_pushed_out():
+    # readahead 4 into a 2-page cache evicts the demand page before t1
+    # resumes; the single hard fault still reads as T1_LAST.
+    sim = make_sim(cache_capacity=2, readahead=4)
+    sim.mark_resident([20], process=SPY_PROCESS)
+    order, _ = spy_slot(sim)
+    assert order is ObservedOrder.T1_LAST
+    assert sim.clock == 101
+    assert list(sim._cache) == [13, 10]
+    assert sim.is_mapped(SPY_PROCESS, 10)
+
+
+def test_small_cache_transmission_runs_to_the_end():
+    cfg = ChannelConfig(region_size=64 * 4096, page_gap=8, sync_period_ns=20_000_000)
+    params = SimParams(cache_capacity=2, readahead=2, disk_latency=5, switch_cost=10)
+    report = run_channel_sim(cfg, params, random_payload(0, 100))
+    assert len(report.decoded) == 100
+
+
 # -- whole transmissions ----------------------------------------------------
 
 def ideal_params(**kw) -> SimParams:
@@ -320,3 +492,44 @@ def test_run_channel_sim_rejects_bad_payload():
         run_channel_sim(cfg, ideal_params(), [])
     with pytest.raises(ConfigError):
         run_channel_sim(cfg, ideal_params(), [0, 2])
+
+
+# The trace_out export, frozen as SHA-256 of render_trace: the golden sweep
+# CSV pins decoded bits only, so these pin every access's tick and fault.
+TRACE_CASES = {
+    "ideal": (
+        ChannelConfig(region_size=MIB, page_gap=16, sync_period_ns=10_000_000),
+        ideal_params(),
+        random_payload(3, 32),
+        "0990749b7ab0bc97836e8bd3cbf5d2b4f5eb5ce5242e3d9cd5071174f43a52de",
+    ),
+    "first-wrap-16-pages": (
+        ChannelConfig(region_size=16 * 4096, page_gap=4, sync_period_ns=10_000_000),
+        ideal_params(eviction_behavior=EvictionBehavior.FIRST_WRAP),
+        random_payload(5, 24),
+        "ffa062dc4a90d3f49d9f20cebc3f8a6b66a8229f288d9739b76e5a65833a5d0a",
+    ),
+    "tick-overrun": (
+        ChannelConfig(region_size=MIB, page_gap=16, sync_period_ns=10_000_000),
+        ideal_params(tick_ns=100_000),
+        random_payload(7, 16),
+        "248662e5231d95c477b1068e4a0cfab9b0a589e6591cb574411c976bbebcf257",
+    ),
+    "readahead-adjacent": (
+        ChannelConfig(
+            region_size=MIB, page_gap=16, pair_offset=1, sync_period_ns=10_000_000
+        ),
+        ideal_params(readahead=2),
+        random_payload(9, 32),
+        "e98bcbefe8680b39a00bb70c6b00f86b4dc570ed298997bbd2601eb09480cd60",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_trace_out_is_frozen(case):
+    cfg, params, payload, digest = TRACE_CASES[case]
+    trace = []
+    run_channel_sim(cfg, params, payload, trace_out=trace)
+    assert len(trace) == 3 * len(payload)
+    assert hashlib.sha256(render_trace(trace).encode()).hexdigest() == digest
