@@ -139,14 +139,21 @@ def _csv_value(value):
     return int(value) if isinstance(value, bool) else value
 
 
-def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
-    cell = CellResult.from_report(
+def _write_report_csv(
+    path: str, seed: int, cfg: ChannelConfig, report, blind: bool = False
+) -> None:
+    """One result row. A blind report has no ground truth, so its ber cell is
+    left empty rather than reading 0."""
+    header = CSV_HEADER.split(",")
+    row = CellResult.from_report(
         "payload_bits", report.payload_bits, 0, seed, cfg, report
-    )
+    ).csv_row()
+    if blind:
+        row[header.index("ber")] = _csv_value(None)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        writer.writerow(cell.csv_row())
+        writer.writerow(header)
+        writer.writerow(row)
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -226,7 +233,7 @@ def cmd_receive(args) -> int:
             f"indeterminate={report.indeterminate_slots}"
         )
     if args.out:
-        _write_report_csv(args.out, args.seed, cfg, report)
+        _write_report_csv(args.out, args.seed, cfg, report, blind=expected is None)
         print(f"wrote {args.out}")
     return 0
 
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--blind",
         action="store_true",
-        help="receive without ground truth (ber will read 0)",
+        help="receive without ground truth (ber is left empty in --out)",
     )
     p.set_defaults(func=cmd_receive)
 

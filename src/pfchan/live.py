@@ -1,10 +1,15 @@
 """Live Linux backend.
 
+The backend is Linux-only, and that is checked in one place: importing this
+module needs mmap's MAP_PRIVATE and MADV_* and libc's memcpy and mincore,
+and open_region refuses a host without posix_fadvise with a SetupError. No
+call falls back to a quieter channel that would still print an error rate.
+
 The sender and receiver share a read-only file mapped MAP_PRIVATE. Eviction
-uses posix_fadvise(DONTNEED), which is advisory: the backend verifies what
-it can at startup with small capability probes and, when the platform
-offers a residency probe, reports per-slot confirmation as a diagnostic.
-The channel itself never depends on the probe.
+uses posix_fadvise(DONTNEED), which is advisory: probe_capabilities checks
+at startup that advice really evicts, and the sender reports per-slot
+confirmation from mincore as a diagnostic. The channel itself never
+depends on that confirmation.
 
 DONTNEED refuses to drop a page that any process still has in its page
 tables, so both endpoints are careful about what they map. The sender
@@ -34,12 +39,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from mmap import MAP_PRIVATE, PROT_READ, PROT_WRITE, mmap as _mmap
-
-try:  # pragma: no cover - always present on Linux
-    from mmap import MADV_DONTNEED, MADV_RANDOM
-except ImportError:  # pragma: no cover
-    MADV_DONTNEED = MADV_RANDOM = None
+from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
+from mmap import mmap as _mmap
 
 from .config import ChannelConfig
 from .errors import ConfigError, RunAbort, SetupError
@@ -53,23 +54,15 @@ from .protocol import (
 )
 from .report import TransmissionReport
 
-try:
-    _libc = ctypes.CDLL(None, use_errno=True)
-    _libc.memcpy.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
-    _libc.memcpy.restype = ctypes.c_void_p
-except (OSError, AttributeError):  # pragma: no cover - non-POSIX fallback
-    _libc = None
-
-if _libc is not None and hasattr(_libc, "mincore"):
-    _libc.mincore.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_size_t,
-        ctypes.POINTER(ctypes.c_ubyte),
-    ]
-    _libc.mincore.restype = ctypes.c_int
-    _HAVE_MINCORE = True
-else:  # pragma: no cover
-    _HAVE_MINCORE = False
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc.memcpy.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
+_libc.memcpy.restype = ctypes.c_void_p
+_libc.mincore.argtypes = [
+    ctypes.c_void_p,
+    ctypes.c_size_t,
+    ctypes.POINTER(ctypes.c_ubyte),
+]
+_libc.mincore.restype = ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -107,10 +100,9 @@ class BackendCapabilities:
 
 @dataclass(frozen=True)
 class EvictOutcome:
-    """Result of advising a pair out of the cache. confirmed is None when no
-    residency probe is available."""
+    """Result of advising a pair out of the cache. confirmed is None when the
+    advice failed or the residency check could not run."""
 
-    pair: PagePair
     advice_ok: bool
     confirmed: bool | None
     error: str = ""
@@ -156,30 +148,30 @@ class SharedRegion:
         self._addr = ctypes.addressof(self._view)
         # readahead off on both access paths, or touching one page of a
         # pair would pull its partner into the cache
-        if hasattr(os, "posix_fadvise"):
-            os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_RANDOM)
-            # flush whatever bulk writes or copies left behind: kernels
-            # cache large writes as multi-page folios, and page-sized
-            # eviction advice cannot split one. After this flush, pages
-            # re-enter one at a time through the channel's own reads.
-            os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
-        if MADV_RANDOM is not None:
-            self._mm.madvise(MADV_RANDOM)
+        os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_RANDOM)
+        self._mm.madvise(MADV_RANDOM)
+        # flush whatever bulk writes or copies left behind: kernels cache
+        # large writes as multi-page folios, and page-sized eviction advice
+        # cannot split one. After this flush, pages re-enter one at a time
+        # through the channel's own reads.
+        os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
 
     @property
     def page_count(self) -> int:
         return self.length // self.page_size
 
+    def _offset(self, page: int) -> int:
+        """Byte offset of the page; a page outside the region is a usage error."""
+        if not (0 <= page < self.page_count):
+            raise ConfigError(f"page {page} outside region of {self.page_count} pages")
+        return page * self.page_size
+
     def read_byte(self, page: int) -> int:
         """Touch one byte of the page and return it. The read goes through
         libc so the interpreter lock is dropped while a fault is serviced."""
-        if not (0 <= page < self.page_count):
-            raise ConfigError(f"page {page} outside region of {self.page_count} pages")
-        offset = page * self.page_size
-        if _libc is None:  # pragma: no cover - non-POSIX fallback
-            return self._mm[offset]
         buf = ctypes.c_ubyte(0)
-        _libc.memcpy(ctypes.byref(buf), ctypes.c_void_p(self._addr + offset), 1)
+        addr = self._addr + self._offset(page)
+        _libc.memcpy(ctypes.byref(buf), ctypes.c_void_p(addr), 1)
         return buf.value
 
     def load_byte(self, page: int) -> int:
@@ -190,9 +182,7 @@ class SharedRegion:
         sender encodes with this; a mapped touch would pin its target
         against eviction for the rest of the process lifetime.
         """
-        if not (0 <= page < self.page_count):
-            raise ConfigError(f"page {page} outside region of {self.page_count} pages")
-        data = os.pread(self._fd, 1, page * self.page_size)
+        data = os.pread(self._fd, 1, self._offset(page))
         if len(data) != 1:  # pragma: no cover - region size already checked
             raise RunAbort(f"short read at page {page}")
         return data[0]
@@ -200,24 +190,16 @@ class SharedRegion:
     def drop_mapping(self, page: int) -> None:
         """Release this process's page table entry for the page, keeping the
         page cache untouched. The next mapped read faults again."""
-        if not (0 <= page < self.page_count):
-            raise ConfigError(f"page {page} outside region of {self.page_count} pages")
-        if MADV_DONTNEED is not None:
-            self._mm.madvise(MADV_DONTNEED, page * self.page_size, self.page_size)
+        self._mm.madvise(MADV_DONTNEED, self._offset(page), self.page_size)
 
     def advise_dontneed(self, page: int) -> None:
-        if not hasattr(os, "posix_fadvise"):  # pragma: no cover
-            raise SetupError("posix_fadvise is not available on this platform")
         os.posix_fadvise(
-            self._fd,
-            page * self.page_size,
-            self.page_size,
-            os.POSIX_FADV_DONTNEED,
+            self._fd, self._offset(page), self.page_size, os.POSIX_FADV_DONTNEED
         )
 
     def residency(self, *pages: int) -> list[bool] | None:
-        """Page-cache residency of the given pages, in order, or None if the
-        platform offers no probe. Diagnostics only.
+        """Page-cache residency of the given pages, in order, or None if a
+        mincore call fails. Diagnostics only.
 
         Each page is checked with its own one-page mincore call, so the cost
         does not grow with the region. Since Linux 5.0, mincore on a file
@@ -229,16 +211,10 @@ class SharedRegion:
         that way starts readahead, which brings the page back into the
         cache and undoes the eviction it was meant to check.
         """
-        if not _HAVE_MINCORE:  # pragma: no cover
-            return None
         vec = (ctypes.c_ubyte * 1)()
         resident = []
         for page in pages:
-            if not (0 <= page < self.page_count):
-                raise ConfigError(
-                    f"page {page} outside region of {self.page_count} pages"
-                )
-            if _libc.mincore(self._addr + page * self.page_size, self.page_size, vec):
+            if _libc.mincore(self._addr + self._offset(page), self.page_size, vec):
                 return None
             resident.append(bool(vec[0] & 1))
         return resident
@@ -264,7 +240,14 @@ def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
     """Map cfg.region_size bytes of an existing readable file.
 
     No page is touched here; first access happens inside a timed slot.
+    This is the backend's one platform gate: every page-sized eviction and
+    the readahead switch-off need posix_fadvise.
     """
+    if not hasattr(os, "posix_fadvise"):
+        raise SetupError(
+            "the live backend is Linux-only and needs os.posix_fadvise, "
+            "which this platform lacks"
+        )
     if not os.path.exists(path):
         raise SetupError(
             f"backing file {path!r} does not exist; create one at least "
@@ -279,11 +262,10 @@ def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
             f"backing file {path!r} holds {size} bytes but the region needs "
             f"{cfg.region_size}; grow the file or shrink region_size"
         )
-    sys_page = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else cfg.page_size
-    if cfg.page_size != sys_page:
+    if cfg.page_size != PAGESIZE:
         raise SetupError(
             f"cfg.page_size ({cfg.page_size}) must equal the system page size "
-            f"({sys_page}) for the live backend"
+            f"({PAGESIZE}) for the live backend"
         )
     return SharedRegion(path, cfg.region_size, cfg.page_size)
 
@@ -292,7 +274,8 @@ def create_backing_file(path: str, size: int) -> str:
     """Write a patterned file of the given size for use as a shared region.
 
     Blocks are written explicitly so the file is not sparse; reads from
-    holes would never hit the disk and the channel would starve.
+    holes would never hit the disk and the channel would starve. The
+    write-time cache state is left for open_region, which flushes it.
     """
     if size <= 0:
         raise ConfigError(f"size must be positive, got {size}")
@@ -306,29 +289,24 @@ def create_backing_file(path: str, size: int) -> str:
             remaining -= len(block)
         fh.flush()
         os.fsync(fh.fileno())
-        if hasattr(os, "posix_fadvise"):
-            # drop the write-time cache state; bulk writes land as
-            # multi-page folios that page-sized advice cannot evict
-            os.posix_fadvise(fh.fileno(), 0, 0, os.POSIX_FADV_DONTNEED)
     return path
 
 
 def evict_pair(region: SharedRegion, pair: PagePair) -> EvictOutcome:
     """Advise both pages of the pair out of the page cache.
 
-    Advisory semantics: absent pages are a no-op. When a residency probe
-    exists the outcome reports whether both pages actually left the cache;
-    an unconfirmed eviction is a warning, not a failure.
+    Advisory semantics: absent pages are a no-op. The outcome reports
+    whether both pages actually left the cache; an unconfirmed eviction is
+    a warning, not a failure.
     """
     try:
         region.advise_dontneed(pair.p1)
         region.advise_dontneed(pair.p2)
     except OSError as exc:
-        return EvictOutcome(pair=pair, advice_ok=False, confirmed=None, error=str(exc))
+        return EvictOutcome(advice_ok=False, confirmed=None, error=str(exc))
     residency = region.residency(pair.p1, pair.p2)
-    if residency is None:
-        return EvictOutcome(pair=pair, advice_ok=True, confirmed=None)
-    return EvictOutcome(pair=pair, advice_ok=True, confirmed=not any(residency))
+    confirmed = None if residency is None else not any(residency)
+    return EvictOutcome(advice_ok=True, confirmed=confirmed)
 
 
 def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
@@ -346,16 +324,12 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
 
     pages = 16
     try:
-        sys_page = os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # pragma: no cover
-        sys_page = 4096
-    try:
         with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
             scratch = os.path.join(tmp, "probe.bin")
-            create_backing_file(scratch, pages * sys_page)
+            create_backing_file(scratch, pages * PAGESIZE)
             cfg = ChannelConfig(
-                page_size=sys_page,
-                region_size=pages * sys_page,
+                page_size=PAGESIZE,
+                region_size=pages * PAGESIZE,
                 page_gap=4,
                 sync_period_ns=1_000_000,
             )
@@ -364,31 +338,26 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
                     region.read_byte(0)
                     region.drop_mapping(0)
                     mapping_ok = True
-                    try:
-                        # mirror the sender: cache-populate without mapping,
-                        # since advice cannot drop a page anyone still maps
-                        region.load_byte(2)
-                        region.load_byte(3)
-                        region.advise_dontneed(2)
-                        region.advise_dontneed(3)
-                        residency = region.residency(2, 3)
-                        if residency is None:
-                            advice_ok = True
-                            notes.append(
-                                "no residency probe; eviction advice accepted "
-                                "but unverified"
-                            )
-                        elif any(residency):
-                            advice_ok = False
-                            notes.append(
-                                "eviction advice accepted but pages stayed resident"
-                            )
-                        else:
-                            advice_ok = True
-                    except OSError as exc:
-                        notes.append(f"eviction advice failed: {exc}")
-            except (SetupError, OSError, ValueError) as exc:
+                    # mirror the sender: cache-populate without mapping,
+                    # since advice cannot drop a page anyone still maps
+                    region.load_byte(2)
+                    region.load_byte(3)
+                    outcome = evict_pair(region, PagePair(p1=2, p2=3, slot=0))
+            except SetupError as exc:
+                notes.append(str(exc))
+            except (OSError, ValueError) as exc:
                 notes.append(f"private mapping failed: {exc}")
+            else:
+                advice_ok = outcome.advice_ok and outcome.confirmed is not False
+                if not outcome.advice_ok:
+                    notes.append(f"eviction advice failed: {outcome.error}")
+                elif outcome.confirmed is None:
+                    notes.append(
+                        "residency check failed; eviction advice accepted "
+                        "but unverified"
+                    )
+                elif not outcome.confirmed:
+                    notes.append("eviction advice accepted but pages stayed resident")
     except OSError as exc:  # pragma: no cover - scratch dir failure
         notes.append(f"scratch file setup failed: {exc}")
 
@@ -397,7 +366,7 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
         os.sched_setaffinity(0, {min(original)})
         os.sched_setaffinity(0, original)
         affinity_ok = True
-    except (AttributeError, OSError) as exc:
+    except OSError as exc:
         notes.append(f"cpu affinity control failed: {exc}")
 
     assumed_switch = os.name == "posix"
@@ -447,7 +416,7 @@ def _pinned(cpu: int | None, who: str):
     try:
         original = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpu})
-    except (AttributeError, OSError) as exc:
+    except OSError as exc:
         raise SetupError(f"cannot pin {who} to one core: {exc}") from exc
     try:
         yield
@@ -563,11 +532,7 @@ def spy_receive(
             sent=[], received=[], decoded=[], elapsed_ns=0, ber=0.0, bandwidth_bps=0.0
         )
 
-    try:
-        core = cpu if cpu is not None else min(os.sched_getaffinity(0))
-    except (AttributeError, OSError) as exc:
-        raise SetupError(f"cannot pin receiver to one core: {exc}") from exc
-
+    core = cpu if cpu is not None else min(os.sched_getaffinity(0))
     decoded: list[int | None] = []
     with _pinned(core, "receiver"):
         for k in range(n_bits):

@@ -182,13 +182,18 @@ class CacheSchedSim:
 
     def _fetch(self, page: int, process: str) -> None:
         # Demand page plus sequential readahead, clamped to the region end.
+        # A readahead longer than the cache can push out the demand page
+        # itself, which then stays unmapped: no table names an uncached page.
         last = min(self.region_pages, page + self.params.readahead)
         for fetched in range(page, last):
             self._install_page(fetched)
-        self._map_table(process).add(page)
+        if page in self._cache:
+            self._map_table(process).add(page)
 
     def _hit(self, page: int, process: str) -> None:
-        self._cache.move_to_end(page)
+        # Re-install rather than touch: a fetch that landed since the access
+        # was classified may have pushed the page out.
+        self._install_page(page)
         self._map_table(process).add(page)
 
     # -- single access (used by the sender and by standalone callers) ------
@@ -285,8 +290,7 @@ class CacheSchedSim:
             if rec.fault is hard:
                 core = max(core, rec.tick + p.disk_latency)
                 self._land_fetches(fetches, core)
-                self._install_page(rec.page)
-                spy.add(rec.page)
+                self._hit(rec.page, SPY_PROCESS)
                 core += p.mem_latency
         self.clock = core
 

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .config import ChannelConfig
-from .errors import ConfigError, RunAbort, SetupError
+from .errors import ConfigError, RunAbort
 from .report import TransmissionReport, random_payload
 from .sim import SimParams, run_channel_sim
 
@@ -347,11 +347,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.backend == "live":
         from . import live
 
-        caps = live.probe_capabilities()
-        if not caps.transmission_ready():
-            raise SetupError(
-                "live backend lacks required capabilities:\n" + caps.summary()
-            )
+        caps = live._require_ready(None)
 
     rows: list[CellResult] = []
     for value in spec.values:

@@ -13,6 +13,7 @@ import pfchan.sweep
 from pfchan.cli import build_parser, main, parse_setting
 from pfchan.config import ChannelConfig
 from pfchan.live import BackendCapabilities, SenderSlotLog
+from pfchan.report import TransmissionReport
 from pfchan.sim import SimParams
 from pfchan.sweep import CSV_HEADER
 
@@ -367,3 +368,61 @@ def test_send_cpu_flag_pins_the_sender(monkeypatch):
         "send", "--region-file", "unused", "--epoch", "0", "--bits", "01", "--cpu", "1"
     ) == 0
     assert [kw["cpu"] for kw in calls] == [None, 1]
+
+
+def test_simulate_readahead_longer_than_the_cache_exits_0(capsys):
+    # a mid-encode probe's readahead pushes the sender's soft-fault target out
+    # of the 3-page cache before that access lands
+    code = run_cli(
+        "simulate", "--region-size", "65536", "--page-gap", "4",
+        "--sync-period-ns", "100", "--cache-capacity", "3",
+        "--disk-latency", "47", "--mem-latency", "11", "--switch-cost", "33",
+        "--readahead", "3", "--tick-ns", "2", "--eviction-behavior", "first-wrap",
+        "--bits", "0011010110",
+    )
+    assert code == 0
+    assert "simulated 10 bits" in capsys.readouterr().out
+
+
+def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(pfchan.live, "spy_receive", lambda *a, **kw: report)
+    out_csv = tmp_path / "receiver.csv"
+    code = run_cli(
+        "receive", "--region-file", "unused", "--epoch", "0", *argv,
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    return out_csv.read_text().splitlines()
+
+
+def test_blind_receive_leaves_the_ber_cell_empty(tmp_path, monkeypatch):
+    report = TransmissionReport.build_blind([1, 0, None, 1], 4_000_000)
+    assert receive_csv(
+        tmp_path, monkeypatch, report, "--blind", "--n-bits", "4"
+    ) == [CSV_HEADER, "payload_bits,4,0,0,4,64,33554432,20000000,,1000.0,1"]
+
+
+def test_receive_with_ground_truth_writes_its_ber(tmp_path, monkeypatch):
+    report = TransmissionReport.build([1, 0, 1, 1], [1, 0, None, 1], 4_000_000)
+    assert receive_csv(tmp_path, monkeypatch, report, "--bits", "1011") == [
+        CSV_HEADER,
+        "payload_bits,4,0,0,4,64,33554432,20000000,0.25,1000.0,1",
+    ]
+
+
+def test_probe_and_send_exit_2_without_posix_fadvise(tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "posix_fadvise")
+    assert run_cli("probe") == 2
+    captured = capsys.readouterr()
+    assert "cache_advice_eviction:   False" in captured.out
+    assert "posix_fadvise" in captured.out
+    assert "Traceback" not in captured.err
+    code = run_cli(
+        "send", *SMALL, "--region-file", str(tmp_path / "r.bin"), "--create-region",
+        "--epoch", "+0", "--bits", "01",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("setup error:") and "posix_fadvise" in err
+    assert "Traceback" not in err

@@ -238,3 +238,77 @@ def test_sender_pins_only_when_asked(region_file):
 def test_sender_empty_payload(region_file):
     with open_region(region_file, small_cfg()) as region:
         assert trojan_send(region, small_cfg(), [], live._now_ns(), READY) == []
+
+
+def test_open_region_refuses_a_host_without_posix_fadvise(monkeypatch, region_file):
+    monkeypatch.delattr(os, "posix_fadvise")
+    with pytest.raises(SetupError, match="posix_fadvise"):
+        open_region(region_file, small_cfg())
+
+
+def test_probe_without_posix_fadvise_is_not_ready_and_says_why(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "posix_fadvise")
+    caps = probe_capabilities(scratch_dir=str(tmp_path))
+    assert caps.transmission_ready() is False
+    assert any("posix_fadvise" in note for note in caps.notes)
+    assert not any("private mapping failed" in note for note in caps.notes)
+
+
+@pytest.mark.parametrize(
+    "outcome, advice_ok, note",
+    [
+        (EvictOutcome(advice_ok=True, confirmed=True), True, None),
+        (
+            EvictOutcome(advice_ok=True, confirmed=None),
+            True,
+            "residency check failed; eviction advice accepted but unverified",
+        ),
+        (
+            EvictOutcome(advice_ok=True, confirmed=False),
+            False,
+            "eviction advice accepted but pages stayed resident",
+        ),
+        (
+            EvictOutcome(advice_ok=False, confirmed=None, error="[Errno 22] bad"),
+            False,
+            "eviction advice failed: [Errno 22] bad",
+        ),
+    ],
+)
+def test_probe_takes_its_eviction_verdict_from_evict_pair(
+    tmp_path, monkeypatch, outcome, advice_ok, note
+):
+    pairs = []
+    monkeypatch.setattr(
+        live, "evict_pair", lambda region, pair: pairs.append(pair) or outcome
+    )
+    caps = probe_capabilities(scratch_dir=str(tmp_path))
+    assert pairs == [PagePair(p1=2, p2=3, slot=0)]
+    assert caps.shared_readonly_mapping is True
+    assert caps.cache_advice_eviction is advice_ok
+    assert [n for n in caps.notes if "eviction" in n] == ([note] if note else [])
+
+
+def advice_evicts_after_a_flush(tmp_path) -> bool:
+    """Whether page-sized advice evicts on this filesystem once a file's
+    write-time cache is gone. The probe would not do as a gate here: it
+    relies on open_region's flush, which the caller is testing."""
+    path = create_backing_file(str(tmp_path / "gate.bin"), 16 * PAGE)
+    fd = os.open(path, os.O_RDONLY)
+    os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
+    os.close(fd)
+    with open_region(path, small_cfg(pages=16)) as region:
+        region.load_byte(2)
+        return evict_pair(region, PagePair(p1=2, p2=3, slot=0)).confirmed is True
+
+
+def test_open_region_flushes_a_freshly_written_file(tmp_path):
+    # create_backing_file leaves its writes cached; opening the region must
+    # drop them, since page-sized advice cannot split a bulk-written folio
+    if not advice_evicts_after_a_flush(tmp_path):
+        pytest.skip("eviction advice is not honored on this filesystem")
+    cfg = ChannelConfig(region_size=32 * 1024 * 1024)
+    path = create_backing_file(str(tmp_path / "fresh.bin"), cfg.region_size)
+    with open_region(path, cfg) as region:
+        sampled = range(0, region.page_count, 97)
+        assert region.residency(*sampled) == [False] * len(sampled)

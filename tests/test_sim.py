@@ -397,6 +397,78 @@ def test_small_cache_transmission_runs_to_the_end():
     assert len(report.decoded) == 100
 
 
+@st.composite
+def small_cache_runs(draw):
+    disk = draw(st.integers(min_value=2, max_value=60))
+    params = SimParams(
+        cache_capacity=draw(st.integers(min_value=2, max_value=5)),
+        disk_latency=disk,
+        mem_latency=draw(st.integers(min_value=1, max_value=disk - 1)),
+        switch_cost=draw(st.integers(min_value=0, max_value=80)),
+        readahead=draw(st.integers(min_value=1, max_value=6)),
+        tick_ns=draw(st.integers(min_value=1, max_value=4)),
+        eviction_behavior=draw(st.sampled_from(EvictionBehavior)),
+    )
+    pages = draw(st.integers(min_value=4, max_value=32))
+    cfg = ChannelConfig(
+        region_size=pages * 4096,
+        page_gap=draw(st.integers(min_value=2, max_value=pages)),
+        sync_period_ns=draw(st.integers(min_value=2, max_value=400)),
+    )
+    return cfg, params
+
+
+@given(small_cache_runs(), st.lists(st.integers(0, 1), min_size=1, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_small_cache_transmissions_finish(run, payload):
+    # a probe or fetch can push a page out between an access being classified
+    # and landing; the transmission still runs to the end
+    cfg, params = run
+    report = run_channel_sim(cfg, params, payload)
+    assert len(report.decoded) == len(payload)
+
+
+def assert_only_cached_pages_are_mapped(sim):
+    for process, table in sim._mapped.items():
+        assert table <= set(sim._cache), process
+
+
+def test_readahead_that_evicts_its_demand_page_leaves_it_unmapped():
+    sim = CacheSchedSim(SimParams(cache_capacity=3, readahead=4), 64)
+    sim.touch("trojan", 10)
+    assert list(sim._cache) == [11, 12, 13]
+    assert not sim.is_mapped("trojan", 10)
+    assert_only_cached_pages_are_mapped(sim)
+    # the spy's fetch brings 10 back; the trojan's next read of it is soft
+    sim.touch("spy", 8)
+    assert 10 in sim._cache
+    assert sim.classify_access(10, sim.is_mapped("trojan", 10)) is FaultKind.SOFT
+    assert_only_cached_pages_are_mapped(sim)
+
+
+model_op = st.one_of(
+    st.tuples(st.just("touch"), st.sampled_from(["trojan", "spy"]), oracle_page),
+    st.tuples(st.just("evict"), oracle_page),
+    st.tuples(st.just("slot"), oracle_page, oracle_page).filter(
+        lambda op: op[1] != op[2]
+    ),
+)
+
+
+@given(oracle_params(), st.lists(model_op, min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_every_mapped_page_is_cached(params, ops):
+    sim = CacheSchedSim(params, ORACLE_PAGES)
+    for slot, op in enumerate(ops):
+        if op[0] == "touch":
+            sim.touch(op[1], op[2])
+        elif op[0] == "evict":
+            sim.evict([op[1]])
+        else:
+            sim.run_spy_slot(PagePair(p1=op[1], p2=op[2], slot=slot))
+        assert_only_cached_pages_are_mapped(sim)
+
+
 # -- whole transmissions ----------------------------------------------------
 
 def ideal_params(**kw) -> SimParams:
