@@ -22,9 +22,10 @@ kept unless run_channel_sim is given trace_out.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .config import ChannelConfig
 from .errors import ConfigError
@@ -34,7 +35,6 @@ from .protocol import (
     PagePair,
     Residency,
     decode_from_order,
-    encode_target,
     page_pair_for_slot,
 )
 from .report import TransmissionReport
@@ -89,8 +89,7 @@ class SimParams:
             raise ConfigError(f"tick_ns must be at least 1, got {self.tick_ns}")
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """One page access: when it started, who issued it, what it cost."""
 
     tick: int
@@ -120,15 +119,15 @@ class CacheSchedSim:
         self.region_pages = region_pages
         self.clock = 0
         self._cache: OrderedDict[int, None] = OrderedDict()
-        self._mapped: dict[str, set[int]] = {}
+        self._mapped: defaultdict[str, set[int]] = defaultdict(set)
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _process_of(self, thread: str) -> str:
-        return SPY_PROCESS if thread in SPY_THREADS else thread
-
     def _map_table(self, process: str) -> set[int]:
-        return self._mapped.setdefault(process, set())
+        return self._mapped[process]
+
+    def _outside(self, page: int) -> ConfigError:
+        return ConfigError(f"page {page} outside region of {self.region_pages} pages")
 
     def residency(self, page: int) -> Residency:
         return Residency.RESIDENT if page in self._cache else Residency.EVICTED
@@ -142,10 +141,8 @@ class CacheSchedSim:
     def classify_access(self, page: int, mapped: bool) -> FaultKind:
         """Fault taken by an access given current residency and the caller's
         mapping state. Pages outside the region are a usage error."""
-        if not (0 <= page < self.region_pages):
-            raise ConfigError(
-                f"page {page} outside region of {self.region_pages} pages"
-            )
+        if not 0 <= page < self.region_pages:
+            raise self._outside(page)
         if page not in self._cache:
             return FaultKind.HARD
         if not mapped:
@@ -155,12 +152,15 @@ class CacheSchedSim:
     def evict(self, pages) -> None:
         """Drop pages from the cache and invalidate every mapping of them.
 
-        Absent pages are ignored, mirroring advisory eviction.
+        Absent pages are ignored, mirroring advisory eviction; no table
+        names an uncached page, so only cached ones need the table scan.
         """
+        cache = self._cache
         for page in pages:
-            self._cache.pop(page, None)
-            for table in self._mapped.values():
-                table.discard(page)
+            if page in cache:
+                del cache[page]
+                for table in self._mapped.values():
+                    table.discard(page)
 
     def mark_resident(self, pages, process: str | None = None) -> None:
         """Test and setup hook: force pages into the cache, optionally with a
@@ -184,17 +184,21 @@ class CacheSchedSim:
         # Demand page plus sequential readahead, clamped to the region end.
         # A readahead longer than the cache can push out the demand page
         # itself, which then stays unmapped: no table names an uncached page.
-        last = min(self.region_pages, page + self.params.readahead)
-        for fetched in range(page, last):
+        readahead = self.params.readahead
+        if readahead == 1:  # the page installed last is never the LRU victim
+            self._install_page(page)
+            self._mapped[process].add(page)
+            return
+        for fetched in range(page, min(self.region_pages, page + readahead)):
             self._install_page(fetched)
         if page in self._cache:
-            self._map_table(process).add(page)
+            self._mapped[process].add(page)
 
     def _hit(self, page: int, process: str) -> None:
         # Re-install rather than touch: a fetch that landed since the access
         # was classified may have pushed the page out.
         self._install_page(page)
-        self._map_table(process).add(page)
+        self._mapped[process].add(page)
 
     # -- single access (used by the sender and by standalone callers) ------
 
@@ -207,22 +211,25 @@ class CacheSchedSim:
         land_access applies the access, so a probe that runs before the
         completion tick still sees the pre-access state.
         """
+        if not 0 <= page < self.region_pages:
+            raise self._outside(page)
         p = self.params
-        process = self._process_of(thread)
-        fault = self.classify_access(page, self.is_mapped(process, page))
-        if fault is FaultKind.HARD:
+        if page not in self._cache:
             # The fetch completes after disk_latency; the retried access then
             # needs the core back, which the yield released at +switch_cost.
-            resume = max(start_tick + p.disk_latency, start_tick + p.switch_cost)
-            return fault, resume + p.mem_latency
-        return fault, start_tick + p.mem_latency
+            resume = max(p.disk_latency, p.switch_cost)
+            return FaultKind.HARD, start_tick + resume + p.mem_latency
+        process = SPY_PROCESS if thread in SPY_THREADS else thread
+        mapped = page in self._mapped.get(process, ())
+        return (FaultKind.NONE if mapped else FaultKind.SOFT), start_tick + p.mem_latency
 
     def land_access(self, thread: str, page: int, fault: FaultKind) -> None:
         """Apply the cache effect of an access that plan_access classified."""
+        process = SPY_PROCESS if thread in SPY_THREADS else thread
         if fault is FaultKind.HARD:
-            self._fetch(page, self._process_of(thread))
+            self._fetch(page, process)
         else:
-            self._hit(page, self._process_of(thread))
+            self._hit(page, process)
 
     def touch(self, thread: str, page: int) -> tuple[FaultKind, int]:
         """Run one access to completion at the current clock.
@@ -236,23 +243,7 @@ class CacheSchedSim:
         self.clock = completion
         return fault, completion
 
-    def probe_at(
-        self, tick: int, pair: PagePair, trace_out: list[AccessRecord] | None = None
-    ) -> ObservedOrder:
-        """Run the receiver's slot on pair starting at tick, appending its two
-        accesses to trace_out when given."""
-        self.clock = tick
-        order, slot_trace = self.run_spy_slot(pair)
-        if trace_out is not None:
-            trace_out.extend(slot_trace)
-        return order
-
     # -- the receiver's two-thread slot ------------------------------------
-
-    def _land_fetches(self, fetches: list[tuple[int, int]], up_to: int) -> None:
-        # Ready ticks rise in issue order, so the landed fetches are a prefix.
-        while fetches and fetches[0][0] <= up_to:
-            self._fetch(fetches.pop(0)[1], SPY_PROCESS)
 
     def run_spy_slot(self, pair: PagePair) -> tuple[ObservedOrder, list[AccessRecord]]:
         """Probe one pair with threads t1 -> p1 and t2 -> p2 on a single core.
@@ -271,34 +262,62 @@ class CacheSchedSim:
         order, not residency. Returns the order and the two accesses.
         """
         p = self.params
-        hard = FaultKind.HARD
-        spy = self._map_table(SPY_PROCESS)
-        core = self.clock
-        fetches: list[tuple[int, int]] = []  # (ready_tick, page), issue order
-        slot_trace = []
-        for thread, page in zip(SPY_THREADS, pair.pages):
-            self._land_fetches(fetches, core)
-            fault = self.classify_access(page, page in spy)
-            slot_trace.append(AccessRecord(core, thread, page, fault))
-            if fault is hard:
-                fetches.append((core + p.disk_latency, page))
-                core += p.switch_cost
-            else:
-                self._hit(page, SPY_PROCESS)
-                core += p.mem_latency
-        for rec in slot_trace:
-            if rec.fault is hard:
-                core = max(core, rec.tick + p.disk_latency)
-                self._land_fetches(fetches, core)
-                self._hit(rec.page, SPY_PROCESS)
-                core += p.mem_latency
+        cache, spy = self._cache, self._mapped[SPY_PROCESS]
+        p1, p2 = pair.p1, pair.p2  # a PagePair holds no negative page
+        if p1 >= self.region_pages or p2 >= self.region_pages:
+            raise self._outside(max(p1, p2))
+        start = self.clock
+        hard1 = p1 not in cache
+        if hard1:
+            fault1 = FaultKind.HARD
+            due1 = start + p.disk_latency
+            t2_start = start + p.switch_cost
+            if due1 <= t2_start:  # lands before t2 takes the core
+                self._fetch(p1, SPY_PROCESS)
+        else:
+            fault1 = FaultKind.NONE if p1 in spy else FaultKind.SOFT
+            cache.move_to_end(p1)
+            spy.add(p1)
+            t2_start = start + p.mem_latency
+        pending2 = hard2 = p2 not in cache
+        if hard2:
+            fault2 = FaultKind.HARD
+            due2 = t2_start + p.disk_latency
+            core = t2_start + p.switch_cost
+        else:
+            fault2 = FaultKind.NONE if p2 in spy else FaultKind.SOFT
+            cache.move_to_end(p2)
+            spy.add(p2)
+            core = t2_start + p.mem_latency
+        if hard1:
+            core = max(core, due1)
+            if due1 > t2_start:
+                self._fetch(p1, SPY_PROCESS)
+            if pending2 and due2 <= core:
+                self._fetch(p2, SPY_PROCESS)
+                pending2 = False
+            self._hit(p1, SPY_PROCESS)
+            core += p.mem_latency
+        if hard2:
+            core = max(core, due2)
+            if pending2:
+                self._fetch(p2, SPY_PROCESS)
+            self._hit(p2, SPY_PROCESS)
+            core += p.mem_latency
         self.clock = core
 
-        t1_hard, t2_hard = [rec.fault is hard for rec in slot_trace]
-        if t1_hard == t2_hard:
+        t1, t2 = SPY_THREADS
+        slot_trace = [
+            AccessRecord(start, t1, p1, fault1),
+            AccessRecord(t2_start, t2, p2, fault2),
+        ]
+        if hard1 == hard2:
             return ObservedOrder.AMBIGUOUS, slot_trace
         # the one thread that hard-faulted resumes after its sibling is done
-        return (ObservedOrder.T1_LAST if t1_hard else ObservedOrder.T2_LAST), slot_trace
+        return (ObservedOrder.T1_LAST if hard1 else ObservedOrder.T2_LAST), slot_trace
+
+
+_BIT_OF_ORDER = {order: decode_from_order(order) for order in ObservedOrder}
 
 
 def run_channel_sim(
@@ -329,36 +348,42 @@ def run_channel_sim(
         raise ConfigError("payload must contain at least one bit")
 
     sim = CacheSchedSim(params, cfg.region_pages)
+    spy_slot, evict = sim.run_spy_slot, sim.evict
+    plan, land = sim.plan_access, sim.land_access
     period_ticks = max(1, cfg.sync_period_ns // params.tick_ns)
     guard_ticks = cfg.guard_ns // params.tick_ns
-    always_honor = params.eviction_behavior is EvictionBehavior.ALWAYS
-    sender_free = 0
+    always = params.eviction_behavior is EvictionBehavior.ALWAYS
+    honored = len(payload) if always else cfg.slots_per_wrap  # slots with advice kept
+    slot_tick = sender_free = 0
     decoded: list[int | None] = []
     records: list[AccessRecord] | None = None if trace_out is None else []
 
     for k, bit in enumerate(payload):
         pair = page_pair_for_slot(cfg, k)
-        target = encode_target(bit, pair)
-        sender_start = max(k * period_ticks, sender_free)
-        probe_tick = k * period_ticks + guard_ticks
+        p1, p2 = pair.p1, pair.p2
+        target = p2 if bit else p1
+        sender_start = slot_tick if slot_tick > sender_free else sender_free
+        # The probe starts at the clock, which nothing else in a slot moves.
+        probe_tick = sim.clock = slot_tick + guard_ticks
+        slot_tick += period_ticks
 
-        order = None
         if probe_tick < sender_start:
-            order = sim.probe_at(probe_tick, pair, records)
+            order, spy_trace = spy_slot(pair)
         # Eviction advice and the touch go back to back at sender_start.
-        if always_honor or k < cfg.slots_per_wrap:
-            sim.evict(pair.pages)
-        fault, encode_done = sim.plan_access("trojan", target, sender_start)
+        if k < honored:
+            evict((p1, p2))
+        fault, sender_free = plan("trojan", target, sender_start)
+        # The touch lands at sender_free; a probe mid-encode sees it missing.
+        if sender_start <= probe_tick < sender_free:
+            order, spy_trace = spy_slot(pair)
+        land("trojan", target, fault)
+        if probe_tick >= sender_free:
+            order, spy_trace = spy_slot(pair)
+        decoded.append(_BIT_OF_ORDER[order])
         if records is not None:
-            records.append(AccessRecord(sender_start, "trojan", target, fault))
-        # The touch lands at encode_done; a probe mid-encode sees it missing.
-        if order is None and probe_tick < encode_done:
-            order = sim.probe_at(probe_tick, pair, records)
-        sim.land_access("trojan", target, fault)
-        if order is None:
-            order = sim.probe_at(probe_tick, pair, records)
-        sender_free = encode_done
-        decoded.append(decode_from_order(order))
+            sent = AccessRecord(sender_start, "trojan", target, fault)
+            early = probe_tick < sender_start
+            records += [*spy_trace, sent] if early else [sent, *spy_trace]
 
     elapsed_ns = len(payload) * cfg.sync_period_ns
     report = TransmissionReport.build(payload, decoded, elapsed_ns)

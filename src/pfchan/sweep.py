@@ -76,6 +76,11 @@ class SweepSpec:
             )
         if self.backend == "live" and not self.region_file:
             raise ConfigError("live sweeps need a region_file")
+        if self.live_lead_ns < 0:
+            raise ConfigError(
+                f"live_lead_ns must be >= 0, got {self.live_lead_ns}: a negative "
+                f"lead puts slot 0 in the past, so every slot overruns"
+            )
 
 
 @dataclass(frozen=True)

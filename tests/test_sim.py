@@ -7,6 +7,7 @@ then frozen.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import re
@@ -18,7 +19,15 @@ from hypothesis import strategies as st
 
 from pfchan.config import ChannelConfig
 from pfchan.errors import ConfigError
-from pfchan.protocol import FaultKind, ObservedOrder, PagePair, Residency
+from pfchan.protocol import (
+    FaultKind,
+    ObservedOrder,
+    PagePair,
+    Residency,
+    decode_from_order,
+    encode_target,
+    page_pair_for_slot,
+)
 from pfchan.report import random_payload
 from pfchan.sim import (
     SPY_PROCESS,
@@ -304,6 +313,61 @@ def reference_spy_slot(sim, pair):
     return ObservedOrder.T2_LAST, slot_trace
 
 
+def reference_channel_sim(cfg, params, payload):
+    """The per-slot sequence run_channel_sim had before its hot path was
+    inlined, kept as the oracle for whole transmissions.
+
+    Each slot probes with reference_spy_slot before the sender starts, or
+    while its access is in flight, or after it lands; eviction advice scans
+    every mapping table; the sender's access is classified and landed
+    through the model's primitives. Returns the decoded bits and the
+    tick-ordered access trace.
+    """
+    p = params
+    sim = CacheSchedSim(params, cfg.region_pages)
+    period_ticks = max(1, cfg.sync_period_ns // p.tick_ns)
+    guard_ticks = cfg.guard_ns // p.tick_ns
+    always_honor = p.eviction_behavior is EvictionBehavior.ALWAYS
+    sender_free = 0
+    decoded, records = [], []
+
+    def probe_at(tick, pair):
+        sim.clock = tick
+        order, slot_trace = reference_spy_slot(sim, pair)
+        records.extend(slot_trace)
+        return order
+
+    for k, bit in enumerate(payload):
+        pair = page_pair_for_slot(cfg, k)
+        target = encode_target(bit, pair)
+        sender_start = max(k * period_ticks, sender_free)
+        probe_tick = k * period_ticks + guard_ticks
+        order = None
+        if probe_tick < sender_start:
+            order = probe_at(probe_tick, pair)
+        if always_honor or k < cfg.slots_per_wrap:
+            for page in pair.pages:
+                sim._cache.pop(page, None)
+                for table in sim._mapped.values():
+                    table.discard(page)
+        fault = sim.classify_access(target, sim.is_mapped("trojan", target))
+        encode_done = sender_start + p.mem_latency
+        if fault is FaultKind.HARD:
+            encode_done += max(p.disk_latency, p.switch_cost)
+        records.append(AccessRecord(sender_start, "trojan", target, fault))
+        if order is None and probe_tick < encode_done:
+            order = probe_at(probe_tick, pair)
+        if fault is FaultKind.HARD:
+            sim._fetch(target, "trojan")
+        else:
+            sim._hit(target, "trojan")
+        if order is None:
+            order = probe_at(probe_tick, pair)
+        sender_free = encode_done
+        decoded.append(decode_from_order(order))
+    return decoded, sorted(records, key=lambda rec: rec.tick)
+
+
 ORACLE_PAGES = 12
 oracle_page = st.integers(min_value=0, max_value=ORACLE_PAGES - 1)
 pre_state_op = st.tuples(
@@ -426,6 +490,54 @@ def test_small_cache_transmissions_finish(run, payload):
     cfg, params = run
     report = run_channel_sim(cfg, params, payload)
     assert len(report.decoded) == len(payload)
+
+
+@given(
+    small_cache_runs(),
+    st.booleans(),
+    st.lists(st.integers(0, 1), min_size=1, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_channel_sim_matches_the_reference_slot_sequence(run, default_cache, payload):
+    cfg, params = run
+    if default_cache:
+        params = dataclasses.replace(params, cache_capacity=SimParams().cache_capacity)
+    trace = []
+    report = run_channel_sim(cfg, params, payload, trace_out=trace)
+    decoded, ref_trace = reference_channel_sim(cfg, params, payload)
+    assert report.decoded == decoded
+    assert render_trace(trace) == render_trace(ref_trace)
+
+
+@pytest.mark.parametrize("tick_ns", [1, 10_000, 100_000])
+def test_every_slot_goes_through_the_probe_and_sender_hooks(monkeypatch, tick_ns):
+    # perfbench counts the golden run's faults by patching these two methods
+    # on the class; a slot path that bypasses them would miscount silently.
+    # tick_ns 1, 10_000 and 100_000 probe after, during and before the touch.
+    calls = {"run_spy_slot": 0, "plan_access": 0}
+    faults = []
+    spy_slot, plan_access = CacheSchedSim.run_spy_slot, CacheSchedSim.plan_access
+
+    def counted_spy_slot(self, pair):
+        calls["run_spy_slot"] += 1
+        order, records = spy_slot(self, pair)
+        faults.extend(rec.fault for rec in records)
+        return order, records
+
+    def counted_plan_access(self, thread, page, start_tick):
+        calls["plan_access"] += 1
+        return plan_access(self, thread, page, start_tick)
+
+    monkeypatch.setattr(CacheSchedSim, "run_spy_slot", counted_spy_slot)
+    monkeypatch.setattr(CacheSchedSim, "plan_access", counted_plan_access)
+    cfg = ChannelConfig(region_size=MIB, page_gap=16, sync_period_ns=10_000_000)
+    run_channel_sim(cfg, ideal_params(tick_ns=tick_ns), random_payload(13, 100))
+    assert calls == {"run_spy_slot": 100, "plan_access": 100}, (
+        "run_channel_sim must call sim.run_spy_slot and sim.plan_access once "
+        f"per slot, looked up on CacheSchedSim; got {calls} for 100 slots"
+    )
+    assert len(faults) == 200
+    assert all(isinstance(fault, FaultKind) for fault in faults)
 
 
 def assert_only_cached_pages_are_mapped(sim):

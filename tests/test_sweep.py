@@ -62,6 +62,9 @@ def test_spec_validation():
         small_spec(values=(8, 16, 8))
     with pytest.raises(ConfigError, match="region_file"):
         small_spec(backend="live")
+    with pytest.raises(ConfigError, match="live_lead_ns"):
+        small_spec(live_lead_ns=-5_000_000_000)
+    assert small_spec(live_lead_ns=0).live_lead_ns == 0
 
 
 def test_cell_seed_is_a_stable_hash():
