@@ -123,9 +123,6 @@ class CacheSchedSim:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _map_table(self, process: str) -> set[int]:
-        return self._mapped[process]
-
     def _outside(self, page: int) -> ConfigError:
         return ConfigError(f"page {page} outside region of {self.region_pages} pages")
 
@@ -168,7 +165,7 @@ class CacheSchedSim:
         for page in pages:
             self._install_page(page)
             if process is not None:
-                self._map_table(process).add(page)
+                self._mapped[process].add(page)
 
     def _install_page(self, page: int) -> None:
         if page in self._cache:
@@ -184,12 +181,8 @@ class CacheSchedSim:
         # Demand page plus sequential readahead, clamped to the region end.
         # A readahead longer than the cache can push out the demand page
         # itself, which then stays unmapped: no table names an uncached page.
-        readahead = self.params.readahead
-        if readahead == 1:  # the page installed last is never the LRU victim
-            self._install_page(page)
-            self._mapped[process].add(page)
-            return
-        for fetched in range(page, min(self.region_pages, page + readahead)):
+        last = min(self.region_pages, page + self.params.readahead)
+        for fetched in range(page, last):
             self._install_page(fetched)
         if page in self._cache:
             self._mapped[process].add(page)
@@ -211,17 +204,15 @@ class CacheSchedSim:
         land_access applies the access, so a probe that runs before the
         completion tick still sees the pre-access state.
         """
-        if not 0 <= page < self.region_pages:
-            raise self._outside(page)
         p = self.params
-        if page not in self._cache:
+        process = SPY_PROCESS if thread in SPY_THREADS else thread
+        fault = self.classify_access(page, self.is_mapped(process, page))
+        if fault is FaultKind.HARD:
             # The fetch completes after disk_latency; the retried access then
             # needs the core back, which the yield released at +switch_cost.
             resume = max(p.disk_latency, p.switch_cost)
-            return FaultKind.HARD, start_tick + resume + p.mem_latency
-        process = SPY_PROCESS if thread in SPY_THREADS else thread
-        mapped = page in self._mapped.get(process, ())
-        return (FaultKind.NONE if mapped else FaultKind.SOFT), start_tick + p.mem_latency
+            return fault, start_tick + resume + p.mem_latency
+        return fault, start_tick + p.mem_latency
 
     def land_access(self, thread: str, page: int, fault: FaultKind) -> None:
         """Apply the cache effect of an access that plan_access classified."""
