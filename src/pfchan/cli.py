@@ -8,7 +8,6 @@ capability or setup failure, 3 runtime abort.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import fields
@@ -20,7 +19,6 @@ from .errors import ConfigError, RunAbort, SetupError
 from .report import bits_from_hex, bits_from_string, random_payload
 from .sim import SimParams, render_trace, run_channel_sim
 from .sweep import (
-    CSV_HEADER,
     DEFAULT_GRIDS,
     CellResult,
     SweepSpec,
@@ -29,6 +27,7 @@ from .sweep import (
     live_cpus,
     run_sweep,
     summary_table,
+    write_csv,
 )
 
 CHANNEL_KEYS = tuple(f.name for f in fields(ChannelConfig))
@@ -132,28 +131,15 @@ def _payload_from_args(args, cfg: ChannelConfig) -> list[int]:
     return random_payload(args.seed, cfg.payload_bits)
 
 
-def _csv_value(value):
-    """Booleans as 0/1 and unknowns as empty cells."""
-    if value is None:
-        return ""
-    return int(value) if isinstance(value, bool) else value
-
-
-def _write_report_csv(
-    path: str, seed: int, cfg: ChannelConfig, report, blind: bool = False
-) -> None:
-    """One result row. A blind report has no ground truth, so its ber cell is
-    left empty rather than reading 0."""
-    header = CSV_HEADER.split(",")
-    row = CellResult.from_report(
-        "payload_bits", report.payload_bits, 0, seed, cfg, report
-    ).csv_row()
-    if blind:
-        row[header.index("ber")] = _csv_value(None)
+def _write_csv(path: str, row_type, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerow(row)
+        write_csv(fh, row_type, rows)
+
+
+def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
+    """One result row; a report without ground truth leaves its ber cell empty."""
+    row = CellResult.from_report("payload_bits", report.payload_bits, 0, seed, cfg, report)
+    _write_csv(path, CellResult, [row])
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -195,12 +181,7 @@ def cmd_send(args) -> int:
         f"{unconfirmed} unconfirmed evictions"
     )
     if args.out:
-        columns = [f.name for f in fields(live.SenderSlotLog)]
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for rec in log:
-                writer.writerow(_csv_value(getattr(rec, name)) for name in columns)
+        _write_csv(args.out, live.SenderSlotLog, log)
         print(f"wrote {args.out}")
     return 0
 
@@ -233,7 +214,7 @@ def cmd_receive(args) -> int:
             f"indeterminate={report.indeterminate_slots}"
         )
     if args.out:
-        _write_report_csv(args.out, args.seed, cfg, report, blind=expected is None)
+        _write_report_csv(args.out, args.seed, cfg, report)
         print(f"wrote {args.out}")
     return 0
 

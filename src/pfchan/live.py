@@ -517,8 +517,8 @@ def spy_receive(
 
     The whole process is pinned to a single core before the first slot so
     the two accessor threads contend for it; failure to pin is a startup
-    failure. When the expected payload is known the report carries a real
-    error rate, otherwise it is built blind.
+    failure. Without the expected payload the report's sent and ber are
+    None. Zero bits is a ConfigError: there is nothing to report on.
     """
     if n_bits < 0:
         raise ConfigError(f"n_bits must be non-negative, got {n_bits}")
@@ -526,10 +526,6 @@ def spy_receive(
     if expected is not None and len(expected) != n_bits:
         raise ConfigError(
             f"expected payload has {len(expected)} bits but n_bits is {n_bits}"
-        )
-    if n_bits == 0:
-        return TransmissionReport(
-            sent=[], received=[], decoded=[], elapsed_ns=0, ber=0.0, bandwidth_bps=0.0
         )
 
     core = cpu if cpu is not None else min(os.sched_getaffinity(0))
@@ -546,7 +542,4 @@ def spy_receive(
             decoded.append(decode_from_order(order))
         end_ns = _now_ns()
 
-    elapsed = max(1, end_ns - epoch_ns)
-    if expected is not None:
-        return TransmissionReport.build(expected, decoded, elapsed)
-    return TransmissionReport.build_blind(decoded, elapsed)
+    return TransmissionReport.build(expected, decoded, max(1, end_ns - epoch_ns))

@@ -51,17 +51,12 @@ class ObservedOrder(Enum):
 
 @dataclass(frozen=True, slots=True)
 class PagePair:
-    """The two page indices probed during one slot."""
+    """The two page indices probed during one slot. page_pair_for_slot keeps
+    them distinct and inside the region; the backends reject any other page."""
 
     p1: int
     p2: int
     slot: int
-
-    def __post_init__(self) -> None:
-        if self.p1 < 0 or self.p2 < 0:
-            raise ConfigError(f"page indices must be non-negative: {self.p1}, {self.p2}")
-        if self.p1 == self.p2:
-            raise ConfigError(f"pair pages must differ, both are {self.p1}")
 
     @property
     def pages(self) -> tuple[int, int]:

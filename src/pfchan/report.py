@@ -58,25 +58,27 @@ def compute_metrics(
 
 @dataclass(frozen=True)
 class TransmissionReport:
-    """Aggregate outcome of one transmission.
+    """What one transmission observed.
 
     decoded holds what the receiver made of each slot: the bit, or None when
-    the slot's order was ambiguous. received always has one bit per slot;
-    for an ambiguous slot with a known payload the recorded bit is the
-    complement of the sent one, so plain Hamming distance charges the slot
-    as an error.
+    the slot's order was ambiguous. sent is the payload, or None when the
+    receiver ran without ground truth; ber is then None too, since there is
+    nothing to count errors against.
     """
 
-    sent: list[int]
-    received: list[int]
+    sent: list[int] | None
     decoded: list[int | None] = field(repr=False)
     elapsed_ns: int
-    ber: float
+    ber: float | None
     bandwidth_bps: float
 
     @property
+    def received(self) -> list[int]:
+        return _received(self.sent, self.decoded)
+
+    @property
     def payload_bits(self) -> int:
-        return len(self.sent)
+        return len(self.decoded)
 
     @property
     def indeterminate_slots(self) -> int:
@@ -84,43 +86,31 @@ class TransmissionReport:
 
     @classmethod
     def build(
-        cls, sent: list[int], decoded: list[int | None], elapsed_ns: int
+        cls, sent: list[int] | None, decoded: list[int | None], elapsed_ns: int
     ) -> "TransmissionReport":
-        """Report against a known payload; indeterminate slots count as errors."""
-        if len(sent) != len(decoded):
+        """Report on a transmission; indeterminate slots count as errors.
+        With sent=None, for a receiver without ground truth, ber is None."""
+        if sent is not None and len(sent) != len(decoded):
             raise ConfigError(
                 f"payload has {len(sent)} bits but {len(decoded)} slots were observed"
             )
-        received = [
-            bit if bit is not None else 1 - sent[k] for k, bit in enumerate(decoded)
-        ]
-        ber, bandwidth = compute_metrics(sent, received, elapsed_ns)
+        received = _received(sent, decoded)
+        ber, bandwidth = compute_metrics(
+            received if sent is None else sent, received, elapsed_ns
+        )
         return cls(
-            sent=list(sent),
-            received=received,
+            sent=None if sent is None else list(sent),
             decoded=list(decoded),
             elapsed_ns=elapsed_ns,
-            ber=ber,
+            ber=None if sent is None else ber,
             bandwidth_bps=bandwidth,
         )
 
-    @classmethod
-    def build_blind(
-        cls, decoded: list[int | None], elapsed_ns: int
-    ) -> "TransmissionReport":
-        """Report with no ground truth: sent mirrors received and BER is 0.
 
-        Used when the receiver runs without knowing the payload. Indeterminate
-        slots are still visible through indeterminate_slots; an undecodable
-        slot is recorded as 0.
-        """
-        received = [bit if bit is not None else 0 for bit in decoded]
-        ber, bandwidth = compute_metrics(received, received, elapsed_ns)
-        return cls(
-            sent=list(received),
-            received=received,
-            decoded=list(decoded),
-            elapsed_ns=elapsed_ns,
-            ber=ber,
-            bandwidth_bps=bandwidth,
-        )
+def _received(sent: list[int] | None, decoded: list[int | None]) -> list[int]:
+    """One bit per slot. An ambiguous slot reads as the complement of the sent
+    bit, so plain Hamming distance charges it as an error, or as 0 when the
+    payload is unknown."""
+    if sent is None:
+        return [0 if bit is None else bit for bit in decoded]
+    return [1 - s if bit is None else bit for s, bit in zip(sent, decoded)]

@@ -196,16 +196,15 @@ class CacheSchedSim:
     # -- single access (used by the sender and by standalone callers) ------
 
     def plan_access(
-        self, thread: str, page: int, start_tick: int
+        self, process: str, page: int, start_tick: int
     ) -> tuple[FaultKind, int]:
-        """Classify an access starting at start_tick.
+        """Classify process's access starting at start_tick.
 
         Returns (fault, completion_tick) and leaves the cache untouched until
         land_access applies the access, so a probe that runs before the
         completion tick still sees the pre-access state.
         """
         p = self.params
-        process = SPY_PROCESS if thread in SPY_THREADS else thread
         fault = self.classify_access(page, self.is_mapped(process, page))
         if fault is FaultKind.HARD:
             # The fetch completes after disk_latency; the retried access then
@@ -214,23 +213,22 @@ class CacheSchedSim:
             return fault, start_tick + resume + p.mem_latency
         return fault, start_tick + p.mem_latency
 
-    def land_access(self, thread: str, page: int, fault: FaultKind) -> None:
+    def land_access(self, process: str, page: int, fault: FaultKind) -> None:
         """Apply the cache effect of an access that plan_access classified."""
-        process = SPY_PROCESS if thread in SPY_THREADS else thread
         if fault is FaultKind.HARD:
             self._fetch(page, process)
         else:
             self._hit(page, process)
 
-    def touch(self, thread: str, page: int) -> tuple[FaultKind, int]:
+    def touch(self, process: str, page: int) -> tuple[FaultKind, int]:
         """Run one access to completion at the current clock.
 
         NONE and SOFT finish in mem_latency and keep the core. HARD parks the
         thread on a disk fetch, yields, and finishes one mem_latency after the
         fetch lands.
         """
-        fault, completion = self.plan_access(thread, page, self.clock)
-        self.land_access(thread, page, fault)
+        fault, completion = self.plan_access(process, page, self.clock)
+        self.land_access(process, page, fault)
         self.clock = completion
         return fault, completion
 
@@ -254,9 +252,10 @@ class CacheSchedSim:
         """
         p = self.params
         cache, spy = self._cache, self._mapped[SPY_PROCESS]
-        p1, p2 = pair.p1, pair.p2  # a PagePair holds no negative page
-        if p1 >= self.region_pages or p2 >= self.region_pages:
-            raise self._outside(max(p1, p2))
+        p1, p2 = pair.p1, pair.p2
+        pages = self.region_pages
+        if not (0 <= p1 < pages and 0 <= p2 < pages):
+            raise self._outside(p2 if 0 <= p1 < pages else p1)
         start = self.clock
         hard1 = p1 not in cache
         if hard1:

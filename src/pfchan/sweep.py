@@ -14,7 +14,7 @@ import io
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .config import ChannelConfig
 from .errors import ConfigError, RunAbort
@@ -34,11 +34,6 @@ DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
     "region_size": tuple(m * MIB for m in (1, 2, 4, 8, 16, 32)),
     "bit_rate": (10, 20, 50, 100, 200, 500, 1000),
 }
-
-CSV_HEADER = (
-    "variable,value,repetition,seed,payload_bits,page_gap,region_bytes,"
-    "sync_period_ns,ber,bandwidth_bps,indeterminate_slots"
-)
 
 CALIBRATION_GAPS = DEFAULT_GRIDS["page_gap"]
 CALIBRATION_REPETITIONS = 7
@@ -81,11 +76,14 @@ class SweepSpec:
                 f"live_lead_ns must be >= 0, got {self.live_lead_ns}: a negative "
                 f"lead puts slot 0 in the past, so every slot overruns"
             )
+        # a bad value fails here, before any cell of the grid has run
+        for value in self.values:
+            apply_variable(self.cfg, self.variable, value)
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """One row of a sweep, mirroring the CSV schema."""
+    """One row of a sweep; its fields are the CSV columns."""
 
     variable: str
     value: int
@@ -95,7 +93,7 @@ class CellResult:
     page_gap: int
     region_bytes: int
     sync_period_ns: int
-    ber: float
+    ber: float | None
     bandwidth_bps: float
     indeterminate_slots: int
 
@@ -117,20 +115,8 @@ class CellResult:
             indeterminate_slots=report.indeterminate_slots,
         )
 
-    def csv_row(self) -> list:
-        return [
-            self.variable,
-            self.value,
-            self.repetition,
-            self.seed,
-            self.payload_bits,
-            self.page_gap,
-            self.region_bytes,
-            self.sync_period_ns,
-            repr(self.ber),
-            repr(self.bandwidth_bps),
-            self.indeterminate_slots,
-        ]
+
+CSV_HEADER = ",".join(f.name for f in fields(CellResult))
 
 
 @dataclass(frozen=True)
@@ -401,13 +387,22 @@ def calibrate_page_gap(
     return CalibrationResult(sweep=result, by_gap=by_gap, best_gap=best_gap)
 
 
+def write_csv(fh, row_type, rows) -> None:
+    """Write a header of the dataclass row_type's field names, then one line
+    per row. Floats keep the csv module's repr, bools are written as 0/1 and
+    None as an empty cell."""
+    names = [f.name for f in fields(row_type)]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(names)
+    for row in rows:
+        values = [getattr(row, name) for name in names]
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
+
+
 def render_csv(result: SweepResult) -> str:
     """The sweep as CSV text, stable across reruns of the same spec."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for row in result.rows:
-        writer.writerow(row.csv_row())
+    write_csv(buf, CellResult, result.rows)
     return buf.getvalue()
 
 

@@ -397,7 +397,7 @@ def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:
 
 
 def test_blind_receive_leaves_the_ber_cell_empty(tmp_path, monkeypatch):
-    report = TransmissionReport.build_blind([1, 0, None, 1], 4_000_000)
+    report = TransmissionReport.build(None, [1, 0, None, 1], 4_000_000)
     assert receive_csv(
         tmp_path, monkeypatch, report, "--blind", "--n-bits", "4"
     ) == [CSV_HEADER, "payload_bits,4,0,0,4,64,33554432,20000000,,1000.0,1"]

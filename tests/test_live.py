@@ -26,7 +26,7 @@ from pfchan.live import (
     spy_receive,
     trojan_send,
 )
-from pfchan.protocol import PagePair, encode_target, page_pair_for_slot
+from pfchan.protocol import ObservedOrder, PagePair, encode_target, page_pair_for_slot
 
 PAGE = 4096
 
@@ -199,11 +199,22 @@ def test_receive_rejects_expected_length_mismatch(region_file):
             )
 
 
-def test_receive_zero_bits_returns_empty_report(region_file):
+def test_receive_zero_bits_is_a_config_error(region_file):
+    # a report over no bits would claim an error rate it never measured
     with open_region(region_file, small_cfg()) as region:
-        report = spy_receive(region, small_cfg(), 0, live._now_ns(), capabilities=READY)
-    assert report.payload_bits == 0
-    assert report.ber == 0.0
+        with pytest.raises(ConfigError, match="empty payload"):
+            spy_receive(region, small_cfg(), 0, live._now_ns(), capabilities=READY)
+
+
+def test_blind_receive_reports_no_ber(region_file, monkeypatch):
+    orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
+    monkeypatch.setattr(live, "_probe_pair", lambda region, pair: next(orders))
+    with open_region(region_file, small_cfg()) as region:
+        report = spy_receive(region, small_cfg(), 3, live._now_ns(), capabilities=READY)
+    assert report.sent is None and report.ber is None
+    assert report.decoded == [1, 0, None]
+    assert report.received == [1, 0, 0]
+    assert report.bandwidth_bps > 0
 
 
 def test_sender_follows_shared_schedule(region_file):

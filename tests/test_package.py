@@ -17,6 +17,16 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's library snippet is the documented report API; run it so
+    # the two cannot drift apart
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_import_leaves_the_live_backend_unloaded():
     src = Path(pfchan.__file__).resolve().parent.parent
     code = (

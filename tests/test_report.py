@@ -111,10 +111,13 @@ def test_report_survives_pickling():
 
 
 def test_blind_report_has_no_error_claim():
-    report = TransmissionReport.build_blind([1, None, 0], elapsed_ns=3)
-    assert report.sent == report.received
-    assert report.ber == 0.0
+    report = TransmissionReport.build(None, [1, None, 0], elapsed_ns=3)
+    assert report.sent is None
+    assert report.ber is None
+    assert report.received == [1, 0, 0]
+    assert report.payload_bits == 3
     assert report.indeterminate_slots == 1
+    assert report.bandwidth_bps == 1e9
 
 
 def test_report_rejects_slot_count_mismatch():

@@ -133,6 +133,14 @@ def spy_slot(sim, p1=10, p2=20):
     return sim.run_spy_slot(PagePair(p1=p1, p2=p2, slot=0))
 
 
+def test_spy_slot_rejects_a_page_outside_the_region():
+    sim = make_sim()
+    with pytest.raises(ConfigError, match="page -1 outside"):
+        spy_slot(sim, p1=-1, p2=3)
+    with pytest.raises(ConfigError, match=f"page {sim.region_pages} outside"):
+        spy_slot(sim, p1=3, p2=sim.region_pages)
+
+
 def test_spy_slot_p1_evicted_means_t1_last():
     sim = make_sim()
     sim.mark_resident([20], process="spy")

@@ -67,6 +67,19 @@ def test_spec_validation():
     assert small_spec(live_lead_ns=0).live_lead_ns == 0
 
 
+def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch):
+    ran = []
+    real = sweep._run_sim_cell
+    monkeypatch.setattr(sweep, "_run_sim_cell", lambda *a: ran.append(a) or real(*a))
+    cfg = ChannelConfig(region_size=MIB, pair_offset=8, payload_bits=40)
+    # gap 4 cannot hold a pair offset of 8; gap 64 can, and must not run first
+    with pytest.raises(ConfigError, match="pair_offset"):
+        run_sweep(small_spec(values=(64, 4), cfg=cfg))
+    with pytest.raises(ConfigError, match="pair_offset"):
+        calibrate_page_gap(cfg, sim_params(), values=(64, 4))
+    assert ran == []
+
+
 def test_cell_seed_is_a_stable_hash():
     # frozen from sha256("0:page_gap:64:0"), first 8 bytes big endian
     assert cell_seed(0, "page_gap", 64, 0) == 15871542800661094038
