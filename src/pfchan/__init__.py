@@ -34,18 +34,14 @@ from .sim import (
     run_channel_sim,
 )
 from .sweep import (
-    CalibrationResult,
     SweepResult,
     SweepSpec,
-    calibrate_page_gap,
-    emit_report,
     run_sweep,
 )
 
 __all__ = [
     "AccessRecord",
     "CacheSchedSim",
-    "CalibrationResult",
     "ChannelConfig",
     "ChannelError",
     "ConfigError",
@@ -60,10 +56,8 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "TransmissionReport",
-    "calibrate_page_gap",
     "compute_metrics",
     "decode_from_order",
-    "emit_report",
     "encode_target",
     "page_pair_for_slot",
     "random_payload",

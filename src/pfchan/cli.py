@@ -2,14 +2,15 @@
 
 Subcommands: simulate, send, receive, sweep, calibrate, probe. Settings
 resolve with CLI flags overriding the config file overriding built-in
-defaults. Exit codes: 0 success, 1 usage or config error, 2 missing
+defaults. Each subcommand has override flags only for the settings it
+reads (send and receive: the channel's), while one config file may hold
+every key. Exit codes: 0 success, 1 usage or config error, 2 missing
 capability or setup failure, 3 runtime abort.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import fields
 from enum import Enum
 from functools import partial
@@ -19,12 +20,10 @@ from .errors import ConfigError, RunAbort, SetupError
 from .report import bits_from_hex, bits_from_string, random_payload
 from .sim import SimParams, render_trace, run_channel_sim
 from .sweep import (
+    BACKENDS,
     DEFAULT_GRIDS,
     CellResult,
     SweepSpec,
-    calibrate_page_gap,
-    emit_report,
-    live_cpus,
     run_sweep,
     summary_table,
     write_csv,
@@ -88,8 +87,10 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
+    """Settings from the config file, overridden by the flags the subcommand
+    has. A config file may hold every key, whichever subcommand reads it."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(load_config_file(args.config))
     for key in CHANNEL_KEYS + SIM_KEYS:
         cli_value = getattr(args, key, None)
@@ -101,16 +102,16 @@ def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
 
 
 def _parse_epoch(text: str) -> int:
-    """Absolute unix nanoseconds, or '+SECONDS' relative to now."""
-    if text.startswith("+"):
-        try:
-            delta = float(text[1:])
-        except ValueError:
-            raise ConfigError(f"bad epoch offset {text!r}") from None
-        return time.clock_gettime_ns(time.CLOCK_REALTIME) + int(delta * 1e9)
+    """Absolute unix nanoseconds, or '+SECONDS' relative to now, read from
+    the same clock the live endpoints keep their deadlines by."""
+    from . import live
+
     try:
+        if text.startswith("+"):
+            # nan and inf pass float() and fail int()
+            return live._now_ns() + int(float(text[1:]) * 1e9)
         return int(text)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(
             f"epoch must be integer nanoseconds or +SECONDS, got {text!r}"
         ) from None
@@ -220,11 +221,17 @@ def cmd_receive(args) -> int:
 
 
 def _note_unpinned_sender(backend: str) -> None:
-    if backend == "live" and live_cpus()[1] is None:
+    if backend != "live":
+        return
+    from .live import live_cpus
+
+    if live_cpus()[1] is None:
         print("note: one usable core, so the live sender shared the receiver's core")
 
 
 def cmd_sweep(args) -> int:
+    """Run sweep and calibrate; calibrate is a page_gap sweep that also
+    names the gap with the lowest mean error rate."""
     cfg, params = resolve_settings(args)
     values = _parse_values(args.values) if args.values else DEFAULT_GRIDS[args.variable]
     spec = SweepSpec(
@@ -238,32 +245,12 @@ def cmd_sweep(args) -> int:
         region_file=args.region_file,
     )
     result = run_sweep(spec)
+    print(summary_table(result))
     if args.out:
-        print(emit_report(result, args.out))
+        _write_csv(args.out, CellResult, result.rows)
         print(f"wrote {args.out}")
-    else:
-        print(summary_table(result))
-    _note_unpinned_sender(args.backend)
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    cfg, params = resolve_settings(args)
-    values = _parse_values(args.values) if args.values else DEFAULT_GRIDS["page_gap"]
-    result = calibrate_page_gap(
-        cfg,
-        params,
-        values=values,
-        repetitions=args.repetitions,
-        backend=args.backend,
-        seed=args.seed,
-        region_file=args.region_file,
-    )
-    print(summary_table(result.sweep))
-    print(f"best page_gap: {result.best_gap}")
-    if args.out:
-        emit_report(result.sweep, args.out)
-        print(f"wrote {args.out}")
+    if args.command == "calibrate":
+        print(f"best page_gap: {result.best_value()}")
     _note_unpinned_sender(args.backend)
     return 0
 
@@ -271,12 +258,12 @@ def cmd_calibrate(args) -> int:
 def cmd_probe(args) -> int:
     from . import live
 
-    if getattr(args, "config", None):
+    if args.config:
         resolve_settings(args)  # surface config problems before probing
     caps = live.probe_capabilities()
     text = caps.summary()
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.out}")
@@ -285,15 +272,14 @@ def cmd_probe(args) -> int:
 
 # -- parser wiring ----------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """The config file, the seed, the CSV output and one override flag per
+    setting in keys."""
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, default=0, help="payload/sweep seed")
     parser.add_argument("--out", help="write CSV output here")
-
-
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides")
-    for key in CHANNEL_KEYS + SIM_KEYS:
+    for key in keys:
         group.add_argument(
             f"--{key.replace('_', '-')}", type=partial(parse_setting, key), dest=key
         )
@@ -315,6 +301,15 @@ def _add_live_common(parser: argparse.ArgumentParser) -> None:
     _add_payload(parser)
 
 
+def _add_sweep(parser: argparse.ArgumentParser, repetitions: int) -> None:
+    _add_common(parser, CHANNEL_KEYS + SIM_KEYS)
+    parser.add_argument("--values", help="comma-separated values (default: built-in grid)")
+    parser.add_argument("--repetitions", type=int, default=repetitions)
+    parser.add_argument("--backend", choices=BACKENDS, default="sim")
+    parser.add_argument("--region-file", help="backing file for live cells")
+    parser.set_defaults(func=cmd_sweep)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pfchan",
@@ -323,15 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one transmission on the simulator")
-    _add_common(p)
-    _add_overrides(p)
+    _add_common(p, CHANNEL_KEYS + SIM_KEYS)
     _add_payload(p)
     p.add_argument("--trace", help="write the access trace here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("send", help="run the live sender (trojan)")
-    _add_common(p)
-    _add_overrides(p)
+    _add_common(p, CHANNEL_KEYS)
     _add_live_common(p)
     p.add_argument(
         "--create-region",
@@ -344,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("receive", help="run the live receiver (spy)")
-    _add_common(p)
-    _add_overrides(p)
+    _add_common(p, CHANNEL_KEYS)
     _add_live_common(p)
     p.add_argument("--n-bits", type=int, help="bits to receive when --blind")
     p.add_argument("--cpu", type=int, help="core to pin the receiver to")
@@ -357,26 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_receive)
 
     p = sub.add_parser("sweep", help="sweep one variable over a grid")
-    _add_common(p)
-    _add_overrides(p)
+    _add_sweep(p, repetitions=1)
     p.add_argument("--variable", required=True, choices=list(DEFAULT_GRIDS))
-    p.add_argument("--values", help="comma-separated values (default: built-in grid)")
-    p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--backend", choices=("sim", "live"), default="sim")
-    p.add_argument("--region-file", help="backing file for live cells")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="find the best page gap")
-    _add_common(p)
-    _add_overrides(p)
-    p.add_argument("--values", help="gaps to try (default: 4..256)")
-    p.add_argument("--repetitions", type=int, default=7)
-    p.add_argument("--backend", choices=("sim", "live"), default="sim")
-    p.add_argument("--region-file", help="backing file for live cells")
-    p.set_defaults(func=cmd_calibrate)
+    _add_sweep(p, repetitions=7)
+    p.set_defaults(variable="page_gap")
 
     p = sub.add_parser("probe", help="report live backend capabilities")
-    _add_common(p)
+    p.add_argument("--config", help="key=value config file to validate")
+    p.add_argument("--out", help="write the capability report here")
     p.set_defaults(func=cmd_probe)
 
     return parser

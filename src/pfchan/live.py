@@ -392,6 +392,14 @@ def _now_ns() -> int:
     return time.clock_gettime_ns(time.CLOCK_REALTIME)
 
 
+def live_cpus() -> tuple[int, int | None]:
+    """Cores for a live (receiver, sender) pair: the lowest usable core and
+    the next one, so the sender's syscalls stay off the receiver's core. With
+    a single usable core the sender is None and stays unpinned."""
+    usable = sorted(os.sched_getaffinity(0))
+    return usable[0], (usable[1] if len(usable) > 1 else None)
+
+
 _SPIN_NS = 1_000_000
 
 
@@ -416,7 +424,7 @@ def _pinned(cpu: int | None, who: str):
     try:
         original = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpu})
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a negative core
         raise SetupError(f"cannot pin {who} to one core: {exc}") from exc
     try:
         yield
@@ -528,7 +536,7 @@ def spy_receive(
             f"expected payload has {len(expected)} bits but n_bits is {n_bits}"
         )
 
-    core = cpu if cpu is not None else min(os.sched_getaffinity(0))
+    core = cpu if cpu is not None else live_cpus()[0]
     decoded: list[int | None] = []
     with _pinned(core, "receiver"):
         for k in range(n_bits):

@@ -1,4 +1,4 @@
-"""Experiment harness: parameter sweeps, calibration, report emission.
+"""Experiment harness: parameter sweeps and their CSV rows.
 
 A sweep varies exactly one knob over a list of values, repeats each cell,
 and records error rate and bandwidth per cell. Cell seeds are derived from
@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -34,9 +33,6 @@ DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
     "region_size": tuple(m * MIB for m in (1, 2, 4, 8, 16, 32)),
     "bit_rate": (10, 20, 50, 100, 200, 500, 1000),
 }
-
-CALIBRATION_GAPS = DEFAULT_GRIDS["page_gap"]
-CALIBRATION_REPETITIONS = 7
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,15 @@ class SweepResult:
             )
         return out
 
+    def best_value(self) -> int:
+        """The value with the lowest mean error rate; calibrating the page
+        gap is a page_gap sweep read this way.
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    sweep: SweepResult
-    by_gap: tuple[tuple[int, float], ...]
-    best_gap: int
+        Ties break toward the larger value: a wider page gap costs nothing
+        in the model and is more robust to prefetching on real hosts.
+        """
+        best, _, _ = min(self.aggregates(), key=lambda agg: (agg[1], -agg[0]))
+        return best
 
 
 def cell_seed(master_seed: int, variable: str, value: int, repetition: int) -> int:
@@ -269,14 +268,6 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
     return got
 
 
-def live_cpus() -> tuple[int, int | None]:
-    """Cores for a live cell's (receiver, sender): the lowest usable core and
-    the next one, so the sender's syscalls stay off the receiver's core. With
-    a single usable core the sender is None and stays unpinned."""
-    usable = sorted(os.sched_getaffinity(0))
-    return usable[0], (usable[1] if len(usable) > 1 else None)
-
-
 def _run_live_cell(
     cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int, capabilities
 ) -> TransmissionReport:
@@ -289,7 +280,7 @@ def _run_live_cell(
     payload = random_payload(seed, cfg.payload_bits)
     live.create_backing_file(region_file, cfg.region_size)
     ctx = multiprocessing.get_context("fork")
-    receiver_cpu, sender_cpu = live_cpus()
+    receiver_cpu, sender_cpu = live.live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     deadline = time.monotonic() + budget
     children = []
@@ -313,7 +304,7 @@ def _run_live_cell(
             child_conn.close()
             children.append((name, proc, conn))
         _collect(children, "ready", deadline)
-        epoch = time.clock_gettime_ns(time.CLOCK_REALTIME) + lead_ns
+        epoch = live._now_ns() + lead_ns
         for _, _, conn in children:
             try:
                 conn.send(epoch)
@@ -357,36 +348,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
-def calibrate_page_gap(
-    cfg: ChannelConfig,
-    params: SimParams,
-    values: tuple[int, ...] = CALIBRATION_GAPS,
-    repetitions: int = CALIBRATION_REPETITIONS,
-    backend: str = "sim",
-    seed: int = 0,
-    region_file: str | None = None,
-) -> CalibrationResult:
-    """Sweep the page gap and pick the value with the lowest mean error rate.
-
-    Ties break toward the larger gap: wider spacing costs nothing in the
-    model and is more robust to prefetching on real hosts.
-    """
-    spec = SweepSpec(
-        variable="page_gap",
-        values=tuple(values),
-        repetitions=repetitions,
-        cfg=cfg,
-        params=params,
-        backend=backend,
-        seed=seed,
-        region_file=region_file,
-    )
-    result = run_sweep(spec)
-    by_gap = tuple((value, ber) for value, ber, _ in result.aggregates())
-    best_gap, _ = min(by_gap, key=lambda item: (item[1], -item[0]))
-    return CalibrationResult(sweep=result, by_gap=by_gap, best_gap=best_gap)
-
-
 def write_csv(fh, row_type, rows) -> None:
     """Write a header of the dataclass row_type's field names, then one line
     per row. Floats keep the csv module's repr, bools are written as 0/1 and
@@ -404,14 +365,6 @@ def render_csv(result: SweepResult) -> str:
     buf = io.StringIO()
     write_csv(buf, CellResult, result.rows)
     return buf.getvalue()
-
-
-def emit_report(result: SweepResult, path: str) -> str:
-    """Write the CSV and return a human-readable summary table."""
-    text = render_csv(result)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return summary_table(result)
 
 
 def summary_table(result: SweepResult) -> str:

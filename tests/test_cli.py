@@ -313,6 +313,59 @@ def test_send_rejects_bad_epoch(tmp_path, capsys):
     assert "epoch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["send", "receive"])
+@pytest.mark.parametrize("epoch", ["+nan", "+inf", "+1e400"])
+def test_an_epoch_offset_with_no_integer_value_exits_1(tmp_path, capsys, command, epoch):
+    code = run_cli(
+        command, "--region-file", str(tmp_path / "r.bin"), "--epoch", epoch,
+        "--bits", "01",
+    )
+    assert code == 1
+    assert f"got {epoch!r}" in capsys.readouterr().err
+
+
+def test_epoch_offsets_count_from_the_live_endpoints_clock(monkeypatch):
+    monkeypatch.setattr(pfchan.live, "_now_ns", lambda: 5)
+    assert pfchan.cli._parse_epoch("+2") == 2_000_000_005
+    assert pfchan.cli._parse_epoch("17") == 17
+
+
+def _sim_flag(f) -> list[str]:
+    return [
+        f"--{f.name.replace('_', '-')}",
+        "first-wrap" if f.name == "eviction_behavior" else "3",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, *_sim_flag(f)] for command in ("send", "receive") for f in fields(SimParams)]
+    + [["probe", "--seed", "3"]],
+    ids=" ".join,
+)
+def test_a_flag_the_subcommand_would_ignore_exits_1(capsys, argv):
+    # the live endpoints read no simulator setting, and probe no seed
+    if argv[0] != "probe":
+        argv = [*argv, "--region-file", "unused", "--epoch", "0", "--bits", "01"]
+    assert run_cli(*argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "chan.cfg"
+    cfg_file.write_text("page_gap = 32\ndisk_latency = 5\n")
+    configs = []
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(
+        pfchan.live, "trojan_send", lambda region, cfg, *a, **kw: configs.append(cfg) or []
+    )
+    assert run_cli(
+        "send", "--config", str(cfg_file), "--region-file", "unused",
+        "--epoch", "0", "--bits", "01",
+    ) == 0
+    assert [cfg.page_gap for cfg in configs] == [32]
+
+
 def test_send_without_region_file_exits_2(tmp_path, capsys):
     code = run_cli(
         "send", *SMALL, "--region-file", str(tmp_path / "absent.bin"),

@@ -241,8 +241,9 @@ def test_sender_pins_only_when_asked(region_file):
     with open_region(region_file, small_cfg()) as region:
         trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=min(before))
         assert os.sched_getaffinity(0) == before
-        with pytest.raises(SetupError, match="cannot pin sender"):
-            trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=4095)
+        for cpu in (4095, -1):
+            with pytest.raises(SetupError, match="cannot pin sender"):
+                trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=cpu)
     assert os.sched_getaffinity(0) == before
 
 

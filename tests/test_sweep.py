@@ -1,4 +1,4 @@
-"""Harness checks: reproducibility, grid mechanics, calibration choice."""
+"""Harness checks: reproducibility, grid mechanics, best-value choice."""
 from __future__ import annotations
 
 import multiprocessing
@@ -10,6 +10,7 @@ import pytest
 
 import pfchan.live
 from pfchan import sweep
+from pfchan.cli import main
 from pfchan.config import ChannelConfig
 from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
@@ -18,9 +19,7 @@ from pfchan.sweep import (
     CSV_HEADER,
     SweepSpec,
     apply_variable,
-    calibrate_page_gap,
     cell_seed,
-    emit_report,
     render_csv,
     run_sweep,
     summary_table,
@@ -67,7 +66,7 @@ def test_spec_validation():
     assert small_spec(live_lead_ns=0).live_lead_ns == 0
 
 
-def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch):
+def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch, capsys):
     ran = []
     real = sweep._run_sim_cell
     monkeypatch.setattr(sweep, "_run_sim_cell", lambda *a: ran.append(a) or real(*a))
@@ -75,8 +74,8 @@ def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch):
     # gap 4 cannot hold a pair offset of 8; gap 64 can, and must not run first
     with pytest.raises(ConfigError, match="pair_offset"):
         run_sweep(small_spec(values=(64, 4), cfg=cfg))
-    with pytest.raises(ConfigError, match="pair_offset"):
-        calibrate_page_gap(cfg, sim_params(), values=(64, 4))
+    assert main(["calibrate", "--values", "64,4", "--pair-offset", "8"]) == 1
+    assert "pair_offset" in capsys.readouterr().err
     assert ran == []
 
 
@@ -150,39 +149,38 @@ def test_aggregates_are_means_in_grid_order():
 
 
 def test_calibration_breaks_ties_toward_larger_gap():
-    cal = calibrate_page_gap(
-        ChannelConfig(region_size=MIB, payload_bits=30, sync_period_ns=10_000_000),
-        sim_params(),
+    result = run_sweep(small_spec(
         values=(8, 16, 32),
-        repetitions=2,
-    )
-    assert all(ber == 0.0 for _, ber in cal.by_gap)
-    assert cal.best_gap == 32
+        cfg=ChannelConfig(region_size=MIB, payload_bits=30, sync_period_ns=10_000_000),
+    ))
+    assert all(ber == 0.0 for _, ber, _ in result.aggregates())
+    assert result.best_value() == 32
 
 
 def test_calibration_default_grid_ideal_ties_at_256():
     # the full grid with ideal parameters: every gap decodes perfectly, so
     # the tie-break settles on the widest stride; 7 gaps x 7 repetitions
-    cal = calibrate_page_gap(
-        ChannelConfig(payload_bits=100), sim_params()
-    )
-    assert len(cal.sweep.rows) == 49
-    assert all(ber == 0.0 for _, ber in cal.by_gap)
-    assert cal.best_gap == 256
+    result = run_sweep(small_spec(
+        values=sweep.DEFAULT_GRIDS["page_gap"],
+        repetitions=7,
+        cfg=ChannelConfig(payload_bits=100),
+    ))
+    assert len(result.rows) == 49
+    assert all(ber == 0.0 for _, ber, _ in result.aggregates())
+    assert result.best_value() == 256
 
 
 def test_calibration_prefers_lower_error_over_width():
     # Under wrap retention a wide gap exhausts its fresh pages sooner, so
     # the narrow gap genuinely wins and the tie-break must not override it.
-    cal = calibrate_page_gap(
-        ChannelConfig(region_size=MIB, payload_bits=100, sync_period_ns=10_000_000),
-        sim_params(eviction_behavior=EvictionBehavior.FIRST_WRAP),
+    result = run_sweep(small_spec(
         values=(4, 64),
-        repetitions=2,
-    )
-    errors = dict(cal.by_gap)
+        cfg=ChannelConfig(region_size=MIB, payload_bits=100, sync_period_ns=10_000_000),
+        params=sim_params(eviction_behavior=EvictionBehavior.FIRST_WRAP),
+    ))
+    errors = {value: ber for value, ber, _ in result.aggregates()}
     assert errors[4] < errors[64]
-    assert cal.best_gap == 4
+    assert result.best_value() == 4
 
 
 def test_live_sweep_refuses_without_capabilities(monkeypatch, tmp_path):
@@ -211,13 +209,9 @@ def test_live_sweep_requires_region_file(monkeypatch):
         run_sweep(small_spec(backend="live"))
 
 
-def test_emit_report_writes_csv_and_summarizes(tmp_path):
+def test_summary_table_has_a_header_and_a_line_per_value():
     result = run_sweep(small_spec())
-    out = tmp_path / "sweep.csv"
-    summary = emit_report(result, str(out))
-    assert out.read_text() == render_csv(result)
-    assert summary == summary_table(result)
-    lines = summary.splitlines()
+    lines = summary_table(result).splitlines()
     assert "page_gap" in lines[0] and "sim" in lines[0]
     assert len(lines) == 2 + len(result.spec.values)
 
