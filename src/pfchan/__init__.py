@@ -14,7 +14,6 @@ from .protocol import (
     FaultKind,
     ObservedOrder,
     PagePair,
-    Residency,
     decode_from_order,
     encode_target,
     page_pair_for_slot,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultKind",
     "ObservedOrder",
     "PagePair",
-    "Residency",
     "RunAbort",
     "SetupError",
     "SimParams",

@@ -20,7 +20,6 @@ from .errors import ConfigError, RunAbort, SetupError
 from .report import bits_from_hex, bits_from_string, random_payload
 from .sim import SimParams, render_trace, run_channel_sim
 from .sweep import (
-    BACKENDS,
     DEFAULT_GRIDS,
     CellResult,
     SweepSpec,
@@ -191,17 +190,10 @@ def cmd_receive(args) -> int:
     from . import live
 
     cfg, _ = resolve_settings(args)
-    if args.blind:
-        expected = None
-        n_bits = args.n_bits if args.n_bits is not None else cfg.payload_bits
-    else:
-        expected = _payload_from_args(args, cfg)
-        n_bits = len(expected)
+    expected = None if args.blind else _payload_from_args(args, cfg)
     epoch = _parse_epoch(args.epoch)
     with live.open_region(args.region_file, cfg) as region:
-        report = live.spy_receive(
-            region, cfg, n_bits, epoch, expected=expected, cpu=args.cpu
-        )
+        report = live.spy_receive(region, cfg, epoch, expected=expected, cpu=args.cpu)
     if expected is None:
         print(
             f"received {report.payload_bits} bits blind "
@@ -220,8 +212,8 @@ def cmd_receive(args) -> int:
     return 0
 
 
-def _note_unpinned_sender(backend: str) -> None:
-    if backend != "live":
+def _note_unpinned_sender(spec: SweepSpec) -> None:
+    if spec.backend != "live":
         return
     from .live import live_cpus
 
@@ -240,7 +232,7 @@ def cmd_sweep(args) -> int:
         repetitions=args.repetitions,
         cfg=cfg,
         params=params,
-        backend=args.backend,
+        backend="sim" if args.region_file is None else "live",
         seed=args.seed,
         region_file=args.region_file,
     )
@@ -251,7 +243,7 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.out}")
     if args.command == "calibrate":
         print(f"best page_gap: {result.best_value()}")
-    _note_unpinned_sender(args.backend)
+    _note_unpinned_sender(spec)
     return 0
 
 
@@ -285,28 +277,28 @@ def _add_common(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
         )
 
 
-def _add_payload(parser: argparse.ArgumentParser) -> None:
+def _add_payload(parser: argparse.ArgumentParser):
     payload = parser.add_mutually_exclusive_group()
     payload.add_argument("--payload-hex", help="payload as hex digits")
     payload.add_argument("--bits", help="payload as a literal bit string")
+    return payload
 
 
-def _add_live_common(parser: argparse.ArgumentParser) -> None:
+def _add_live_common(parser: argparse.ArgumentParser):
     parser.add_argument("--region-file", required=True, help="shared backing file")
     parser.add_argument(
         "--epoch",
         required=True,
         help="shared epoch: unix nanoseconds, or +SECONDS from now",
     )
-    _add_payload(parser)
+    return _add_payload(parser)
 
 
 def _add_sweep(parser: argparse.ArgumentParser, repetitions: int) -> None:
     _add_common(parser, CHANNEL_KEYS + SIM_KEYS)
     parser.add_argument("--values", help="comma-separated values (default: built-in grid)")
     parser.add_argument("--repetitions", type=int, default=repetitions)
-    parser.add_argument("--backend", choices=BACKENDS, default="sim")
-    parser.add_argument("--region-file", help="backing file for live cells")
+    parser.add_argument("--region-file", help="backing file; run the cells live")
     parser.set_defaults(func=cmd_sweep)
 
 
@@ -338,13 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("receive", help="run the live receiver (spy)")
     _add_common(p, CHANNEL_KEYS)
-    _add_live_common(p)
-    p.add_argument("--n-bits", type=int, help="bits to receive when --blind")
+    payload = _add_live_common(p)
     p.add_argument("--cpu", type=int, help="core to pin the receiver to")
-    p.add_argument(
+    payload.add_argument(
         "--blind",
         action="store_true",
-        help="receive without ground truth (ber is left empty in --out)",
+        help="receive --payload-bits bits, no ground truth (empty ber in --out)",
     )
     p.set_defaults(func=cmd_receive)
 

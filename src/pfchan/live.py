@@ -282,13 +282,16 @@ def create_backing_file(path: str, size: int) -> str:
     if os.path.exists(path) and os.path.getsize(path) >= size:
         return path
     block = bytes(range(256)) * 4096  # 1 MiB
-    with open(path, "wb") as fh:
-        remaining = size
-        while remaining > 0:
-            fh.write(block[: min(len(block), remaining)])
-            remaining -= len(block)
-        fh.flush()
-        os.fsync(fh.fileno())
+    try:
+        with open(path, "wb") as fh:
+            remaining = size
+            while remaining > 0:
+                fh.write(block[: min(len(block), remaining)])
+                remaining -= len(block)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError as exc:
+        raise SetupError(f"cannot write backing file {path!r}: {exc.strerror}") from exc
     return path
 
 
@@ -358,7 +361,7 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
                     )
                 elif not outcome.confirmed:
                     notes.append("eviction advice accepted but pages stayed resident")
-    except OSError as exc:  # pragma: no cover - scratch dir failure
+    except (OSError, SetupError) as exc:
         notes.append(f"scratch file setup failed: {exc}")
 
     try:
@@ -515,27 +518,22 @@ def _probe_pair(region: SharedRegion, pair: PagePair) -> ObservedOrder:
 def spy_receive(
     region: SharedRegion,
     cfg: ChannelConfig,
-    n_bits: int,
     epoch_ns: int,
     expected: list[int] | None = None,
     cpu: int | None = None,
     capabilities: BackendCapabilities | None = None,
 ) -> TransmissionReport:
-    """Receive n_bits, probing each slot at its guard deadline.
+    """Receive one bit per slot, probing each slot at its guard deadline:
+    len(expected) bits, or cfg.payload_bits without the expected payload.
 
     The whole process is pinned to a single core before the first slot so
     the two accessor threads contend for it; failure to pin is a startup
     failure. Without the expected payload the report's sent and ber are
-    None. Zero bits is a ConfigError: there is nothing to report on.
+    None. An empty expected payload is a ConfigError: there is nothing to
+    report on.
     """
-    if n_bits < 0:
-        raise ConfigError(f"n_bits must be non-negative, got {n_bits}")
     _require_ready(capabilities)
-    if expected is not None and len(expected) != n_bits:
-        raise ConfigError(
-            f"expected payload has {len(expected)} bits but n_bits is {n_bits}"
-        )
-
+    n_bits = cfg.payload_bits if expected is None else len(expected)
     core = cpu if cpu is not None else live_cpus()[0]
     decoded: list[int | None] = []
     with _pinned(core, "receiver"):

@@ -17,13 +17,6 @@ from .config import ChannelConfig
 from .errors import ConfigError
 
 
-class Residency(Enum):
-    """Whether a page currently lives in the page cache."""
-
-    RESIDENT = "resident"
-    EVICTED = "evicted"
-
-
 class FaultKind(Enum):
     """Outcome of touching one page.
 

@@ -33,7 +33,6 @@ from .protocol import (
     FaultKind,
     ObservedOrder,
     PagePair,
-    Residency,
     decode_from_order,
     page_pair_for_slot,
 )
@@ -126,12 +125,6 @@ class CacheSchedSim:
     def _outside(self, page: int) -> ConfigError:
         return ConfigError(f"page {page} outside region of {self.region_pages} pages")
 
-    def residency(self, page: int) -> Residency:
-        return Residency.RESIDENT if page in self._cache else Residency.EVICTED
-
-    def resident_pages(self) -> set[int]:
-        return set(self._cache)
-
     def is_mapped(self, process: str, page: int) -> bool:
         return page in self._mapped.get(process, ())
 
@@ -193,7 +186,7 @@ class CacheSchedSim:
         self._install_page(page)
         self._mapped[process].add(page)
 
-    # -- single access (used by the sender and by standalone callers) ------
+    # -- the sender's single access ----------------------------------------
 
     def plan_access(
         self, process: str, page: int, start_tick: int
@@ -219,18 +212,6 @@ class CacheSchedSim:
             self._fetch(page, process)
         else:
             self._hit(page, process)
-
-    def touch(self, process: str, page: int) -> tuple[FaultKind, int]:
-        """Run one access to completion at the current clock.
-
-        NONE and SOFT finish in mem_latency and keep the core. HARD parks the
-        thread on a disk fetch, yields, and finishes one mem_latency after the
-        fetch lands.
-        """
-        fault, completion = self.plan_access(process, page, self.clock)
-        self.land_access(process, page, fault)
-        self.clock = completion
-        return fault, completion
 
     # -- the receiver's two-thread slot ------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import multiprocessing
+import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -206,7 +206,7 @@ def _live_receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
 
     with live.open_region(region_path, cfg) as region:
         return live.spy_receive(
-            region, cfg, len(payload), _ready(conn), expected=payload, cpu=cpu,
+            region, cfg, _ready(conn), expected=payload, cpu=cpu,
             capabilities=capabilities,
         )
 
@@ -275,6 +275,8 @@ def _run_live_cell(
     children have opened the region and reported ready. A child that fails
     or exits early aborts the cell, with its error text when it sent one,
     instead of leaving a row."""
+    import multiprocessing
+
     from . import live
 
     payload = random_payload(seed, cfg.payload_bits)
@@ -329,7 +331,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.backend == "live":
         from . import live
 
-        caps = live._require_ready(None)
+        # eviction advice works or not per filesystem: probe the region's
+        region_dir = os.path.dirname(os.path.abspath(spec.region_file))
+        caps = live._require_ready(live.probe_capabilities(region_dir))
 
     rows: list[CellResult] = []
     for value in spec.values:

@@ -187,18 +187,6 @@ def test_sweep_bad_values_exit_1(capsys):
     assert "distinct" in capsys.readouterr().err
 
 
-def test_sweep_live_without_region_file_exits_1_before_probing(monkeypatch, capsys):
-    probes = []
-    monkeypatch.setattr(
-        pfchan.live, "probe_capabilities", lambda *a, **k: probes.append(a)
-    )
-    code = run_cli("sweep", "--variable", "page_gap", "--values", "8",
-                   "--backend", "live", *SMALL)
-    assert code == 1
-    assert "region_file" in capsys.readouterr().err
-    assert probes == []
-
-
 def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
     broken = BackendCapabilities(
         shared_readonly_mapping=False,
@@ -210,10 +198,26 @@ def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: broken)
     code = run_cli(
         "sweep", "--variable", "page_gap", "--values", "8",
-        "--backend", "live", "--region-file", str(tmp_path / "r.bin"), *SMALL,
+        "--region-file", str(tmp_path / "r.bin"), *SMALL,
     )
     assert code == 2
     assert "setup error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--variable", "page_gap", "--values", "8"],
+        ["send", "--create-region", "--epoch", "+0", "--bits", "01"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_region_file_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    region = tmp_path / "absent" / "r.bin"
+    assert run_cli(*argv, *SMALL, "--region-file", str(region)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("setup error:") and str(region.parent) in err
+    assert "Traceback" not in err
 
 
 def test_calibrate_reports_best_gap(capsys):
@@ -247,10 +251,9 @@ def test_live_runs_say_when_the_sender_shared_the_receivers_core(
     argv = [command, "--values", "8,16", "--repetitions", "1"]
     if command == "sweep":
         argv += ["--variable", "page_gap"]
-    code = run_cli(
-        *argv, "--backend", backend, "--region-file", str(tmp_path / "r.bin"),
-        *SMALL, "--payload-bits", "20",
-    )
+    if backend == "live":
+        argv += ["--region-file", str(tmp_path / "r.bin")]
+    code = run_cli(*argv, *SMALL, "--payload-bits", "20")
     assert code == 0
     assert capsys.readouterr().out.splitlines().count(UNPINNED_NOTE) == notes
 
@@ -340,15 +343,31 @@ def _sim_flag(f) -> list[str]:
 @pytest.mark.parametrize(
     "argv",
     [[command, *_sim_flag(f)] for command in ("send", "receive") for f in fields(SimParams)]
-    + [["probe", "--seed", "3"]],
+    + [
+        ["probe", "--seed", "3"],
+        ["receive", "--blind", "--n-bits", "4"],
+        ["sweep", "--variable", "page_gap", "--backend", "live"],
+        ["calibrate", "--backend", "sim"],
+    ],
     ids=" ".join,
 )
 def test_a_flag_the_subcommand_would_ignore_exits_1(capsys, argv):
-    # the live endpoints read no simulator setting, and probe no seed
-    if argv[0] != "probe":
-        argv = [*argv, "--region-file", "unused", "--epoch", "0", "--bits", "01"]
+    # the live endpoints read no simulator setting and probe no seed; a blind
+    # receive is --payload-bits long, and a sweep with --region-file is live
+    if argv[0] in ("send", "receive"):
+        argv = [*argv, "--region-file", "unused", "--epoch", "0"]
     assert run_cli(*argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [["--bits", "0101"], ["--payload-hex", "5"]])
+def test_a_blind_receive_takes_no_payload_flag(capsys, payload):
+    # a blind receive is --payload-bits long; a payload would be a second length
+    code = run_cli(
+        "receive", "--region-file", "unused", "--epoch", "0", "--blind", *payload
+    )
+    assert code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch):
@@ -373,21 +392,6 @@ def test_send_without_region_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "setup error" in capsys.readouterr().err
-
-
-def test_receive_rejects_negative_n_bits_before_probing(tmp_path, monkeypatch, capsys):
-    probes = []
-    monkeypatch.setattr(
-        pfchan.live, "probe_capabilities", lambda *a, **k: probes.append(a)
-    )
-    region = pfchan.live.create_backing_file(str(tmp_path / "r.bin"), 16 * 4096)
-    code = run_cli(
-        "receive", "--region-size", str(16 * 4096), "--page-gap", "4",
-        "--region-file", region, "--epoch", "+0", "--blind", "--n-bits", "-3",
-    )
-    assert code == 1
-    assert "n_bits must be non-negative, got -3" in capsys.readouterr().err
-    assert probes == []
 
 
 def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
@@ -452,7 +456,7 @@ def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:
 def test_blind_receive_leaves_the_ber_cell_empty(tmp_path, monkeypatch):
     report = TransmissionReport.build(None, [1, 0, None, 1], 4_000_000)
     assert receive_csv(
-        tmp_path, monkeypatch, report, "--blind", "--n-bits", "4"
+        tmp_path, monkeypatch, report, "--blind", "--payload-bits", "4"
     ) == [CSV_HEADER, "payload_bits,4,0,0,4,64,33554432,20000000,,1000.0,1"]
 
 

@@ -73,6 +73,12 @@ def test_create_backing_file_is_idempotent(region_file):
     assert os.path.getmtime(region_file) == before
 
 
+def test_create_backing_file_in_a_missing_directory_is_a_setup_error(tmp_path):
+    path = str(tmp_path / "absent" / "r.bin")
+    with pytest.raises(SetupError, match=f"cannot write backing file {path!r}"):
+        create_backing_file(path, PAGE)
+
+
 def test_create_backing_file_rejects_bad_size(tmp_path):
     with pytest.raises(ConfigError):
         create_backing_file(str(tmp_path / "r.bin"), 0)
@@ -156,6 +162,18 @@ def test_probe_capabilities_on_unwritable_scratch():
     assert caps.transmission_ready() is False
 
 
+def test_probe_capabilities_survives_a_scratch_file_it_cannot_write(
+    tmp_path, monkeypatch
+):
+    def refuse(path, size):
+        raise SetupError(f"cannot write backing file {path!r}: No space left")
+
+    monkeypatch.setattr(live, "create_backing_file", refuse)
+    caps = probe_capabilities(scratch_dir=str(tmp_path))
+    assert caps.transmission_ready() is False
+    assert any(n.startswith("scratch file setup failed: cannot write") for n in caps.notes)
+
+
 def test_transmission_ready_ignores_assumed_flag():
     caps = BackendCapabilities(
         shared_readonly_mapping=True,
@@ -183,34 +201,24 @@ def test_send_requires_capabilities(region_file):
 def test_receive_requires_capabilities(region_file):
     with open_region(region_file, small_cfg()) as region:
         with pytest.raises(SetupError, match="lacks required"):
-            spy_receive(region, small_cfg(), 2, live._now_ns(), capabilities=NOT_READY)
-
-
-def test_receive_rejects_expected_length_mismatch(region_file):
-    with open_region(region_file, small_cfg()) as region:
-        with pytest.raises(ConfigError, match="n_bits"):
-            spy_receive(
-                region,
-                small_cfg(),
-                3,
-                live._now_ns(),
-                expected=[1, 0],
-                capabilities=READY,
-            )
+            spy_receive(region, small_cfg(), live._now_ns(), capabilities=NOT_READY)
 
 
 def test_receive_zero_bits_is_a_config_error(region_file):
     # a report over no bits would claim an error rate it never measured
     with open_region(region_file, small_cfg()) as region:
         with pytest.raises(ConfigError, match="empty payload"):
-            spy_receive(region, small_cfg(), 0, live._now_ns(), capabilities=READY)
+            spy_receive(
+                region, small_cfg(), live._now_ns(), expected=[], capabilities=READY
+            )
 
 
 def test_blind_receive_reports_no_ber(region_file, monkeypatch):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
     monkeypatch.setattr(live, "_probe_pair", lambda region, pair: next(orders))
-    with open_region(region_file, small_cfg()) as region:
-        report = spy_receive(region, small_cfg(), 3, live._now_ns(), capabilities=READY)
+    cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
+    with open_region(region_file, cfg) as region:
+        report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
     assert report.sent is None and report.ber is None
     assert report.decoded == [1, 0, None]
     assert report.received == [1, 0, 0]

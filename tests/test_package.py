@@ -8,8 +8,10 @@ from pathlib import Path
 import pfchan
 
 # Loaded only when a live command needs them; a fresh `import pfchan` is
-# timed as set-up, and multiprocessing.connection alone costs about 4 ms.
-LIVE_ONLY_MODULES = ("pfchan.live", "ctypes", "mmap", "multiprocessing.connection")
+# timed as set-up, and importing multiprocessing there cost about 4 ms.
+LIVE_ONLY_MODULES = (
+    "pfchan.live", "ctypes", "mmap", "multiprocessing", "multiprocessing.connection"
+)
 
 
 def test_every_public_name_resolves():

@@ -23,7 +23,6 @@ from pfchan.protocol import (
     FaultKind,
     ObservedOrder,
     PagePair,
-    Residency,
     decode_from_order,
     encode_target,
     page_pair_for_slot,
@@ -47,6 +46,15 @@ def make_sim(region_pages=1024, **kw) -> CacheSchedSim:
     defaults = dict(disk_latency=100, mem_latency=1, switch_cost=10)
     defaults.update(kw)
     return CacheSchedSim(SimParams(**defaults), region_pages)
+
+
+def touch(sim, process, page):
+    """One access run to completion at the sim's clock, the way
+    run_channel_sim drives the sender: plan it, land it, advance the clock."""
+    fault, completion = sim.plan_access(process, page, sim.clock)
+    sim.land_access(process, page, fault)
+    sim.clock = completion
+    return fault, completion
 
 
 def test_params_validation():
@@ -77,8 +85,8 @@ def test_evict_is_advisory_and_invalidates_mappings():
     sim.mark_resident([1, 2], process="spy")
     assert sim.is_mapped("spy", 1)
     sim.evict([1, 7])  # 7 absent: ignored
-    assert sim.residency(1) is Residency.EVICTED
-    assert sim.residency(2) is Residency.RESIDENT
+    assert 1 not in sim._cache
+    assert 2 in sim._cache
     assert not sim.is_mapped("spy", 1)
     assert sim.is_mapped("spy", 2)
 
@@ -86,18 +94,18 @@ def test_evict_is_advisory_and_invalidates_mappings():
 def test_touch_resident_keeps_core_and_costs_mem_latency():
     sim = make_sim()
     sim.mark_resident([3], process="trojan")
-    fault, completion = sim.touch("trojan", 3)
+    fault, completion = touch(sim, "trojan", 3)
     assert fault is FaultKind.NONE
     assert completion == 1  # mem_latency from tick 0
 
 
 def test_touch_evicted_waits_for_disk():
     sim = make_sim()
-    fault, completion = sim.touch("trojan", 3)
+    fault, completion = touch(sim, "trojan", 3)
     assert fault is FaultKind.HARD
     # fetch lands at 100, retry costs one mem_latency
     assert completion == 101
-    assert sim.residency(3) is Residency.RESIDENT
+    assert 3 in sim._cache
 
 
 def test_lru_capacity_and_eviction_order():
@@ -106,7 +114,7 @@ def test_lru_capacity_and_eviction_order():
     sim.mark_resident([2])
     sim.mark_resident([1])  # refresh recency of 1
     sim.mark_resident([3])  # capacity eviction hits 2
-    assert sim.resident_pages() == {1, 3}
+    assert set(sim._cache) == {1, 3}
 
 
 def test_capacity_eviction_invalidates_mappings():
@@ -119,12 +127,12 @@ def test_capacity_eviction_invalidates_mappings():
 
 def test_readahead_pulls_following_pages():
     sim = make_sim(readahead=4)
-    sim.touch("trojan", 10)
-    assert {10, 11, 12, 13} <= sim.resident_pages()
+    touch(sim, "trojan", 10)
+    assert {10, 11, 12, 13} <= set(sim._cache)
     # clamped at the region end
     sim2 = make_sim(readahead=4, region_pages=16)
-    sim2.touch("trojan", 14)
-    assert sim2.resident_pages() == {14, 15}
+    touch(sim2, "trojan", 14)
+    assert set(sim2._cache) == {14, 15}
 
 
 # -- spy slot: frozen hand-traced timings ----------------------------------
@@ -182,8 +190,8 @@ def test_spy_slot_both_evicted_ambiguous():
     # t1 faults at 0, t2 gets the core at 10 and faults too
     assert [rec.tick for rec in trace] == [0, 10]
     # after the slot both pages are cached and mapped by the spy
-    assert sim.residency(10) is Residency.RESIDENT
-    assert sim.residency(20) is Residency.RESIDENT
+    assert 10 in sim._cache
+    assert 20 in sim._cache
     assert sim.is_mapped("spy", 10) and sim.is_mapped("spy", 20)
 
 
@@ -193,12 +201,12 @@ def test_sender_readahead_can_erase_the_signal():
     # reads miss the disk and the order says nothing. This is why the
     # default pair offset keeps the pages half a gap apart.
     sim = make_sim(readahead=2)
-    sim.touch("trojan", 10)  # encode a 0: touch p1 only
+    touch(sim, "trojan", 10)  # encode a 0: touch p1 only
     order, trace = sim.run_spy_slot(PagePair(p1=10, p2=11, slot=0))
     assert [rec.fault for rec in trace] == [FaultKind.SOFT, FaultKind.SOFT]
     assert order is ObservedOrder.AMBIGUOUS
     sim2 = make_sim(readahead=1)
-    sim2.touch("trojan", 10)
+    touch(sim2, "trojan", 10)
     order2, trace2 = sim2.run_spy_slot(PagePair(p1=10, p2=11, slot=0))
     assert [rec.fault for rec in trace2] == [FaultKind.SOFT, FaultKind.HARD]
     assert order2 is ObservedOrder.T2_LAST
@@ -238,7 +246,7 @@ def test_hard_faults_yield_and_soft_faults_do_not(s1, s2, disk, mem, switch):
         # no yield on soft faults or hits: sibling waits for completion
         assert second.tick == mem
     # capacity is never exceeded
-    assert len(sim.resident_pages()) <= sim.params.cache_capacity
+    assert len(sim._cache) <= sim.params.cache_capacity
     # ordering theorem: one evicted page plus the latency gap identifies it
     evicted = [s == "evicted" for s in (s1, s2)]
     if sum(evicted) == 1 and disk > mem + switch:
@@ -408,7 +416,7 @@ def sim_from_ops(params, ops):
         elif op == "evict":
             sim.evict([page])
         else:
-            sim.touch("trojan", page)
+            touch(sim, "trojan", page)
     return sim
 
 
@@ -544,12 +552,12 @@ def assert_only_cached_pages_are_mapped(sim):
 
 def test_readahead_that_evicts_its_demand_page_leaves_it_unmapped():
     sim = CacheSchedSim(SimParams(cache_capacity=3, readahead=4), 64)
-    sim.touch("trojan", 10)
+    touch(sim, "trojan", 10)
     assert list(sim._cache) == [11, 12, 13]
     assert not sim.is_mapped("trojan", 10)
     assert_only_cached_pages_are_mapped(sim)
     # the spy's fetch brings 10 back; the trojan's next read of it is soft
-    sim.touch("spy", 8)
+    touch(sim, "spy", 8)
     assert 10 in sim._cache
     assert sim.classify_access(10, sim.is_mapped("trojan", 10)) is FaultKind.SOFT
     assert_only_cached_pages_are_mapped(sim)
@@ -570,7 +578,7 @@ def test_every_mapped_page_is_cached(params, ops):
     sim = CacheSchedSim(params, ORACLE_PAGES)
     for slot, op in enumerate(ops):
         if op[0] == "touch":
-            sim.touch(op[1], op[2])
+            touch(sim, op[1], op[2])
         elif op[0] == "evict":
             sim.evict([op[1]])
         else:

@@ -197,6 +197,25 @@ def test_live_sweep_refuses_without_capabilities(monkeypatch, tmp_path):
         run_sweep(spec)
 
 
+def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
+    monkeypatch, tmp_path
+):
+    # a region on tmpfs with a disk-backed temp dir would otherwise pass a
+    # probe of the wrong filesystem and then read noise as a plausible BER
+    scratch_dirs = []
+
+    def probe(scratch_dir=None):
+        scratch_dirs.append(scratch_dir)
+        return BackendCapabilities(False, False, True, True)
+
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", probe)
+    monkeypatch.chdir(tmp_path)
+    spec = small_spec(backend="live", region_file=os.path.join("regions", "r.bin"))
+    with pytest.raises(SetupError, match="lacks required"):
+        run_sweep(spec)
+    assert scratch_dirs == [os.path.join(os.getcwd(), "regions")]
+
+
 def test_live_sweep_requires_region_file(monkeypatch):
     ready = BackendCapabilities(
         shared_readonly_mapping=True,
