@@ -3,9 +3,10 @@
 Subcommands: simulate, send, receive, sweep, calibrate, probe. Settings
 resolve with CLI flags overriding the config file overriding built-in
 defaults. Each subcommand has override flags only for the settings it
-reads (send and receive: the channel's), while one config file may hold
-every key. Exit codes: 0 success, 1 usage or config error, 2 missing
-capability or setup failure, 3 runtime abort.
+reads (send and receive: the channel's; a sweep given a region file
+refuses the simulator's), while one config file may hold every key. Exit
+codes: 0 success, 1 usage or config error, 2 missing capability or setup
+failure, 3 runtime abort.
 """
 from __future__ import annotations
 
@@ -224,6 +225,12 @@ def _note_unpinned_sender(spec: SweepSpec) -> None:
 def cmd_sweep(args) -> int:
     """Run sweep and calibrate; calibrate is a page_gap sweep that also
     names the gap with the lowest mean error rate."""
+    if args.region_file is not None:
+        # live cells read no simulator setting; a config file may still hold them
+        for key in SIM_KEYS:
+            if getattr(args, key) is not None:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"{flag} is a simulator setting; this sweep is live")
     cfg, params = resolve_settings(args)
     values = _parse_values(args.values) if args.values else DEFAULT_GRIDS[args.variable]
     spec = SweepSpec(

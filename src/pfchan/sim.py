@@ -1,16 +1,18 @@
 """Deterministic page-cache and scheduler model.
 
-Time is integer ticks. The model tracks one shared page cache (an LRU set
-with bounded capacity) plus a per-process view of which pages are mapped,
-which is what separates soft from hard faults. The receiver's two threads
-share a single core: a hard fault suspends the faulting thread for
-disk_latency ticks, charges switch_cost, and hands the core to the other
-thread, which is the whole reason completion order leaks the bit. Soft
-faults and plain hits complete in mem_latency ticks and never yield.
+Time is integer ticks. The model tracks one shared page cache (a plain set:
+the live backend switches readahead off and evicts only by advice, on a
+region far smaller than the cache, so loading a page moves no other page)
+plus a per-process view of which pages are mapped, which is what separates
+soft from hard faults. The receiver's two threads share a single core: a
+hard fault suspends the faulting thread for disk_latency ticks, charges
+switch_cost, and hands the core to the other thread, which is the whole
+reason completion order leaks the bit. Soft faults and plain hits complete
+in mem_latency ticks and never yield.
 
 A slot makes exactly two accesses, so its schedule needs no event queue:
 t1 starts, t2 takes the core when t1 finishes or yields, and each thread
-that hard-faulted then resumes, t1 first, once its fetch has landed and the
+that hard-faulted then resumes, t1 first, once its fetch is due and the
 core is free.
 
 Nothing in here uses randomness or wall time, so identical inputs replay
@@ -22,7 +24,7 @@ kept unless run_channel_sim is given trace_out.
 """
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -57,19 +59,13 @@ class EvictionBehavior(Enum):
 
 @dataclass(frozen=True)
 class SimParams:
-    cache_capacity: int = 1 << 20
     disk_latency: int = 1000
     mem_latency: int = 1
     switch_cost: int = 10
-    readahead: int = 1
     tick_ns: int = 1
     eviction_behavior: EvictionBehavior = EvictionBehavior.ALWAYS
 
     def __post_init__(self) -> None:
-        if self.cache_capacity < 2:
-            raise ConfigError(
-                f"cache_capacity must be at least 2, got {self.cache_capacity}"
-            )
         if self.mem_latency < 1:
             raise ConfigError(f"mem_latency must be at least 1, got {self.mem_latency}")
         if self.disk_latency <= self.mem_latency:
@@ -79,11 +75,6 @@ class SimParams:
             )
         if self.switch_cost < 0:
             raise ConfigError(f"switch_cost must be >= 0, got {self.switch_cost}")
-        if self.readahead < 1:
-            raise ConfigError(
-                f"readahead counts pages fetched per hard fault and must be "
-                f">= 1, got {self.readahead}"
-            )
         if self.tick_ns < 1:
             raise ConfigError(f"tick_ns must be at least 1, got {self.tick_ns}")
 
@@ -109,7 +100,7 @@ def render_trace(trace: list[AccessRecord]) -> str:
 
 
 class CacheSchedSim:
-    """Mutable model state: LRU cache, per-process mappings, a tick clock."""
+    """Mutable model state: cached pages, per-process mappings, a tick clock."""
 
     def __init__(self, params: SimParams, region_pages: int) -> None:
         if region_pages < 2:
@@ -117,7 +108,7 @@ class CacheSchedSim:
         self.params = params
         self.region_pages = region_pages
         self.clock = 0
-        self._cache: OrderedDict[int, None] = OrderedDict()
+        self._cache: set[int] = set()
         self._mapped: defaultdict[str, set[int]] = defaultdict(set)
 
     # -- bookkeeping -------------------------------------------------------
@@ -148,7 +139,7 @@ class CacheSchedSim:
         cache = self._cache
         for page in pages:
             if page in cache:
-                del cache[page]
+                cache.discard(page)
                 for table in self._mapped.values():
                     table.discard(page)
 
@@ -156,35 +147,10 @@ class CacheSchedSim:
         """Test and setup hook: force pages into the cache, optionally with a
         mapping, without consuming modeled time."""
         for page in pages:
-            self._install_page(page)
-            if process is not None:
-                self._mapped[process].add(page)
-
-    def _install_page(self, page: int) -> None:
-        if page in self._cache:
-            self._cache.move_to_end(page)
-            return
-        self._cache[page] = None
-        while len(self._cache) > self.params.cache_capacity:
-            victim, _ = self._cache.popitem(last=False)
-            for table in self._mapped.values():
-                table.discard(victim)
-
-    def _fetch(self, page: int, process: str) -> None:
-        # Demand page plus sequential readahead, clamped to the region end.
-        # A readahead longer than the cache can push out the demand page
-        # itself, which then stays unmapped: no table names an uncached page.
-        last = min(self.region_pages, page + self.params.readahead)
-        for fetched in range(page, last):
-            self._install_page(fetched)
-        if page in self._cache:
-            self._mapped[process].add(page)
-
-    def _hit(self, page: int, process: str) -> None:
-        # Re-install rather than touch: a fetch that landed since the access
-        # was classified may have pushed the page out.
-        self._install_page(page)
-        self._mapped[process].add(page)
+            if process is None:
+                self._cache.add(page)
+            else:
+                self.land_access(process, page)
 
     # -- the sender's single access ----------------------------------------
 
@@ -206,26 +172,24 @@ class CacheSchedSim:
             return fault, start_tick + resume + p.mem_latency
         return fault, start_tick + p.mem_latency
 
-    def land_access(self, process: str, page: int, fault: FaultKind) -> None:
-        """Apply the cache effect of an access that plan_access classified."""
-        if fault is FaultKind.HARD:
-            self._fetch(page, process)
-        else:
-            self._hit(page, process)
+    def land_access(self, process: str, page: int) -> None:
+        """Apply the cache effect of a completed access: the page is cached
+        and mapped for process. A hard fault, a soft fault and a hit all land
+        this way, since loading a page moves no other page."""
+        self._cache.add(page)
+        self._mapped[process].add(page)
 
     # -- the receiver's two-thread slot ------------------------------------
 
     def run_spy_slot(self, pair: PagePair) -> tuple[ObservedOrder, list[AccessRecord]]:
         """Probe one pair with threads t1 -> p1 and t2 -> p2 on a single core.
 
-        t1 accesses p1 at the current clock. A hard fault queues the fetch
-        for disk_latency later and frees the core after switch_cost; a hit
-        or soft fault finishes after mem_latency. t2 then accesses p2, after
-        every queued fetch whose ready tick has passed lands. Each thread
-        that hard-faulted resumes, t1 before t2, once the core is free and
-        its fetch is due; pending fetches land first, in issue order, and
-        the resumed access re-installs its page and maps it for the spy, so
-        a page pushed out by a sibling's readahead comes back.
+        t1 accesses p1 at the current clock. A hard fault starts a fetch due
+        disk_latency later and frees the core after switch_cost; a hit or
+        soft fault finishes after mem_latency. t2 then accesses p2. Each
+        thread that hard-faulted resumes, t1 before t2, once the core is free
+        and its fetch is due, and finishes mem_latency later. Both pages end
+        the slot cached and mapped for the spy.
 
         The order is AMBIGUOUS unless exactly one thread hard-faulted,
         because with zero or two hard faults completion order reflects start
@@ -237,45 +201,30 @@ class CacheSchedSim:
         pages = self.region_pages
         if not (0 <= p1 < pages and 0 <= p2 < pages):
             raise self._outside(p2 if 0 <= p1 < pages else p1)
+        if p1 == p2:
+            raise ConfigError(f"a spy slot needs two pages, got page {p1} twice")
         start = self.clock
         hard1 = p1 not in cache
         if hard1:
             fault1 = FaultKind.HARD
-            due1 = start + p.disk_latency
             t2_start = start + p.switch_cost
-            if due1 <= t2_start:  # lands before t2 takes the core
-                self._fetch(p1, SPY_PROCESS)
         else:
             fault1 = FaultKind.NONE if p1 in spy else FaultKind.SOFT
-            cache.move_to_end(p1)
-            spy.add(p1)
             t2_start = start + p.mem_latency
-        pending2 = hard2 = p2 not in cache
+        hard2 = p2 not in cache
         if hard2:
             fault2 = FaultKind.HARD
-            due2 = t2_start + p.disk_latency
             core = t2_start + p.switch_cost
         else:
             fault2 = FaultKind.NONE if p2 in spy else FaultKind.SOFT
-            cache.move_to_end(p2)
-            spy.add(p2)
             core = t2_start + p.mem_latency
         if hard1:
-            core = max(core, due1)
-            if due1 > t2_start:
-                self._fetch(p1, SPY_PROCESS)
-            if pending2 and due2 <= core:
-                self._fetch(p2, SPY_PROCESS)
-                pending2 = False
-            self._hit(p1, SPY_PROCESS)
-            core += p.mem_latency
+            core = max(core, start + p.disk_latency) + p.mem_latency
         if hard2:
-            core = max(core, due2)
-            if pending2:
-                self._fetch(p2, SPY_PROCESS)
-            self._hit(p2, SPY_PROCESS)
-            core += p.mem_latency
+            core = max(core, t2_start + p.disk_latency) + p.mem_latency
         self.clock = core
+        cache.update((p1, p2))
+        spy.update((p1, p2))
 
         t1, t2 = SPY_THREADS
         slot_trace = [
@@ -347,7 +296,7 @@ def run_channel_sim(
         # The touch lands at sender_free; a probe mid-encode sees it missing.
         if sender_start <= probe_tick < sender_free:
             order, spy_trace = spy_slot(pair)
-        land("trojan", target, fault)
+        land("trojan", target)
         if probe_tick >= sender_free:
             order, spy_trace = spy_slot(pair)
         decoded.append(_BIT_OF_ORDER[order])

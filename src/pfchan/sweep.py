@@ -271,8 +271,9 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
 def _run_live_cell(
     cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int, capabilities
 ) -> TransmissionReport:
-    """One sender/receiver process pair. Slot 0 starts lead_ns after both
-    children have opened the region and reported ready. A child that fails
+    """One sender/receiver process pair on region_file, which must already
+    hold cfg.region_size bytes. Slot 0 starts lead_ns after both children
+    have opened the region and reported ready. A child that fails
     or exits early aborts the cell, with its error text when it sent one,
     instead of leaving a row."""
     import multiprocessing
@@ -280,7 +281,6 @@ def _run_live_cell(
     from . import live
 
     payload = random_payload(seed, cfg.payload_bits)
-    live.create_backing_file(region_file, cfg.region_size)
     ctx = multiprocessing.get_context("fork")
     receiver_cpu, sender_cpu = live.live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
@@ -331,6 +331,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.backend == "live":
         from . import live
 
+        # every cell maps the start of one file, written here for the largest
+        # region in the grid, so a path that cannot be written fails by name
+        cfgs = [apply_variable(spec.cfg, spec.variable, v) for v in spec.values]
+        live.create_backing_file(spec.region_file, max(c.region_size for c in cfgs))
         # eviction advice works or not per filesystem: probe the region's
         region_dir = os.path.dirname(os.path.abspath(spec.region_file))
         caps = live._require_ready(live.probe_capabilities(region_dir))

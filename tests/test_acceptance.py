@@ -224,7 +224,8 @@ def test_live_round_trip(tmp_path):
     if not caps.transmission_ready():
         _verdict("live round trip", False, "host lacks capabilities:\n" + caps.summary())
     cfg = ChannelConfig(page_gap=64, payload_bits=100, sync_period_ns=20_000_000)
-    report = _run_live_cell(cfg, 7, str(tmp_path / "region.bin"), 500_000_000, caps)
+    region = live.create_backing_file(str(tmp_path / "region.bin"), cfg.region_size)
+    report = _run_live_cell(cfg, 7, region, 500_000_000, caps)
     _verdict(
         "live round trip", report.ber <= 0.10,
         f"ber={report.ber:.3f} indeterminate={report.indeterminate_slots} "

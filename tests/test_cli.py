@@ -49,18 +49,6 @@ def test_simulate_writes_csv_and_trace(tmp_path, capsys):
     assert len(trace_lines) == 3 * 8  # one sender, two receiver rows per slot
 
 
-def test_simulate_small_cache_with_readahead_exits_0(capsys):
-    # t2's readahead pushes t1's page out of the 2-page cache before t1
-    # resumes; the resumed access re-installs it instead of crashing
-    code = run_cli(
-        "simulate", "--cache-capacity", "2", "--readahead", "2",
-        "--disk-latency", "5", "--switch-cost", "10",
-        "--region-size", "262144", "--page-gap", "8",
-    )
-    assert code == 0
-    assert "simulated 100 bits" in capsys.readouterr().out
-
-
 def test_config_file_feeds_settings(tmp_path):
     cfg_file = tmp_path / "chan.cfg"
     cfg_file.write_text(
@@ -101,6 +89,7 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("page_gap = wide\n", "expects an integer"),
         ("eviction_behavior = sometimes\n", "bad.cfg:1: eviction_behavior must be one of"),
         ("# removed knob\neviction_policy = lru\n", "bad.cfg:2: unknown config key"),
+        ("page_gap = 8\nreadahead = 1\n", "bad.cfg:2: unknown config key 'readahead'"),
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
@@ -122,9 +111,12 @@ def test_every_setting_has_an_override_flag():
 def test_unknown_flag_exits_1(capsys):
     assert run_cli("simulate", "--bogus", "1") == 1
     assert "error:" in capsys.readouterr().err
-    # removed along with the eviction_policy setting
-    assert run_cli("simulate", "--eviction-policy", "lru") == 1
-    assert "error:" in capsys.readouterr().err
+    # removed along with their settings
+    for flag, value in [
+        ("--eviction-policy", "lru"), ("--readahead", "2"), ("--cache-capacity", "2")
+    ]:
+        assert run_cli("simulate", flag, value) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_1():
@@ -216,7 +208,29 @@ def test_a_region_file_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
     region = tmp_path / "absent" / "r.bin"
     assert run_cli(*argv, *SMALL, "--region-file", str(region)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("setup error:") and str(region.parent) in err
+    assert err.startswith("setup error:") and str(region) in err
+    assert "lacks required capabilities" not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize(
+    "flag, value", [("--disk-latency", "5"), ("--eviction-behavior", "first-wrap")]
+)
+def test_a_live_sweep_refuses_simulator_flags(
+    tmp_path, monkeypatch, capsys, command, flag, value
+):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probed before refusing the flag")
+
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", no_probe)
+    argv = [command, "--values", "8", "--repetitions", "1", flag, value]
+    if command == "sweep":
+        argv += ["--variable", "page_gap"]
+    code = run_cli(*argv, *SMALL, "--region-file", str(tmp_path / "r.bin"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
     assert "Traceback" not in err
 
 
@@ -425,20 +439,6 @@ def test_send_cpu_flag_pins_the_sender(monkeypatch):
         "send", "--region-file", "unused", "--epoch", "0", "--bits", "01", "--cpu", "1"
     ) == 0
     assert [kw["cpu"] for kw in calls] == [None, 1]
-
-
-def test_simulate_readahead_longer_than_the_cache_exits_0(capsys):
-    # a mid-encode probe's readahead pushes the sender's soft-fault target out
-    # of the 3-page cache before that access lands
-    code = run_cli(
-        "simulate", "--region-size", "65536", "--page-gap", "4",
-        "--sync-period-ns", "100", "--cache-capacity", "3",
-        "--disk-latency", "47", "--mem-latency", "11", "--switch-cost", "33",
-        "--readahead", "3", "--tick-ns", "2", "--eviction-behavior", "first-wrap",
-        "--bits", "0011010110",
-    )
-    assert code == 0
-    assert "simulated 10 bits" in capsys.readouterr().out
 
 
 def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:

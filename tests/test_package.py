@@ -1,11 +1,16 @@
 """The package's public surface."""
 from __future__ import annotations
 
+import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pfchan
+from pfchan.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Loaded only when a live command needs them; a fresh `import pfchan` is
 # timed as set-up, and importing multiprocessing there cost about 4 ms.
@@ -22,8 +27,7 @@ def test_every_public_name_resolves():
 def test_readme_library_example_runs(capsys):
     # the README's library snippet is the documented report API; run it so
     # the two cannot drift apart
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## Library\n", 1)[1]
+    section = README.read_text().split("\n## Library\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
@@ -40,3 +44,21 @@ def test_import_leaves_the_live_backend_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == []
+
+
+def test_readme_names_only_flags_the_cli_accepts():
+    # from the CLI section on; the pip flags under Install are not pfchan's
+    text = README.read_text().split("\n## CLI\n", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+    subcommands = next(
+        action.choices.values()
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        option
+        for parser in subcommands
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    assert named and named - accepted == set()

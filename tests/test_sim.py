@@ -1,4 +1,4 @@
-"""Model checks: fault classification, LRU bounds, scheduling, round trips.
+"""Model checks: fault classification, eviction, scheduling, round trips.
 
 The spy-slot timings below were worked out by hand from the rules (hard
 fault: fetch lands after disk_latency, core yields after switch_cost;
@@ -7,7 +7,6 @@ then frozen.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import re
@@ -52,20 +51,16 @@ def touch(sim, process, page):
     """One access run to completion at the sim's clock, the way
     run_channel_sim drives the sender: plan it, land it, advance the clock."""
     fault, completion = sim.plan_access(process, page, sim.clock)
-    sim.land_access(process, page, fault)
+    sim.land_access(process, page)
     sim.clock = completion
     return fault, completion
 
 
 def test_params_validation():
     with pytest.raises(ConfigError):
-        SimParams(cache_capacity=1)
-    with pytest.raises(ConfigError):
         SimParams(disk_latency=1, mem_latency=1)
     with pytest.raises(ConfigError):
         SimParams(switch_cost=-1)
-    with pytest.raises(ConfigError):
-        SimParams(readahead=0)
     with pytest.raises(ConfigError):
         SimParams(tick_ns=0)
 
@@ -108,33 +103,6 @@ def test_touch_evicted_waits_for_disk():
     assert 3 in sim._cache
 
 
-def test_lru_capacity_and_eviction_order():
-    sim = make_sim(cache_capacity=2)
-    sim.mark_resident([1])
-    sim.mark_resident([2])
-    sim.mark_resident([1])  # refresh recency of 1
-    sim.mark_resident([3])  # capacity eviction hits 2
-    assert set(sim._cache) == {1, 3}
-
-
-def test_capacity_eviction_invalidates_mappings():
-    sim = make_sim(cache_capacity=2)
-    sim.mark_resident([1], process="spy")
-    sim.mark_resident([2])
-    sim.mark_resident([3])
-    assert not sim.is_mapped("spy", 1)
-
-
-def test_readahead_pulls_following_pages():
-    sim = make_sim(readahead=4)
-    touch(sim, "trojan", 10)
-    assert {10, 11, 12, 13} <= set(sim._cache)
-    # clamped at the region end
-    sim2 = make_sim(readahead=4, region_pages=16)
-    touch(sim2, "trojan", 14)
-    assert set(sim2._cache) == {14, 15}
-
-
 # -- spy slot: frozen hand-traced timings ----------------------------------
 
 def spy_slot(sim, p1=10, p2=20):
@@ -147,6 +115,12 @@ def test_spy_slot_rejects_a_page_outside_the_region():
         spy_slot(sim, p1=-1, p2=3)
     with pytest.raises(ConfigError, match=f"page {sim.region_pages} outside"):
         spy_slot(sim, p1=3, p2=sim.region_pages)
+
+
+def test_spy_slot_rejects_a_pair_of_one_page():
+    # page_pair_for_slot never builds one; a hand-built pair is a usage error
+    with pytest.raises(ConfigError, match="got page 5 twice"):
+        spy_slot(make_sim(), p1=5, p2=5)
 
 
 def test_spy_slot_p1_evicted_means_t1_last():
@@ -195,23 +169,6 @@ def test_spy_slot_both_evicted_ambiguous():
     assert sim.is_mapped("spy", 10) and sim.is_mapped("spy", 20)
 
 
-def test_sender_readahead_can_erase_the_signal():
-    # With the pair adjacent and readahead spanning it, the sender's touch
-    # of p1 drags p2 into the cache, so by the time the probe arrives both
-    # reads miss the disk and the order says nothing. This is why the
-    # default pair offset keeps the pages half a gap apart.
-    sim = make_sim(readahead=2)
-    touch(sim, "trojan", 10)  # encode a 0: touch p1 only
-    order, trace = sim.run_spy_slot(PagePair(p1=10, p2=11, slot=0))
-    assert [rec.fault for rec in trace] == [FaultKind.SOFT, FaultKind.SOFT]
-    assert order is ObservedOrder.AMBIGUOUS
-    sim2 = make_sim(readahead=1)
-    touch(sim2, "trojan", 10)
-    order2, trace2 = sim2.run_spy_slot(PagePair(p1=10, p2=11, slot=0))
-    assert [rec.fault for rec in trace2] == [FaultKind.SOFT, FaultKind.HARD]
-    assert order2 is ObservedOrder.T2_LAST
-
-
 residency_state = st.sampled_from(["evicted", "cached", "mapped"])
 
 
@@ -245,8 +202,6 @@ def test_hard_faults_yield_and_soft_faults_do_not(s1, s2, disk, mem, switch):
     else:
         # no yield on soft faults or hits: sibling waits for completion
         assert second.tick == mem
-    # capacity is never exceeded
-    assert len(sim._cache) <= sim.params.cache_capacity
     # ordering theorem: one evicted page plus the latency gap identifies it
     evicted = [s == "evicted" for s in (s1, s2)]
     if sum(evicted) == 1 and disk > mem + switch:
@@ -265,8 +220,8 @@ def reference_spy_slot(sim, pair):
     Threads arrive on a heap ordered by (tick, arrival), wait in a FIFO run
     queue for the core, and a hard fault re-arrives its thread when the fetch
     is due. Queued fetches land whenever the core picks a thread at or after
-    their ready tick. A resumed access re-installs its page and maps it for
-    the spy, like any completed access.
+    their ready tick. A resumed access maps its page for the spy, like any
+    completed access.
     """
     p = sim.params
     start = sim.clock
@@ -286,7 +241,7 @@ def reference_spy_slot(sim, pair):
         remaining = []
         for ready, page in pending:
             if ready <= up_to:
-                sim._fetch(page, SPY_PROCESS)
+                sim.land_access(SPY_PROCESS, page)
             else:
                 remaining.append((ready, page))
         pending[:] = remaining
@@ -301,8 +256,7 @@ def reference_spy_slot(sim, pair):
         thread, page, is_retry = runq.popleft()
         commit_fetches(core_free)
         if is_retry:
-            sim._install_page(page)
-            sim._mapped[SPY_PROCESS].add(page)
+            sim.land_access(SPY_PROCESS, page)
             completions[thread] = core_free + p.mem_latency
             core_free = completions[thread]
             continue
@@ -316,7 +270,7 @@ def reference_spy_slot(sim, pair):
             seq += 1
             core_free = core_free + p.switch_cost
         else:
-            sim._hit(page, SPY_PROCESS)
+            sim.land_access(SPY_PROCESS, page)
             completions[thread] = core_free + p.mem_latency
             core_free = completions[thread]
 
@@ -363,7 +317,7 @@ def reference_channel_sim(cfg, params, payload):
             order = probe_at(probe_tick, pair)
         if always_honor or k < cfg.slots_per_wrap:
             for page in pair.pages:
-                sim._cache.pop(page, None)
+                sim._cache.discard(page)
                 for table in sim._mapped.values():
                     table.discard(page)
         fault = sim.classify_access(target, sim.is_mapped("trojan", target))
@@ -373,10 +327,7 @@ def reference_channel_sim(cfg, params, payload):
         records.append(AccessRecord(sender_start, "trojan", target, fault))
         if order is None and probe_tick < encode_done:
             order = probe_at(probe_tick, pair)
-        if fault is FaultKind.HARD:
-            sim._fetch(target, "trojan")
-        else:
-            sim._hit(target, "trojan")
+        sim.land_access("trojan", target)
         if order is None:
             order = probe_at(probe_tick, pair)
         sender_free = encode_done
@@ -398,11 +349,7 @@ def oracle_params(draw):
     # negative offsets put switch_cost below disk_latency, the rest at or above
     offset = draw(st.integers(min_value=-40, max_value=40))
     return SimParams(
-        cache_capacity=draw(st.one_of(st.integers(2, 4), st.just(1 << 20))),
-        disk_latency=disk,
-        mem_latency=mem,
-        switch_cost=max(0, disk + offset),
-        readahead=draw(st.integers(min_value=1, max_value=4)),
+        disk_latency=disk, mem_latency=mem, switch_cost=max(0, disk + offset)
     )
 
 
@@ -436,56 +383,17 @@ def test_run_spy_slot_matches_the_reference_scheduler(params, ops, pairs):
         pair = PagePair(p1=p1, p2=p2, slot=slot)
         assert sim.run_spy_slot(pair) == reference_spy_slot(ref, pair)
         assert sim.clock == ref.clock
-        assert list(sim._cache) == list(ref._cache)
+        assert sim._cache == ref._cache
         assert sim._mapped == ref._mapped
 
 
-def test_resumed_access_restores_a_page_a_sibling_fetch_pushed_out():
-    # switch_cost >= disk_latency: t1's fetch lands before t2 runs, and t2's
-    # fetch lands before t1 resumes, pushing page 0 out of the 2-page cache.
-    sim = CacheSchedSim(
-        SimParams(cache_capacity=2, readahead=2, disk_latency=5, switch_cost=10), 64
-    )
-    order, trace = sim.run_spy_slot(PagePair(p1=0, p2=4, slot=0))
-    assert order is ObservedOrder.AMBIGUOUS
-    assert [(rec.tick, rec.fault) for rec in trace] == [
-        (0, FaultKind.HARD),
-        (10, FaultKind.HARD),
-    ]
-    # t1 resumes at 20 and re-installs 0; t2 resumes at 21 and re-installs 4
-    assert sim.clock == 22
-    assert list(sim._cache) == [0, 4]
-    assert sim.is_mapped(SPY_PROCESS, 0) and sim.is_mapped(SPY_PROCESS, 4)
-
-
-def test_resumed_access_restores_a_page_its_own_readahead_pushed_out():
-    # readahead 4 into a 2-page cache evicts the demand page before t1
-    # resumes; the single hard fault still reads as T1_LAST.
-    sim = make_sim(cache_capacity=2, readahead=4)
-    sim.mark_resident([20], process=SPY_PROCESS)
-    order, _ = spy_slot(sim)
-    assert order is ObservedOrder.T1_LAST
-    assert sim.clock == 101
-    assert list(sim._cache) == [13, 10]
-    assert sim.is_mapped(SPY_PROCESS, 10)
-
-
-def test_small_cache_transmission_runs_to_the_end():
-    cfg = ChannelConfig(region_size=64 * 4096, page_gap=8, sync_period_ns=20_000_000)
-    params = SimParams(cache_capacity=2, readahead=2, disk_latency=5, switch_cost=10)
-    report = run_channel_sim(cfg, params, random_payload(0, 100))
-    assert len(report.decoded) == 100
-
-
 @st.composite
-def small_cache_runs(draw):
+def small_region_runs(draw):
     disk = draw(st.integers(min_value=2, max_value=60))
     params = SimParams(
-        cache_capacity=draw(st.integers(min_value=2, max_value=5)),
         disk_latency=disk,
         mem_latency=draw(st.integers(min_value=1, max_value=disk - 1)),
         switch_cost=draw(st.integers(min_value=0, max_value=80)),
-        readahead=draw(st.integers(min_value=1, max_value=6)),
         tick_ns=draw(st.integers(min_value=1, max_value=4)),
         eviction_behavior=draw(st.sampled_from(EvictionBehavior)),
     )
@@ -498,26 +406,10 @@ def small_cache_runs(draw):
     return cfg, params
 
 
-@given(small_cache_runs(), st.lists(st.integers(0, 1), min_size=1, max_size=24))
+@given(small_region_runs(), st.lists(st.integers(0, 1), min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_small_cache_transmissions_finish(run, payload):
-    # a probe or fetch can push a page out between an access being classified
-    # and landing; the transmission still runs to the end
+def test_run_channel_sim_matches_the_reference_slot_sequence(run, payload):
     cfg, params = run
-    report = run_channel_sim(cfg, params, payload)
-    assert len(report.decoded) == len(payload)
-
-
-@given(
-    small_cache_runs(),
-    st.booleans(),
-    st.lists(st.integers(0, 1), min_size=1, max_size=40),
-)
-@settings(max_examples=300, deadline=None)
-def test_run_channel_sim_matches_the_reference_slot_sequence(run, default_cache, payload):
-    cfg, params = run
-    if default_cache:
-        params = dataclasses.replace(params, cache_capacity=SimParams().cache_capacity)
     trace = []
     report = run_channel_sim(cfg, params, payload, trace_out=trace)
     decoded, ref_trace = reference_channel_sim(cfg, params, payload)
@@ -547,20 +439,7 @@ def test_every_slot_goes_through_the_probe_and_sender_hooks(monkeypatch):
 
 def assert_only_cached_pages_are_mapped(sim):
     for process, table in sim._mapped.items():
-        assert table <= set(sim._cache), process
-
-
-def test_readahead_that_evicts_its_demand_page_leaves_it_unmapped():
-    sim = CacheSchedSim(SimParams(cache_capacity=3, readahead=4), 64)
-    touch(sim, "trojan", 10)
-    assert list(sim._cache) == [11, 12, 13]
-    assert not sim.is_mapped("trojan", 10)
-    assert_only_cached_pages_are_mapped(sim)
-    # the spy's fetch brings 10 back; the trojan's next read of it is soft
-    touch(sim, "spy", 8)
-    assert 10 in sim._cache
-    assert sim.classify_access(10, sim.is_mapped("trojan", 10)) is FaultKind.SOFT
-    assert_only_cached_pages_are_mapped(sim)
+        assert table <= sim._cache, process
 
 
 model_op = st.one_of(
@@ -703,14 +582,6 @@ TRACE_CASES = {
         ideal_params(tick_ns=100_000),
         random_payload(7, 16),
         "248662e5231d95c477b1068e4a0cfab9b0a589e6591cb574411c976bbebcf257",
-    ),
-    "readahead-adjacent": (
-        ChannelConfig(
-            region_size=MIB, page_gap=16, pair_offset=1, sync_period_ns=10_000_000
-        ),
-        ideal_params(readahead=2),
-        random_payload(9, 32),
-        "e98bcbefe8680b39a00bb70c6b00f86b4dc570ed298997bbd2601eb09480cd60",
     ),
 }
 

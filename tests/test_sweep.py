@@ -210,6 +210,7 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
 
     monkeypatch.setattr(pfchan.live, "probe_capabilities", probe)
     monkeypatch.chdir(tmp_path)
+    os.mkdir("regions")
     spec = small_spec(backend="live", region_file=os.path.join("regions", "r.bin"))
     with pytest.raises(SetupError, match="lacks required"):
         run_sweep(spec)
