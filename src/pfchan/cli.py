@@ -11,6 +11,7 @@ failure, 3 runtime abort.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from enum import Enum
@@ -125,11 +126,28 @@ def _parse_values(text: str) -> tuple[int, ...]:
 
 
 def _payload_from_args(args, cfg: ChannelConfig) -> list[int]:
-    if getattr(args, "payload_hex", None):
+    # an empty flag is an empty payload, which the parsers refuse
+    if getattr(args, "payload_hex", None) is not None:
         return bits_from_hex(args.payload_hex)
-    if getattr(args, "bits", None):
+    if getattr(args, "bits", None) is not None:
         return bits_from_string(args.bits)
     return random_payload(args.seed, cfg.payload_bits)
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Fail before the run, naming the path, when an output file cannot be
+    written; a file the check creates is removed again."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as exc:
+            raise SetupError(f"cannot write output file {path!r}: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
 
 
 def _write_csv(path: str, row_type, rows) -> None:
@@ -148,6 +166,7 @@ def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
 def cmd_simulate(args) -> int:
     cfg, params = resolve_settings(args)
     payload = _payload_from_args(args, cfg)
+    _check_writable(args.out, args.trace)
     trace = [] if args.trace else None
     report = run_channel_sim(cfg, params, payload, trace_out=trace)
     print(
@@ -171,6 +190,7 @@ def cmd_send(args) -> int:
     cfg, _ = resolve_settings(args)
     payload = _payload_from_args(args, cfg)
     epoch = _parse_epoch(args.epoch)
+    _check_writable(args.out)
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
@@ -193,6 +213,7 @@ def cmd_receive(args) -> int:
     cfg, _ = resolve_settings(args)
     expected = None if args.blind else _payload_from_args(args, cfg)
     epoch = _parse_epoch(args.epoch)
+    _check_writable(args.out)
     with live.open_region(args.region_file, cfg) as region:
         report = live.spy_receive(region, cfg, epoch, expected=expected, cpu=args.cpu)
     if expected is None:
@@ -232,7 +253,10 @@ def cmd_sweep(args) -> int:
                 flag = "--" + key.replace("_", "-")
                 raise ConfigError(f"{flag} is a simulator setting; this sweep is live")
     cfg, params = resolve_settings(args)
-    values = _parse_values(args.values) if args.values else DEFAULT_GRIDS[args.variable]
+    if args.values is not None:
+        values = _parse_values(args.values)
+    else:
+        values = DEFAULT_GRIDS[args.variable]
     spec = SweepSpec(
         variable=args.variable,
         values=values,
@@ -243,6 +267,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         region_file=args.region_file,
     )
+    _check_writable(args.out)
     result = run_sweep(spec)
     print(summary_table(result))
     if args.out:
@@ -259,6 +284,7 @@ def cmd_probe(args) -> int:
 
     if args.config:
         resolve_settings(args)  # surface config problems before probing
+    _check_writable(args.out)
     caps = live.probe_capabilities()
     text = caps.summary()
     print(text)

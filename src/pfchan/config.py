@@ -17,18 +17,17 @@ MIB = 1024 * 1024
 class ChannelConfig:
     """Parameters of one covert-channel deployment.
 
-    pair_offset and guard_offset_ns may be left as None, in which case they
-    resolve to half the page gap and half the sync period. The raw fields
-    keep the None so that derived copies (for example a sweep that rewrites
-    page_gap) re-derive the dependent value instead of inheriting a stale
-    one. Use pair_offset_pages and guard_ns for the resolved values.
+    Slot k probes pages k * page_gap and half a gap after it, so page_gap
+    must leave P2 room: at least 2. guard_offset_ns may be left as None, in
+    which case it resolves to half the sync period. The raw field keeps the
+    None so that derived copies (for example a sweep that rewrites the bit
+    rate) re-derive the guard instead of inheriting a stale one. Use
+    guard_ns for the resolved value.
     """
 
     page_size: int = 4096
     region_size: int = 32 * MIB
     page_gap: int = 64
-    pair_offset: int | None = None
-    base_page: int = 0
     sync_period_ns: int = 20_000_000
     guard_offset_ns: int | None = None
     payload_bits: int = 100
@@ -42,19 +41,9 @@ class ChannelConfig:
                 f"({self.page_size}), got {self.region_size}"
             )
         pages = self.region_size // self.page_size
-        if not (1 <= self.page_gap <= pages):
+        if not (2 <= self.page_gap <= pages):
             raise ConfigError(
-                f"page_gap must lie in [1, {pages}] for this region, got {self.page_gap}"
-            )
-        offset = self.pair_offset_pages
-        if not (0 < offset < self.page_gap):
-            raise ConfigError(
-                f"pair_offset must lie strictly between 0 and page_gap "
-                f"({self.page_gap}), got {offset}"
-            )
-        if not (0 <= self.base_page < pages):
-            raise ConfigError(
-                f"base_page must lie in [0, {pages}), got {self.base_page}"
+                f"page_gap must lie in [2, {pages}] for this region, got {self.page_gap}"
             )
         if self.sync_period_ns <= 0:
             raise ConfigError(
@@ -77,8 +66,7 @@ class ChannelConfig:
 
     @property
     def pair_offset_pages(self) -> int:
-        if self.pair_offset is not None:
-            return self.pair_offset
+        """Pages from P1 to P2: half a gap, at least 1."""
         return self.page_gap // 2
 
     @property

@@ -99,16 +99,6 @@ class BackendCapabilities:
 
 
 @dataclass(frozen=True)
-class EvictOutcome:
-    """Result of advising a pair out of the cache. confirmed is None when the
-    advice failed or the residency check could not run."""
-
-    advice_ok: bool
-    confirmed: bool | None
-    error: str = ""
-
-
-@dataclass(frozen=True)
 class SenderSlotLog:
     slot: int
     p1: int
@@ -117,7 +107,6 @@ class SenderSlotLog:
     deadline_ns: int
     start_ns: int
     end_ns: int
-    advice_ok: bool
     evict_confirmed: bool | None
     overrun: bool
 
@@ -295,21 +284,18 @@ def create_backing_file(path: str, size: int) -> str:
     return path
 
 
-def evict_pair(region: SharedRegion, pair: PagePair) -> EvictOutcome:
-    """Advise both pages of the pair out of the page cache.
+def evict_pair(region: SharedRegion, pair: PagePair) -> bool | None:
+    """Advise both pages of the pair out of the page cache and return
+    whether both left it, or None when the residency check cannot run.
 
-    Advisory semantics: absent pages are a no-op. The outcome reports
-    whether both pages actually left the cache; an unconfirmed eviction is
-    a warning, not a failure.
+    Advisory semantics: absent pages are a no-op, and an unconfirmed
+    eviction is a warning, not a failure. A failed advice call raises its
+    OSError.
     """
-    try:
-        region.advise_dontneed(pair.p1)
-        region.advise_dontneed(pair.p2)
-    except OSError as exc:
-        return EvictOutcome(advice_ok=False, confirmed=None, error=str(exc))
+    region.advise_dontneed(pair.p1)
+    region.advise_dontneed(pair.p2)
     residency = region.residency(pair.p1, pair.p2)
-    confirmed = None if residency is None else not any(residency)
-    return EvictOutcome(advice_ok=True, confirmed=confirmed)
+    return None if residency is None else not any(residency)
 
 
 def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
@@ -320,7 +306,7 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
     """
     notes: list[str] = []
     mapping_ok = False
-    advice_ok = False
+    eviction_ok = False
     affinity_ok = False
 
     import tempfile
@@ -345,22 +331,25 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
                     # since advice cannot drop a page anyone still maps
                     region.load_byte(2)
                     region.load_byte(3)
-                    outcome = evict_pair(region, PagePair(p1=2, p2=3, slot=0))
+                    try:
+                        confirmed = evict_pair(region, PagePair(p1=2, p2=3, slot=0))
+                    except OSError as exc:
+                        notes.append(f"eviction advice failed: {exc}")
+                    else:
+                        eviction_ok = confirmed is not False
+                        if confirmed is None:
+                            notes.append(
+                                "residency check failed; eviction advice "
+                                "accepted but unverified"
+                            )
+                        elif not confirmed:
+                            notes.append(
+                                "eviction advice accepted but pages stayed resident"
+                            )
             except SetupError as exc:
                 notes.append(str(exc))
             except (OSError, ValueError) as exc:
                 notes.append(f"private mapping failed: {exc}")
-            else:
-                advice_ok = outcome.advice_ok and outcome.confirmed is not False
-                if not outcome.advice_ok:
-                    notes.append(f"eviction advice failed: {outcome.error}")
-                elif outcome.confirmed is None:
-                    notes.append(
-                        "residency check failed; eviction advice accepted "
-                        "but unverified"
-                    )
-                elif not outcome.confirmed:
-                    notes.append("eviction advice accepted but pages stayed resident")
     except (OSError, SetupError) as exc:
         notes.append(f"scratch file setup failed: {exc}")
 
@@ -375,7 +364,7 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
     assumed_switch = os.name == "posix"
     return BackendCapabilities(
         shared_readonly_mapping=mapping_ok,
-        cache_advice_eviction=advice_ok,
+        cache_advice_eviction=eviction_ok,
         cpu_affinity=affinity_ok,
         switch_on_hard_fault=assumed_switch,
         notes=tuple(notes),
@@ -455,8 +444,7 @@ def trojan_send(
     unpinned, since only the receiver's thread pair needs to share a core.
     A missed deadline is logged and the slot still runs, since skipping
     would desynchronize every later slot. A failed eviction advice call
-    abandons the slot's touch (the pair state is unknown) and the
-    transmission moves on.
+    raises its OSError and ends the transmission.
     """
     _require_ready(capabilities)
     log: list[SenderSlotLog] = []
@@ -468,11 +456,10 @@ def trojan_send(
             arrived = _now_ns()
             _wait_until_ns(deadline)
             start = _now_ns()
-            outcome = evict_pair(region, pair)
-            if outcome.advice_ok:
-                # pread, not a mapped touch: a page table entry would pin the
-                # target against the next wrap's eviction advice
-                region.load_byte(target)
+            confirmed = evict_pair(region, pair)
+            # pread, not a mapped touch: a page table entry would pin the
+            # target against the next wrap's eviction advice
+            region.load_byte(target)
             log.append(
                 SenderSlotLog(
                     slot=k,
@@ -482,8 +469,7 @@ def trojan_send(
                     deadline_ns=deadline,
                     start_ns=start,
                     end_ns=_now_ns(),
-                    advice_ok=outcome.advice_ok,
-                    evict_confirmed=outcome.confirmed,
+                    evict_confirmed=confirmed,
                     overrun=arrived > deadline,
                 )
             )

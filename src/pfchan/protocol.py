@@ -57,8 +57,8 @@ class PagePair:
 
 
 def page_pair_for_slot(cfg: ChannelConfig, k: int) -> PagePair:
-    """Pair for slot k: stride base_page by k page gaps, wrapping at the
-    region end, then place P2 pair_offset pages after P1 (also wrapping).
+    """Pair for slot k: P1 is k page gaps from page 0, wrapping at the
+    region end, and P2 sits half a gap after P1 (also wrapping).
 
     Wrapping keeps long payloads inside the region at the cost of revisiting
     pages once k exceeds region_pages / page_gap.
@@ -66,7 +66,7 @@ def page_pair_for_slot(cfg: ChannelConfig, k: int) -> PagePair:
     if k < 0:
         raise ConfigError(f"slot index must be non-negative, got {k}")
     pages = cfg.region_pages
-    p1 = (cfg.base_page + k * cfg.page_gap) % pages
+    p1 = k * cfg.page_gap % pages
     p2 = (p1 + cfg.pair_offset_pages) % pages
     return PagePair(p1=p1, p2=p2, slot=k)
 

@@ -155,8 +155,8 @@ def cell_seed(master_seed: int, variable: str, value: int, repetition: int) -> i
 
 
 def apply_variable(cfg: ChannelConfig, variable: str, value: int) -> ChannelConfig:
-    """Rewrite one knob of the config. Dependent defaults (pair offset, guard)
-    re-derive automatically because the raw fields keep their None."""
+    """Rewrite one knob of the config. Derived values (pair offset, guard)
+    follow automatically: the guard's raw field keeps its None."""
     if variable == "payload_bits":
         return replace(cfg, payload_bits=value)
     if variable == "page_gap":

@@ -90,6 +90,8 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("eviction_behavior = sometimes\n", "bad.cfg:1: eviction_behavior must be one of"),
         ("# removed knob\neviction_policy = lru\n", "bad.cfg:2: unknown config key"),
         ("page_gap = 8\nreadahead = 1\n", "bad.cfg:2: unknown config key 'readahead'"),
+        ("page_gap = 8\npair_offset = 8\n", "bad.cfg:2: unknown config key 'pair_offset'"),
+        ("base_page = 0\n", "bad.cfg:1: unknown config key 'base_page'"),
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
@@ -113,7 +115,8 @@ def test_unknown_flag_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
     # removed along with their settings
     for flag, value in [
-        ("--eviction-policy", "lru"), ("--readahead", "2"), ("--cache-capacity", "2")
+        ("--eviction-policy", "lru"), ("--readahead", "2"), ("--cache-capacity", "2"),
+        ("--base-page", "0"), ("--pair-offset", "8"),
     ]:
         assert run_cli("simulate", flag, value) == 1
         assert "error:" in capsys.readouterr().err
@@ -124,9 +127,9 @@ def test_missing_subcommand_exits_1():
 
 
 def test_invalid_channel_geometry_exits_1(capsys):
-    # offset outside (0, gap) is a config error, not a crash
-    assert run_cli("simulate", *SMALL, "--pair-offset", "99") == 1
-    assert "pair_offset" in capsys.readouterr().err
+    # a gap of 1 leaves P2 no room: a config error, not a crash
+    assert run_cli("simulate", *SMALL, "--page-gap", "1") == 1
+    assert "page_gap" in capsys.readouterr().err
 
 
 def test_literal_bit_payload(capsys):
@@ -141,6 +144,57 @@ def test_hex_payload(capsys):
 
 def test_malformed_bit_payload_exits_1(capsys):
     assert run_cli("simulate", *SMALL, "--bits", "10romeo") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--bits", ""],
+        ["simulate", "--payload-hex", ""],
+        ["sweep", "--variable", "page_gap", "--values", ""],
+    ],
+    ids=["bits", "payload-hex", "values"],
+)
+def test_an_empty_payload_or_grid_exits_1(monkeypatch, capsys, argv):
+    # an empty flag must not fall back to a random payload or the default grid
+    ran = []
+    monkeypatch.setattr(pfchan.sweep, "_run_sim_cell", lambda *a: ran.append(a))
+    assert run_cli(*argv, *SMALL) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "simulated" not in captured.out
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--bits", "01", "--out"],
+        ["simulate", "--bits", "01", "--trace"],
+        ["sweep", "--variable", "page_gap", "--values", "8", "--out"],
+    ],
+    ids=["simulate-out", "simulate-trace", "sweep-out"],
+)
+def test_an_unwritable_output_path_exits_2_before_the_run(
+    tmp_path, monkeypatch, capsys, argv
+):
+    ran = []
+    monkeypatch.setattr(pfchan.cli, "run_channel_sim", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(pfchan.sweep, "_run_sim_cell", lambda *a: ran.append(a))
+    path = str(tmp_path / "absent" / "out.txt")
+    assert run_cli(*argv, path, *SMALL) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("setup error:") and path in err
+    assert "Traceback" not in err
+    assert ran == []
+
+
+def test_the_output_check_leaves_files_as_it_found_them(tmp_path):
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    pfchan.cli._check_writable(str(fresh), None, str(kept))
+    assert not fresh.exists()
+    assert kept.read_text() == "old\n"
 
 
 def test_eviction_behavior_flag(capsys):
@@ -410,8 +464,8 @@ def test_send_without_region_file_exits_2(tmp_path, capsys):
 
 def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
     log = [
-        SenderSlotLog(0, 0, 32, 32, 10, 11, 12, True, None, False),
-        SenderSlotLog(1, 64, 96, 64, 20, 25, 29, False, False, True),
+        SenderSlotLog(0, 0, 32, 32, 10, 11, 12, None, False),
+        SenderSlotLog(1, 64, 96, 64, 20, 25, 29, False, True),
     ]
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
     monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
@@ -422,9 +476,9 @@ def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
     )
     assert code == 0
     assert out_csv.read_text().splitlines() == [
-        "slot,p1,p2,target,deadline_ns,start_ns,end_ns,advice_ok,evict_confirmed,overrun",
-        "0,0,32,32,10,11,12,1,,0",
-        "1,64,96,64,20,25,29,0,0,1",
+        "slot,p1,p2,target,deadline_ns,start_ns,end_ns,evict_confirmed,overrun",
+        "0,0,32,32,10,11,12,,0",
+        "1,64,96,64,20,25,29,0,1",
     ]
 
 

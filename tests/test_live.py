@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import os
 import time
+from unittest.mock import Mock
 
 import pytest
 
@@ -17,7 +18,6 @@ from pfchan.config import ChannelConfig
 from pfchan.errors import ConfigError, SetupError
 from pfchan.live import (
     BackendCapabilities,
-    EvictOutcome,
     SharedRegion,
     create_backing_file,
     evict_pair,
@@ -121,12 +121,10 @@ def test_evict_pair_shape(region_file):
     with open_region(region_file, small_cfg()) as region:
         region.read_byte(3)
         region.read_byte(11)
-        outcome = evict_pair(region, PagePair(p1=3, p2=11, slot=0))
-    assert isinstance(outcome, EvictOutcome)
-    assert outcome.advice_ok is True
+        confirmed = evict_pair(region, PagePair(p1=3, p2=11, slot=0))
     # confirmation depends on the filesystem honoring the advice; tmpfs
     # ignores it, so only the type is pinned down here
-    assert outcome.confirmed in (True, False, None)
+    assert confirmed in (True, False, None)
 
 
 def test_residency_sees_a_page_arrive_and_leave(tmp_path, region_file):
@@ -241,7 +239,21 @@ def test_sender_follows_shared_schedule(region_file):
         assert rec.deadline_ns == epoch + k * cfg.sync_period_ns
         assert rec.start_ns >= rec.deadline_ns
         assert rec.end_ns >= rec.start_ns
-        assert rec.advice_ok is True
+
+
+def test_failed_eviction_advice_ends_the_transmission(region_file, monkeypatch):
+    # the pair's state is unknown after a failed advice call, so no slot may
+    # go on to touch a page and leave a plausible bit behind
+    def refuse(self, page):
+        raise OSError(22, "bad")
+
+    loaded = []
+    monkeypatch.setattr(SharedRegion, "advise_dontneed", refuse)
+    monkeypatch.setattr(SharedRegion, "load_byte", lambda self, page: loaded.append(page))
+    with open_region(region_file, small_cfg()) as region:
+        with pytest.raises(OSError, match="bad"):
+            trojan_send(region, small_cfg(), [1, 0], live._now_ns(), READY)
+    assert loaded == []
 
 
 def test_sender_pins_only_when_asked(region_file):
@@ -275,37 +287,36 @@ def test_probe_without_posix_fadvise_is_not_ready_and_says_why(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize(
-    "outcome, advice_ok, note",
+    "outcome, eviction_ok, note",
     [
-        (EvictOutcome(advice_ok=True, confirmed=True), True, None),
+        (Mock(return_value=True), True, None),
         (
-            EvictOutcome(advice_ok=True, confirmed=None),
+            Mock(return_value=None),
             True,
             "residency check failed; eviction advice accepted but unverified",
         ),
         (
-            EvictOutcome(advice_ok=True, confirmed=False),
+            Mock(return_value=False),
             False,
             "eviction advice accepted but pages stayed resident",
         ),
         (
-            EvictOutcome(advice_ok=False, confirmed=None, error="[Errno 22] bad"),
+            Mock(side_effect=OSError(22, "bad")),
             False,
             "eviction advice failed: [Errno 22] bad",
         ),
     ],
 )
 def test_probe_takes_its_eviction_verdict_from_evict_pair(
-    tmp_path, monkeypatch, outcome, advice_ok, note
+    tmp_path, monkeypatch, outcome, eviction_ok, note
 ):
-    pairs = []
-    monkeypatch.setattr(
-        live, "evict_pair", lambda region, pair: pairs.append(pair) or outcome
-    )
+    monkeypatch.setattr(live, "evict_pair", outcome)
     caps = probe_capabilities(scratch_dir=str(tmp_path))
-    assert pairs == [PagePair(p1=2, p2=3, slot=0)]
+    assert [call.args[1] for call in outcome.call_args_list] == [
+        PagePair(p1=2, p2=3, slot=0)
+    ]
     assert caps.shared_readonly_mapping is True
-    assert caps.cache_advice_eviction is advice_ok
+    assert caps.cache_advice_eviction is eviction_ok
     assert [n for n in caps.notes if "eviction" in n] == ([note] if note else [])
 
 
@@ -319,7 +330,7 @@ def advice_evicts_after_a_flush(tmp_path) -> bool:
     os.close(fd)
     with open_region(path, small_cfg(pages=16)) as region:
         region.load_byte(2)
-        return evict_pair(region, PagePair(p1=2, p2=3, slot=0)).confirmed is True
+        return evict_pair(region, PagePair(p1=2, p2=3, slot=0)) is True
 
 
 def test_open_region_flushes_a_freshly_written_file(tmp_path):

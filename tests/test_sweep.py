@@ -70,12 +70,12 @@ def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch, capsys):
     ran = []
     real = sweep._run_sim_cell
     monkeypatch.setattr(sweep, "_run_sim_cell", lambda *a: ran.append(a) or real(*a))
-    cfg = ChannelConfig(region_size=MIB, pair_offset=8, payload_bits=40)
-    # gap 4 cannot hold a pair offset of 8; gap 64 can, and must not run first
-    with pytest.raises(ConfigError, match="pair_offset"):
-        run_sweep(small_spec(values=(64, 4), cfg=cfg))
-    assert main(["calibrate", "--values", "64,4", "--pair-offset", "8"]) == 1
-    assert "pair_offset" in capsys.readouterr().err
+    cfg = ChannelConfig(region_size=MIB, payload_bits=40)
+    # gap 1 leaves P2 no room; gap 64 is fine, and must not run first
+    with pytest.raises(ConfigError, match="page_gap"):
+        run_sweep(small_spec(values=(64, 1), cfg=cfg))
+    assert main(["calibrate", "--values", "64,1"]) == 1
+    assert "page_gap" in capsys.readouterr().err
     assert ran == []
 
 
