@@ -10,8 +10,8 @@ need these schedule and codec rules plus a shared epoch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .config import ChannelConfig
 from .errors import ConfigError
@@ -42,10 +42,12 @@ class ObservedOrder(Enum):
     AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True, slots=True)
-class PagePair:
+class PagePair(NamedTuple):
     """The two page indices probed during one slot. page_pair_for_slot keeps
-    them distinct and inside the region; the backends reject any other page."""
+    them distinct and inside the region; the backends reject any other page.
+
+    A pair is a tuple, so it also compares equal to the plain (p1, p2, slot).
+    """
 
     p1: int
     p2: int

@@ -164,11 +164,12 @@ class CacheSchedSim:
         completion tick still sees the pre-access state.
         """
         p = self.params
-        fault = self.classify_access(page, self.is_mapped(process, page))
+        fault = self.classify_access(page, page in self._mapped[process])
         if fault is FaultKind.HARD:
             # The fetch completes after disk_latency; the retried access then
             # needs the core back, which the yield released at +switch_cost.
-            resume = max(p.disk_latency, p.switch_cost)
+            disk, switch = p.disk_latency, p.switch_cost
+            resume = disk if disk > switch else switch
             return fault, start_tick + resume + p.mem_latency
         return fault, start_tick + p.mem_latency
 
@@ -219,9 +220,11 @@ class CacheSchedSim:
             fault2 = FaultKind.NONE if p2 in spy else FaultKind.SOFT
             core = t2_start + p.mem_latency
         if hard1:
-            core = max(core, start + p.disk_latency) + p.mem_latency
+            due = start + p.disk_latency
+            core = (due if due > core else core) + p.mem_latency
         if hard2:
-            core = max(core, t2_start + p.disk_latency) + p.mem_latency
+            due = t2_start + p.disk_latency
+            core = (due if due > core else core) + p.mem_latency
         self.clock = core
         cache.update((p1, p2))
         spy.update((p1, p2))

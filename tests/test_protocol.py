@@ -76,6 +76,15 @@ def test_schedule_against_iterative_oracle_sampled():
         assert (pair.p1, pair.p2) == iterative_pair_oracle(cfg, k)
 
 
+def test_page_pair_is_an_immutable_tuple():
+    pair = page_pair_for_slot(make_cfg(), 2)
+    with pytest.raises(AttributeError):
+        pair.p1 = 0
+    assert pair.pages == (256, 320)
+    assert pair == (256, 320, 2)
+    assert repr(PagePair(p1=2, p2=3, slot=0)) == "PagePair(p1=2, p2=3, slot=0)"
+
+
 def test_encode_target_picks_pair_side():
     pair = PagePair(p1=0, p2=64, slot=0)
     assert encode_target(1, pair) == 64

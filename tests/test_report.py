@@ -75,6 +75,23 @@ def test_random_payload_deterministic():
     assert random_payload(1235, 256) != a
 
 
+@given(
+    st.one_of(st.integers(0, 2**32), st.integers(2**63, 2**80)),
+    st.integers(1, 600),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_payload_matches_randint_reference(seed, n_bits):
+    # the generator draws bits without randint; the stream must not change
+    rng = random.Random(seed)
+    assert random_payload(seed, n_bits) == [rng.randint(0, 1) for _ in range(n_bits)]
+
+
+def test_random_payload_literal_bits():
+    # pins generation without a golden run: a change here moves every CSV
+    bits = "".join(map(str, random_payload(1234, 32)))
+    assert bits == "10000001000011100000100100010111"
+
+
 def test_random_payload_single_bit_and_validation():
     assert random_payload(7, 1)[0] in (0, 1)
     with pytest.raises(ConfigError):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfchan import sim as sim_module
 from pfchan.config import ChannelConfig
 from pfchan.errors import ConfigError
 from pfchan.protocol import (
@@ -419,22 +420,28 @@ def test_run_channel_sim_matches_the_reference_slot_sequence(run, payload):
 
 def test_every_slot_goes_through_the_probe_and_sender_hooks(monkeypatch):
     # perfbench counts the golden run's faults by patching these two methods
-    # on the class; name the hook a slot path bypasses, not just a count.
-    calls = {"run_spy_slot": 0, "plan_access": 0}
+    # on the class, and times the pair through the module's global; name the
+    # hook a slot path bypasses, not just a count.
+    calls = {"run_spy_slot": 0, "plan_access": 0, "page_pair_for_slot": 0}
 
-    def counted(name, method):
-        def wrapper(self, *args):
+    def counted(name, function):
+        def wrapper(*args):
             calls[name] += 1
-            return method(self, *args)
+            return function(*args)
         return wrapper
 
-    for name in calls:
+    for name in ("run_spy_slot", "plan_access"):
         monkeypatch.setattr(
             CacheSchedSim, name, counted(name, getattr(CacheSchedSim, name))
         )
+    monkeypatch.setattr(
+        sim_module,
+        "page_pair_for_slot",
+        counted("page_pair_for_slot", sim_module.page_pair_for_slot),
+    )
     cfg = ChannelConfig(region_size=MIB, page_gap=16, sync_period_ns=10_000_000)
     run_channel_sim(cfg, ideal_params(), random_payload(13, 100))
-    assert calls == {"run_spy_slot": 100, "plan_access": 100}
+    assert calls == {"run_spy_slot": 100, "plan_access": 100, "page_pair_for_slot": 100}
 
 
 def assert_only_cached_pages_are_mapped(sim):
