@@ -312,7 +312,7 @@ def _add_common(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
 
 def _add_payload(parser: argparse.ArgumentParser):
     payload = parser.add_mutually_exclusive_group()
-    payload.add_argument("--payload-hex", help="payload as hex digits")
+    payload.add_argument("--payload-hex", help="payload as hex digits, 4 bits each")
     payload.add_argument("--bits", help="payload as a literal bit string")
     return payload
 

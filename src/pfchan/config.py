@@ -7,6 +7,7 @@ validated on construction; anything invalid raises ConfigError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConfigError
 
@@ -60,11 +61,14 @@ class ChannelConfig:
                 f"payload_bits must be at least 1, got {self.payload_bits}"
             )
 
-    @property
+    # Computed once per config: the slot path reads both for every slot.
+    # cached_property stores into the instance __dict__ directly, which a
+    # frozen dataclass allows.
+    @cached_property
     def region_pages(self) -> int:
         return self.region_size // self.page_size
 
-    @property
+    @cached_property
     def pair_offset_pages(self) -> int:
         """Pages from P1 to P2: half a gap, at least 1."""
         return self.page_gap // 2

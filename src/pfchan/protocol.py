@@ -41,6 +41,11 @@ class ObservedOrder(Enum):
     T2_LAST = "t2-last"
     AMBIGUOUS = "ambiguous"
 
+    # Members are singletons and Enum compares them by identity, so the
+    # identity hash agrees with equality and spares the simulator's decode
+    # table a Python-level Enum.__hash__ call per slot.
+    __hash__ = object.__hash__
+
 
 class PagePair(NamedTuple):
     """The two page indices probed during one slot. page_pair_for_slot keeps
@@ -70,7 +75,7 @@ def page_pair_for_slot(cfg: ChannelConfig, k: int) -> PagePair:
     pages = cfg.region_pages
     p1 = k * cfg.page_gap % pages
     p2 = (p1 + cfg.pair_offset_pages) % pages
-    return PagePair(p1=p1, p2=p2, slot=k)
+    return PagePair(p1, p2, k)
 
 
 def encode_target(bit: int, pair: PagePair) -> int:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -33,10 +34,11 @@ def bits_from_hex(text: str) -> list[int]:
     """Parse hex digits into bits, most significant bit of each nibble first."""
     if not text:
         raise ConfigError("empty hex payload")
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ConfigError(f"invalid hex payload {text!r}") from None
+    # int(text, 16) alone would also take a 0x prefix, a sign, underscores
+    # and surrounding whitespace, and the width below would count them.
+    if any(c not in string.hexdigits for c in text):
+        raise ConfigError(f"invalid hex payload {text!r}")
+    value = int(text, 16)
     width = 4 * len(text)
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 

@@ -43,6 +43,13 @@ from .report import TransmissionReport
 SPY_PROCESS = "spy"
 SPY_THREADS = ("t1", "t2")
 
+# The slot path reads these members as module globals: before CPython 3.12
+# every FaultKind.HARD-style lookup goes through EnumType.__getattr__, which
+# costs several times a global read.
+_HARD, _SOFT, _NONE = FaultKind.HARD, FaultKind.SOFT, FaultKind.NONE
+_T1_LAST, _T2_LAST = ObservedOrder.T1_LAST, ObservedOrder.T2_LAST
+_AMBIGUOUS = ObservedOrder.AMBIGUOUS
+
 
 class EvictionBehavior(Enum):
     """How faithfully the modeled kernel honors eviction advice.
@@ -125,10 +132,8 @@ class CacheSchedSim:
         if not 0 <= page < self.region_pages:
             raise self._outside(page)
         if page not in self._cache:
-            return FaultKind.HARD
-        if not mapped:
-            return FaultKind.SOFT
-        return FaultKind.NONE
+            return _HARD
+        return _NONE if mapped else _SOFT
 
     def evict(self, pages) -> None:
         """Drop pages from the cache and invalidate every mapping of them.
@@ -161,16 +166,19 @@ class CacheSchedSim:
 
         Returns (fault, completion_tick) and leaves the cache untouched until
         land_access applies the access, so a probe that runs before the
-        completion tick still sees the pre-access state.
+        completion tick still sees the pre-access state. The fault follows
+        classify_access's rule, written out inline for the slot path.
         """
+        if not 0 <= page < self.region_pages:
+            raise self._outside(page)
         p = self.params
-        fault = self.classify_access(page, page in self._mapped[process])
-        if fault is FaultKind.HARD:
+        if page not in self._cache:
             # The fetch completes after disk_latency; the retried access then
             # needs the core back, which the yield released at +switch_cost.
             disk, switch = p.disk_latency, p.switch_cost
             resume = disk if disk > switch else switch
-            return fault, start_tick + resume + p.mem_latency
+            return _HARD, start_tick + resume + p.mem_latency
+        fault = _NONE if page in self._mapped[process] else _SOFT
         return fault, start_tick + p.mem_latency
 
     def land_access(self, process: str, page: int) -> None:
@@ -207,17 +215,17 @@ class CacheSchedSim:
         start = self.clock
         hard1 = p1 not in cache
         if hard1:
-            fault1 = FaultKind.HARD
+            fault1 = _HARD
             t2_start = start + p.switch_cost
         else:
-            fault1 = FaultKind.NONE if p1 in spy else FaultKind.SOFT
+            fault1 = _NONE if p1 in spy else _SOFT
             t2_start = start + p.mem_latency
         hard2 = p2 not in cache
         if hard2:
-            fault2 = FaultKind.HARD
+            fault2 = _HARD
             core = t2_start + p.switch_cost
         else:
-            fault2 = FaultKind.NONE if p2 in spy else FaultKind.SOFT
+            fault2 = _NONE if p2 in spy else _SOFT
             core = t2_start + p.mem_latency
         if hard1:
             due = start + p.disk_latency
@@ -235,9 +243,9 @@ class CacheSchedSim:
             AccessRecord(t2_start, t2, p2, fault2),
         ]
         if hard1 == hard2:
-            return ObservedOrder.AMBIGUOUS, slot_trace
+            return _AMBIGUOUS, slot_trace
         # the one thread that hard-faulted resumes after its sibling is done
-        return (ObservedOrder.T1_LAST if hard1 else ObservedOrder.T2_LAST), slot_trace
+        return (_T1_LAST if hard1 else _T2_LAST), slot_trace
 
 
 _BIT_OF_ORDER = {order: decode_from_order(order) for order in ObservedOrder}

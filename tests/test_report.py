@@ -105,6 +105,12 @@ def test_bits_parsing_helpers():
         bits_from_string("10120")
     with pytest.raises(ConfigError):
         bits_from_hex("xz")
+    assert bits_from_hex("1F") == [0, 0, 0, 1, 1, 1, 1, 1]
+    # int(text, 16) takes each of these as 0x1f, and 4 bits per character
+    # would send 8 or 12 bits of it
+    for text in ("0x1f", "1_f", " 1f", "1f ", "+1f", "-1f", "0X1F"):
+        with pytest.raises(ConfigError, match="invalid hex payload"):
+            bits_from_hex(text)
 
 
 def test_report_counts_indeterminate_as_error():

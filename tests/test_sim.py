@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import pickle
 import re
 from collections import deque
 
@@ -85,6 +86,14 @@ def test_evict_is_advisory_and_invalidates_mappings():
     assert 2 in sim._cache
     assert not sim.is_mapped("spy", 1)
     assert sim.is_mapped("spy", 2)
+
+
+def test_plan_access_rejects_a_page_outside_the_region():
+    sim = make_sim()
+    with pytest.raises(ConfigError, match="page -1 outside"):
+        sim.plan_access("trojan", -1, 0)
+    with pytest.raises(ConfigError, match=f"page {sim.region_pages} outside"):
+        sim.plan_access("trojan", sim.region_pages, 0)
 
 
 def test_touch_resident_keeps_core_and_costs_mem_latency():
@@ -442,6 +451,23 @@ def test_every_slot_goes_through_the_probe_and_sender_hooks(monkeypatch):
     cfg = ChannelConfig(region_size=MIB, page_gap=16, sync_period_ns=10_000_000)
     run_channel_sim(cfg, ideal_params(), random_payload(13, 100))
     assert calls == {"run_spy_slot": 100, "plan_access": 100, "page_pair_for_slot": 100}
+
+
+def test_slot_path_reads_no_enum_class_attribute():
+    # Before CPython 3.12 each FaultKind.X or ObservedOrder.X lookup runs
+    # EnumType.__getattr__; the slot path reads module-level members instead.
+    for function in (CacheSchedSim.run_spy_slot, CacheSchedSim.plan_access):
+        names = function.__code__.co_names
+        assert "FaultKind" not in names and "ObservedOrder" not in names, function
+
+
+def test_observed_order_survives_pickling_as_the_same_member():
+    # ObservedOrder hashes by identity, so a copy that was not the member
+    # itself would miss the decode table
+    for order in ObservedOrder:
+        copy = pickle.loads(pickle.dumps(order))
+        assert copy is order
+        assert sim_module._BIT_OF_ORDER[copy] == decode_from_order(order)
 
 
 def assert_only_cached_pages_are_mapped(sim):
