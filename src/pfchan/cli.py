@@ -104,13 +104,17 @@ def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
 
 def _parse_epoch(text: str) -> int:
     """Absolute unix nanoseconds, or '+SECONDS' relative to now, read from
-    the same clock the live endpoints keep their deadlines by."""
+    the same clock the live endpoints keep their deadlines by. A negative
+    offset puts slot 0 in the past, so every slot would overrun."""
     from . import live
 
     try:
         if text.startswith("+"):
+            offset = float(text[1:])
+            if offset < 0:
+                raise ConfigError(f"epoch offset must be >= 0 seconds, got {text!r}")
             # nan and inf pass float() and fail int()
-            return live._now_ns() + int(float(text[1:]) * 1e9)
+            return live._now_ns() + int(offset * 1e9)
         return int(text)
     except (ValueError, OverflowError):
         raise ConfigError(
@@ -196,11 +200,12 @@ def cmd_send(args) -> int:
     with live.open_region(args.region_file, cfg) as region:
         log = live.trojan_send(region, cfg, payload, epoch, cpu=args.cpu)
     overruns = sum(1 for rec in log if rec.overrun)
-    unconfirmed = sum(1 for rec in log if rec.evict_confirmed is False)
-    print(
-        f"sent {len(log)} bits: {overruns} deadline overruns, "
-        f"{unconfirmed} unconfirmed evictions"
-    )
+    if any(rec.evict_confirmed is None for rec in log):
+        evictions = "evictions not verified (mincore cannot report on this file)"
+    else:
+        unconfirmed = sum(1 for rec in log if not rec.evict_confirmed)
+        evictions = f"{unconfirmed} unconfirmed evictions"
+    print(f"sent {len(log)} bits: {overruns} deadline overruns, {evictions}")
     if args.out:
         _write_csv(args.out, live.SenderSlotLog, log)
         print(f"wrote {args.out}")

@@ -8,8 +8,8 @@ call falls back to a quieter channel that would still print an error rate.
 The sender and receiver share a read-only file mapped MAP_PRIVATE. Eviction
 uses posix_fadvise(DONTNEED), which is advisory: probe_capabilities checks
 at startup that advice really evicts, and the sender reports per-slot
-confirmation from mincore as a diagnostic. The channel itself never
-depends on that confirmation.
+confirmation from mincore as a diagnostic, or None on a file mincore cannot
+report on. The channel itself never depends on that confirmation.
 
 DONTNEED refuses to drop a page that any process still has in its page
 tables, so both endpoints are careful about what they map. The sender
@@ -27,13 +27,12 @@ duration, so a thread stuck in a hard fault lets its sibling run, which is
 the scheduling behavior the channel measures. A plain index into the mmap
 object would hold the lock across the fault and serialize the threads.
 
-Decoding uses only the order in which accessor threads bumped a shared
-counter. No clock is read anywhere on the decode path.
+Decoding uses only the order in which accessor threads finished their
+reads. No clock is read anywhere on the decode path.
 """
 from __future__ import annotations
 
 import ctypes
-import itertools
 import os
 import threading
 import time
@@ -67,17 +66,12 @@ _libc.mincore.restype = ctypes.c_int
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """What the host verifiably offers.
-
-    A transmission refuses to start unless the first three flags are true.
-    switch_on_hard_fault cannot be probed directly; it is assumed on Linux
-    and the error rate is the judge.
-    """
+    """What the host verifiably offers; a transmission refuses to start
+    unless every flag is true."""
 
     shared_readonly_mapping: bool
     cache_advice_eviction: bool
     cpu_affinity: bool
-    switch_on_hard_fault: bool
     notes: tuple[str, ...] = ()
 
     def transmission_ready(self) -> bool:
@@ -92,7 +86,6 @@ class BackendCapabilities:
             f"shared_readonly_mapping: {self.shared_readonly_mapping}",
             f"cache_advice_eviction:   {self.cache_advice_eviction}",
             f"cpu_affinity:            {self.cpu_affinity}",
-            f"switch_on_hard_fault:    {self.switch_on_hard_fault} (assumed)",
         ]
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
@@ -124,6 +117,10 @@ class SharedRegion:
         self.page_size = page_size
         self._fd = os.open(path, os.O_RDONLY)
         try:
+            # the kernel's rule for when mincore reports page-cache state
+            self._mincore_reports = os.fstat(self._fd).st_uid == os.geteuid() or (
+                os.access(path, os.W_OK, effective_ids=True)
+            )
             # PROT_WRITE is needed only so ctypes can take the buffer's
             # address; MAP_PRIVATE makes any write a private copy and no
             # code path writes.
@@ -187,24 +184,28 @@ class SharedRegion:
         )
 
     def residency(self, *pages: int) -> list[bool] | None:
-        """Page-cache residency of the given pages, in order, or None if a
-        mincore call fails. Diagnostics only.
+        """Page-cache residency of the given pages, in order, or None when
+        mincore cannot report on this file. Diagnostics only; a failed
+        mincore call raises its OSError.
 
         Each page is checked with its own one-page mincore call, so the cost
-        does not grow with the region. Since Linux 5.0, mincore on a file
-        the caller can neither write nor owns reports only the pages mapped
-        in the caller's own page tables, so on someone else's region file
-        every page reads as evicted. Confirmation therefore stays a
-        diagnostic and never steers the channel. A non-blocking read
+        does not grow with the region. Since Linux 5.0, mincore reports
+        page-cache state only on a file the caller owns or can write; on
+        any other file every page reads as resident, even right after
+        eviction advice, so no call is made there. Confirmation therefore
+        stays a diagnostic and never steers the channel. A non-blocking read
         (preadv with RWF_NOWAIT) is no substitute: reading an evicted page
         that way starts readahead, which brings the page back into the
         cache and undoes the eviction it was meant to check.
         """
+        if not self._mincore_reports:
+            return None
         vec = (ctypes.c_ubyte * 1)()
         resident = []
         for page in pages:
             if _libc.mincore(self._addr + self._offset(page), self.page_size, vec):
-                return None
+                err = ctypes.get_errno()
+                raise OSError(err, f"mincore on page {page}: {os.strerror(err)}")
             resident.append(bool(vec[0] & 1))
         return resident
 
@@ -286,11 +287,11 @@ def create_backing_file(path: str, size: int) -> str:
 
 def evict_pair(region: SharedRegion, pair: PagePair) -> bool | None:
     """Advise both pages of the pair out of the page cache and return
-    whether both left it, or None when the residency check cannot run.
+    whether both left it, or None when mincore cannot report on the file.
 
     Advisory semantics: absent pages are a no-op, and an unconfirmed
-    eviction is a warning, not a failure. A failed advice call raises its
-    OSError.
+    eviction is a warning, not a failure. A failed advice or mincore call
+    raises its OSError.
     """
     region.advise_dontneed(pair.p1)
     region.advise_dontneed(pair.p2)
@@ -331,20 +332,17 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
                     # since advice cannot drop a page anyone still maps
                     region.load_byte(2)
                     region.load_byte(3)
+                    # the probe owns its scratch file, so mincore reports
                     try:
                         confirmed = evict_pair(region, PagePair(p1=2, p2=3, slot=0))
                     except OSError as exc:
-                        notes.append(f"eviction advice failed: {exc}")
+                        notes.append(f"eviction advice or its check failed: {exc}")
                     else:
-                        eviction_ok = confirmed is not False
-                        if confirmed is None:
+                        eviction_ok = confirmed is True
+                        if not eviction_ok:
                             notes.append(
-                                "residency check failed; eviction advice "
-                                "accepted but unverified"
-                            )
-                        elif not confirmed:
-                            notes.append(
-                                "eviction advice accepted but pages stayed resident"
+                                "eviction advice accepted but mincore did not "
+                                "see the pages leave"
                             )
             except SetupError as exc:
                 notes.append(str(exc))
@@ -361,12 +359,10 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
     except OSError as exc:
         notes.append(f"cpu affinity control failed: {exc}")
 
-    assumed_switch = os.name == "posix"
     return BackendCapabilities(
         shared_readonly_mapping=mapping_ok,
         cache_advice_eviction=eviction_ok,
         cpu_affinity=affinity_ok,
-        switch_on_hard_fault=assumed_switch,
         notes=tuple(notes),
     )
 
@@ -443,8 +439,8 @@ def trojan_send(
     core; failure to pin is a startup failure. Without it the sender runs
     unpinned, since only the receiver's thread pair needs to share a core.
     A missed deadline is logged and the slot still runs, since skipping
-    would desynchronize every later slot. A failed eviction advice call
-    raises its OSError and ends the transmission.
+    would desynchronize every later slot. A failed eviction advice or
+    mincore call raises its OSError and ends the transmission.
     """
     _require_ready(capabilities)
     log: list[SenderSlotLog] = []
@@ -479,16 +475,16 @@ def trojan_send(
 def _probe_pair(region: SharedRegion, pair: PagePair) -> ObservedOrder:
     """Read both pages from two fresh threads and observe completion order.
 
-    Each thread touches its page and then takes the next value from a shared
-    counter. The later sequence number marks the thread that finished last,
-    which is the one whose page came from disk. Nothing here reads a clock.
+    Each thread touches its page and then appends its name to a shared
+    list; an append is atomic, so the last name marks the thread that
+    finished last, which is the one whose page came from disk. Nothing here
+    reads a clock.
     """
-    counter = itertools.count(1)
-    seqs: dict[str, int] = {}
+    finished: list[str] = []
 
     def accessor(name: str, page: int) -> None:
         region.read_byte(page)
-        seqs[name] = next(counter)
+        finished.append(name)
 
     t1 = threading.Thread(target=accessor, args=("t1", pair.p1), daemon=True)
     t2 = threading.Thread(target=accessor, args=("t2", pair.p2), daemon=True)
@@ -496,9 +492,9 @@ def _probe_pair(region: SharedRegion, pair: PagePair) -> ObservedOrder:
     t2.start()
     t1.join()
     t2.join()
-    if "t1" not in seqs or "t2" not in seqs:
+    if len(finished) < 2:
         raise RunAbort(f"accessor thread died in slot {pair.slot}")
-    return ObservedOrder.T1_LAST if seqs["t1"] > seqs["t2"] else ObservedOrder.T2_LAST
+    return ObservedOrder.T1_LAST if finished[-1] == "t1" else ObservedOrder.T2_LAST
 
 
 def spy_receive(

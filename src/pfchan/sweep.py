@@ -15,24 +15,23 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 
-from .config import ChannelConfig
+from .config import MIB, ChannelConfig
 from .errors import ConfigError, RunAbort
 from .report import TransmissionReport, random_payload
 from .sim import SimParams, run_channel_sim
 
-VARIABLES = ("payload_bits", "page_gap", "region_size", "bit_rate")
 BACKENDS = ("sim", "live")
 
-MIB = 1024 * 1024
-
-# Default grids. bit_rate values are bits per second; a cell runs with
-# sync_period_ns = 1e9 / rate at fixed payload size.
+# The variables a sweep can vary, with their default grids. bit_rate values
+# are bits per second; a cell runs with sync_period_ns = 1e9 / rate at fixed
+# payload size. Every other variable is a ChannelConfig field.
 DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
     "payload_bits": (20, 50, 100, 200, 300, 400, 500),
     "page_gap": (4, 8, 16, 32, 64, 128, 256),
     "region_size": tuple(m * MIB for m in (1, 2, 4, 8, 16, 32)),
     "bit_rate": (10, 20, 50, 100, 200, 500, 1000),
 }
+VARIABLES = tuple(DEFAULT_GRIDS)
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ class SweepSpec:
     live_lead_ns: int = 20_000_000
 
     def __post_init__(self) -> None:
-        if self.variable not in VARIABLES:
-            raise ConfigError(
-                f"unknown sweep variable {self.variable!r}, expected one of {VARIABLES}"
-            )
         if not self.values:
             raise ConfigError("sweep needs at least one value")
         if self.repetitions < 1:
@@ -72,7 +67,7 @@ class SweepSpec:
                 f"live_lead_ns must be >= 0, got {self.live_lead_ns}: a negative "
                 f"lead puts slot 0 in the past, so every slot overruns"
             )
-        # a bad value fails here, before any cell of the grid has run
+        # an unknown variable or a bad value fails here, before any cell runs
         for value in self.values:
             apply_variable(self.cfg, self.variable, value)
 
@@ -157,17 +152,15 @@ def cell_seed(master_seed: int, variable: str, value: int, repetition: int) -> i
 def apply_variable(cfg: ChannelConfig, variable: str, value: int) -> ChannelConfig:
     """Rewrite one knob of the config. Derived values (pair offset, guard)
     follow automatically: the guard's raw field keeps its None."""
-    if variable == "payload_bits":
-        return replace(cfg, payload_bits=value)
-    if variable == "page_gap":
-        return replace(cfg, page_gap=value)
-    if variable == "region_size":
-        return replace(cfg, region_size=value)
-    if variable == "bit_rate":
-        if value <= 0:
-            raise ConfigError(f"bit_rate must be positive, got {value}")
-        return replace(cfg, sync_period_ns=max(1, 1_000_000_000 // value))
-    raise ConfigError(f"unknown sweep variable {variable!r}")
+    if variable not in VARIABLES:
+        raise ConfigError(
+            f"unknown sweep variable {variable!r}, expected one of {VARIABLES}"
+        )
+    if variable != "bit_rate":
+        return replace(cfg, **{variable: value})
+    if value <= 0:
+        raise ConfigError(f"bit_rate must be positive, got {value}")
+    return replace(cfg, sync_period_ns=max(1, 1_000_000_000 // value))
 
 
 def _run_sim_cell(

@@ -12,6 +12,7 @@ import pfchan.live
 import pfchan.sweep
 from pfchan.cli import build_parser, main, parse_setting
 from pfchan.config import ChannelConfig
+from pfchan.errors import ConfigError
 from pfchan.live import BackendCapabilities, SenderSlotLog
 from pfchan.report import TransmissionReport
 from pfchan.sim import SimParams
@@ -238,7 +239,6 @@ def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
         shared_readonly_mapping=False,
         cache_advice_eviction=False,
         cpu_affinity=False,
-        switch_on_hard_fault=False,
         notes=("scratch mapping failed",),
     )
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: broken)
@@ -331,8 +331,10 @@ def test_probe_prints_capability_report(tmp_path, capsys):
     code = run_cli("probe", "--out", str(out_file))
     assert code in (0, 2)
     out = capsys.readouterr().out
-    assert "cpu_affinity" in out
-    assert "switch_on_hard_fault" in out
+    flags = [line.split(":")[0] for line in out.splitlines()[:3]]
+    assert flags == ["shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity"]
+    assert all(line.startswith(("note: ", "wrote ")) for line in out.splitlines()[3:])
+    assert "assumed" not in out
     assert "cpu_affinity" in out_file.read_text()
 
 
@@ -360,7 +362,6 @@ def test_send_creates_region_on_request(tmp_path, capsys, monkeypatch):
         shared_readonly_mapping=True,
         cache_advice_eviction=True,
         cpu_affinity=True,
-        switch_on_hard_fault=True,
     )
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
     region = tmp_path / "region.bin"
@@ -385,7 +386,7 @@ def test_send_rejects_bad_epoch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["send", "receive"])
-@pytest.mark.parametrize("epoch", ["+nan", "+inf", "+1e400"])
+@pytest.mark.parametrize("epoch", ["+nan", "+inf", "+1e400", "+-5"])
 def test_an_epoch_offset_with_no_integer_value_exits_1(tmp_path, capsys, command, epoch):
     code = run_cli(
         command, "--region-file", str(tmp_path / "r.bin"), "--epoch", epoch,
@@ -399,6 +400,9 @@ def test_epoch_offsets_count_from_the_live_endpoints_clock(monkeypatch):
     monkeypatch.setattr(pfchan.live, "_now_ns", lambda: 5)
     assert pfchan.cli._parse_epoch("+2") == 2_000_000_005
     assert pfchan.cli._parse_epoch("17") == 17
+    # an offset into the past would make every slot overrun and still report
+    with pytest.raises(ConfigError, match="epoch offset must be >= 0"):
+        pfchan.cli._parse_epoch("+-5")
 
 
 def _sim_flag(f) -> list[str]:
@@ -480,6 +484,27 @@ def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
         "0,0,32,32,10,11,12,,0",
         "1,64,96,64,20,25,29,0,1",
     ]
+
+
+@pytest.mark.parametrize(
+    "confirmed, evictions",
+    [
+        ((True, False, False), "2 unconfirmed evictions"),
+        ((True, True, True), "0 unconfirmed evictions"),
+        ((None, None, None), "evictions not verified (mincore cannot report on this file)"),
+    ],
+)
+def test_send_counts_unconfirmed_evictions_only_where_mincore_reports(
+    monkeypatch, capsys, confirmed, evictions
+):
+    log = [
+        SenderSlotLog(k, 0, 32, 32, 10, 11, 12, ok, k == 0)
+        for k, ok in enumerate(confirmed)
+    ]
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
+    assert run_cli("send", "--region-file", "unused", "--epoch", "0", "--bits", "011") == 0
+    assert capsys.readouterr().out == f"sent 3 bits: 1 deadline overruns, {evictions}\n"
 
 
 def test_send_cpu_flag_pins_the_sender(monkeypatch):

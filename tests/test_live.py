@@ -6,16 +6,21 @@ is covered by the simulator tests, which share the protocol code.
 """
 from __future__ import annotations
 
+import ctypes
+import errno
 import inspect
 import os
+import threading
 import time
+from dataclasses import fields, replace
 from unittest.mock import Mock
 
 import pytest
 
 from pfchan import live
 from pfchan.config import ChannelConfig
-from pfchan.errors import ConfigError, SetupError
+from pfchan.cli import main
+from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import (
     BackendCapabilities,
     SharedRegion,
@@ -34,13 +39,11 @@ READY = BackendCapabilities(
     shared_readonly_mapping=True,
     cache_advice_eviction=True,
     cpu_affinity=True,
-    switch_on_hard_fault=True,
 )
 NOT_READY = BackendCapabilities(
     shared_readonly_mapping=True,
     cache_advice_eviction=False,
     cpu_affinity=True,
-    switch_on_hard_fault=True,
     notes=("advice probe failed",),
 )
 
@@ -123,8 +126,8 @@ def test_evict_pair_shape(region_file):
         region.read_byte(11)
         confirmed = evict_pair(region, PagePair(p1=3, p2=11, slot=0))
     # confirmation depends on the filesystem honoring the advice; tmpfs
-    # ignores it, so only the type is pinned down here
-    assert confirmed in (True, False, None)
+    # ignores it. The test owns the file, so mincore reports: never None
+    assert confirmed in (True, False)
 
 
 def test_residency_sees_a_page_arrive_and_leave(tmp_path, region_file):
@@ -172,14 +175,29 @@ def test_probe_capabilities_survives_a_scratch_file_it_cannot_write(
     assert any(n.startswith("scratch file setup failed: cannot write") for n in caps.notes)
 
 
-def test_transmission_ready_ignores_assumed_flag():
-    caps = BackendCapabilities(
-        shared_readonly_mapping=True,
-        cache_advice_eviction=True,
-        cpu_affinity=True,
-        switch_on_hard_fault=False,
-    )
-    assert caps.transmission_ready() is True
+def test_capabilities_state_three_observed_flags_and_need_each():
+    flags = ("shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity")
+    assert tuple(f.name for f in fields(BackendCapabilities)) == (*flags, "notes")
+    assert READY.transmission_ready() is True
+    for flag in flags:
+        assert replace(READY, **{flag: False}).transmission_ready() is False
+    lines = READY.summary().splitlines()
+    assert [line.split(":")[0] for line in lines] == list(flags)
+    assert "assumed" not in READY.summary()
+
+
+def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypatch):
+    # a thread that never finishes its read leaves no order to decode
+    def read_byte(self, page):
+        if page == 8:
+            raise OSError(14, "bad address")
+        return 0
+
+    monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+    with open_region(region_file, small_cfg()) as region:
+        with pytest.raises(RunAbort, match="accessor thread died in slot 7"):
+            live._probe_pair(region, PagePair(p1=4, p2=8, slot=7))
 
 
 def test_decode_path_reads_no_clock():
@@ -292,18 +310,18 @@ def test_probe_without_posix_fadvise_is_not_ready_and_says_why(tmp_path, monkeyp
         (Mock(return_value=True), True, None),
         (
             Mock(return_value=None),
-            True,
-            "residency check failed; eviction advice accepted but unverified",
+            False,
+            "eviction advice accepted but mincore did not see the pages leave",
         ),
         (
             Mock(return_value=False),
             False,
-            "eviction advice accepted but pages stayed resident",
+            "eviction advice accepted but mincore did not see the pages leave",
         ),
         (
             Mock(side_effect=OSError(22, "bad")),
             False,
-            "eviction advice failed: [Errno 22] bad",
+            "eviction advice or its check failed: [Errno 22] bad",
         ),
     ],
 )
@@ -343,3 +361,57 @@ def test_open_region_flushes_a_freshly_written_file(tmp_path):
     with open_region(path, cfg) as region:
         sampled = range(0, region.page_count, 97)
         assert region.residency(*sampled) == [False] * len(sampled)
+
+
+def failing_mincore(*args):
+    ctypes.set_errno(errno.ENOMEM)
+    return -1
+
+
+def test_a_failing_mincore_raises_and_ends_the_transmission(
+    tmp_path, region_file, monkeypatch
+):
+    # None means only "cannot report on this file"; a failed call is an error
+    monkeypatch.setattr(live._libc, "mincore", failing_mincore)
+    with open_region(region_file, small_cfg()) as region:
+        with pytest.raises(OSError, match="mincore on page 5") as info:
+            region.residency(5)
+        assert info.value.errno == errno.ENOMEM
+        loaded = []
+        monkeypatch.setattr(region, "load_byte", loaded.append)
+        with pytest.raises(OSError, match="mincore"):
+            trojan_send(region, small_cfg(), [1, 0], live._now_ns(), READY)
+        assert loaded == []
+    caps = probe_capabilities(scratch_dir=str(tmp_path))
+    assert caps.cache_advice_eviction is False
+    assert caps.transmission_ready() is False
+    assert any(n.startswith("eviction advice or its check failed:") for n in caps.notes)
+
+
+def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
+    region_file, monkeypatch, capsys
+):
+    # mincore reports every page of a file the caller neither owns nor can
+    # write as resident, so there no call is made and nothing is confirmed
+    owner = os.stat(region_file).st_uid
+    monkeypatch.setattr(os, "geteuid", lambda: owner + 1)
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: mode != os.W_OK)
+    mincore = Mock()
+    monkeypatch.setattr(live._libc, "mincore", mincore)
+    monkeypatch.setattr(live, "probe_capabilities", lambda *a, **k: READY)
+    cfg = small_cfg()
+    with open_region(region_file, cfg) as region:
+        assert region.residency(2, 3) is None
+        assert evict_pair(region, PagePair(p1=2, p2=3, slot=0)) is None
+        log = trojan_send(region, cfg, [1, 0], live._now_ns(), READY)
+    assert [rec.evict_confirmed for rec in log] == [None, None]
+    assert main([
+        "send", "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
+        "--region-size", str(cfg.region_size), "--page-gap", "8",
+        "--sync-period-ns", "1000000",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "sent 4 bits" in out
+    assert "evictions not verified (mincore cannot report on this file)" in out
+    assert "unconfirmed" not in out
+    assert mincore.call_count == 0

@@ -49,7 +49,7 @@ def small_spec(**kw) -> SweepSpec:
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown sweep variable 'piglet'"):
         small_spec(variable="piglet")
     with pytest.raises(ConfigError):
         small_spec(values=())
@@ -97,6 +97,8 @@ def test_apply_variable_rewrites_one_knob():
     assert apply_variable(cfg, "bit_rate", 1000).sync_period_ns == 1_000_000
     with pytest.raises(ConfigError):
         apply_variable(cfg, "bit_rate", 0)
+    with pytest.raises(ConfigError, match=r"'piglet', expected one of \('payload_bits', "):
+        apply_variable(cfg, "piglet", 1)
 
 
 def test_sweep_rows_cover_grid_in_order():
@@ -188,7 +190,6 @@ def test_live_sweep_refuses_without_capabilities(monkeypatch, tmp_path):
         shared_readonly_mapping=True,
         cache_advice_eviction=False,
         cpu_affinity=True,
-        switch_on_hard_fault=True,
         notes=("advice probe failed",),
     )
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: broken)
@@ -206,7 +207,7 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
 
     def probe(scratch_dir=None):
         scratch_dirs.append(scratch_dir)
-        return BackendCapabilities(False, False, True, True)
+        return BackendCapabilities(False, False, True)
 
     monkeypatch.setattr(pfchan.live, "probe_capabilities", probe)
     monkeypatch.chdir(tmp_path)
@@ -222,7 +223,6 @@ def test_live_sweep_requires_region_file(monkeypatch):
         shared_readonly_mapping=True,
         cache_advice_eviction=True,
         cpu_affinity=True,
-        switch_on_hard_fault=True,
     )
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
     with pytest.raises(ConfigError, match="region_file"):
@@ -243,7 +243,6 @@ READY = BackendCapabilities(
     shared_readonly_mapping=True,
     cache_advice_eviction=True,
     cpu_affinity=True,
-    switch_on_hard_fault=True,
 )
 TINY = ChannelConfig(
     region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
