@@ -63,6 +63,12 @@ class PagePair(NamedTuple):
         return (self.p1, self.p2)
 
 
+# NamedTuple generates a Python-level __new__; building through the C tuple
+# constructor gives the same PagePair (type, fields, repr, equality) without
+# that extra interpreter frame on every slot.
+_new_tuple = tuple.__new__
+
+
 def page_pair_for_slot(cfg: ChannelConfig, k: int) -> PagePair:
     """Pair for slot k: P1 is k page gaps from page 0, wrapping at the
     region end, and P2 sits half a gap after P1 (also wrapping).
@@ -75,7 +81,7 @@ def page_pair_for_slot(cfg: ChannelConfig, k: int) -> PagePair:
     pages = cfg.region_pages
     p1 = k * cfg.page_gap % pages
     p2 = (p1 + cfg.pair_offset_pages) % pages
-    return PagePair(p1, p2, k)
+    return _new_tuple(PagePair, (p1, p2, k))
 
 
 def encode_target(bit: int, pair: PagePair) -> int:

@@ -42,6 +42,12 @@ from .report import TransmissionReport
 
 SPY_PROCESS = "spy"
 SPY_THREADS = ("t1", "t2")
+_T1, _T2 = SPY_THREADS
+
+# The spy slot builds its AccessRecords through the C tuple constructor, as
+# protocol.page_pair_for_slot builds its PagePair, skipping the Python-level
+# __new__ that NamedTuple generates.
+_new_tuple = tuple.__new__
 
 # The slot path reads these members as module globals: before CPython 3.12
 # every FaultKind.HARD-style lookup goes through EnumType.__getattr__, which
@@ -84,6 +90,14 @@ class SimParams:
             raise ConfigError(f"switch_cost must be >= 0, got {self.switch_cost}")
         if self.tick_ns < 1:
             raise ConfigError(f"tick_ns must be at least 1, got {self.tick_ns}")
+        # run_channel_sim tests the member by identity, so anything else,
+        # even its value string, would silently run as FIRST_WRAP
+        if not isinstance(self.eviction_behavior, EvictionBehavior):
+            legal = ", ".join(repr(b.value) for b in EvictionBehavior)
+            raise ConfigError(
+                f"eviction_behavior must be an EvictionBehavior member "
+                f"({legal}), got {self.eviction_behavior!r}"
+            )
 
 
 class AccessRecord(NamedTuple):
@@ -206,7 +220,7 @@ class CacheSchedSim:
         """
         p = self.params
         cache, spy = self._cache, self._mapped[SPY_PROCESS]
-        p1, p2 = pair.p1, pair.p2
+        p1, p2, _ = pair
         pages = self.region_pages
         if not (0 <= p1 < pages and 0 <= p2 < pages):
             raise self._outside(p2 if 0 <= p1 < pages else p1)
@@ -234,13 +248,14 @@ class CacheSchedSim:
             due = t2_start + p.disk_latency
             core = (due if due > core else core) + p.mem_latency
         self.clock = core
-        cache.update((p1, p2))
-        spy.update((p1, p2))
+        cache.add(p1)
+        cache.add(p2)
+        spy.add(p1)
+        spy.add(p2)
 
-        t1, t2 = SPY_THREADS
         slot_trace = [
-            AccessRecord(start, t1, p1, fault1),
-            AccessRecord(t2_start, t2, p2, fault2),
+            _new_tuple(AccessRecord, (start, _T1, p1, fault1)),
+            _new_tuple(AccessRecord, (t2_start, _T2, p2, fault2)),
         ]
         if hard1 == hard2:
             return _AMBIGUOUS, slot_trace
@@ -287,11 +302,12 @@ def run_channel_sim(
     honored = len(payload) if always else cfg.slots_per_wrap  # slots with advice kept
     slot_tick = sender_free = 0
     decoded: list[int | None] = []
+    append = decoded.append
     records: list[AccessRecord] | None = None if trace_out is None else []
 
     for k, bit in enumerate(payload):
         pair = page_pair_for_slot(cfg, k)
-        p1, p2 = pair.p1, pair.p2
+        p1, p2, _ = pair
         target = p2 if bit else p1
         sender_start = slot_tick if slot_tick > sender_free else sender_free
         # The probe starts at the clock, which nothing else in a slot moves.
@@ -310,7 +326,7 @@ def run_channel_sim(
         land("trojan", target)
         if probe_tick >= sender_free:
             order, spy_trace = spy_slot(pair)
-        decoded.append(_BIT_OF_ORDER[order])
+        append(_BIT_OF_ORDER[order])
         if records is not None:
             sent = AccessRecord(sender_start, "trojan", target, fault)
             early = probe_tick < sender_start

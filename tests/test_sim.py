@@ -65,6 +65,11 @@ def test_params_validation():
         SimParams(switch_cost=-1)
     with pytest.raises(ConfigError):
         SimParams(tick_ns=0)
+    # run_channel_sim tests the member by identity: its value string, a typo
+    # or None would otherwise run silently as first-wrap
+    for behavior in ("always", "first-wrap", "alwyas", None):
+        with pytest.raises(ConfigError, match="'always', 'first-wrap'"):
+            SimParams(eviction_behavior=behavior)
 
 
 def test_classify_access_cases():
@@ -459,6 +464,45 @@ def test_slot_path_reads_no_enum_class_attribute():
     for function in (CacheSchedSim.run_spy_slot, CacheSchedSim.plan_access):
         names = function.__code__.co_names
         assert "FaultKind" not in names and "ObservedOrder" not in names, function
+
+
+def test_slot_path_builds_its_tuples_without_the_namedtuple_constructor(monkeypatch):
+    # NamedTuple's generated __new__ is a Python-level frame; the untraced
+    # slot path builds PagePair and AccessRecord through tuple.__new__, and
+    # the hooks must still see the named types, not plain tuples.
+    calls = {"PagePair": 0, "AccessRecord": 0}
+
+    def counted(name, new):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return new(*args, **kwargs)
+        return staticmethod(wrapper)
+
+    for cls in (PagePair, AccessRecord):
+        monkeypatch.setattr(cls, "__new__", counted(cls.__name__, cls.__new__))
+    seen = []
+    spy_slot = CacheSchedSim.run_spy_slot
+
+    def watched(self, pair):
+        order, slot_trace = spy_slot(self, pair)
+        seen.append((pair, slot_trace))
+        return order, slot_trace
+
+    monkeypatch.setattr(CacheSchedSim, "run_spy_slot", watched)
+    cfg = ChannelConfig(region_size=MIB, page_gap=16, sync_period_ns=10_000_000)
+    run_channel_sim(cfg, ideal_params(), random_payload(13, 100))
+    assert calls == {"PagePair": 0, "AccessRecord": 0}
+    assert len(seen) == 100
+    for k, (pair, slot_trace) in enumerate(seen):
+        assert type(pair) is PagePair
+        assert (pair.p1, pair.p2, pair.slot) == page_pair_for_slot(cfg, k)
+        assert pair.pages == (pair.p1, pair.p2)
+        assert [type(rec) for rec in slot_trace] == [AccessRecord, AccessRecord]
+        assert [(rec.thread, rec.page) for rec in slot_trace] == [
+            ("t1", pair.p1), ("t2", pair.p2)
+        ]
+        assert all(isinstance(rec.fault, FaultKind) for rec in slot_trace)
+        assert slot_trace[0].tick <= slot_trace[1].tick
 
 
 def test_observed_order_survives_pickling_as_the_same_member():
