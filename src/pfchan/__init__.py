@@ -19,11 +19,7 @@ from .protocol import (
     page_pair_for_slot,
     slot_deadline,
 )
-from .report import (
-    TransmissionReport,
-    compute_metrics,
-    random_payload,
-)
+from .report import TransmissionReport, random_payload
 from .sim import (
     AccessRecord,
     CacheSchedSim,
@@ -54,7 +50,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "TransmissionReport",
-    "compute_metrics",
     "decode_from_order",
     "encode_target",
     "page_pair_for_slot",

@@ -105,7 +105,8 @@ def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
 def _parse_epoch(text: str) -> int:
     """Absolute unix nanoseconds, or '+SECONDS' relative to now, read from
     the same clock the live endpoints keep their deadlines by. A negative
-    offset puts slot 0 in the past, so every slot would overrun."""
+    offset or a past absolute epoch puts slot 0 in the past, so every slot
+    would overrun and the run would still report a BER."""
     from . import live
 
     try:
@@ -115,11 +116,14 @@ def _parse_epoch(text: str) -> int:
                 raise ConfigError(f"epoch offset must be >= 0 seconds, got {text!r}")
             # nan and inf pass float() and fail int()
             return live._now_ns() + int(offset * 1e9)
-        return int(text)
+        epoch = int(text)
     except (ValueError, OverflowError):
         raise ConfigError(
             f"epoch must be integer nanoseconds or +SECONDS, got {text!r}"
         ) from None
+    if epoch < live._now_ns():
+        raise ConfigError(f"epoch {text!r} has already passed")
+    return epoch
 
 
 def _parse_values(text: str) -> tuple[int, ...]:

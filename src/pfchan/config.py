@@ -51,6 +51,11 @@ class ChannelConfig:
                 f"sync_period_ns must be positive, got {self.sync_period_ns}"
             )
         guard = self.guard_ns
+        if self.guard_offset_ns is None and guard == 0:
+            raise ConfigError(
+                f"sync_period_ns ({self.sync_period_ns}) is too short for the "
+                f"default half-period guard: it needs at least 2 ns"
+            )
         if not (0 < guard < self.sync_period_ns):
             raise ConfigError(
                 f"guard_offset_ns must lie strictly between 0 and the sync "

@@ -116,6 +116,8 @@ class SharedRegion:
         self.length = length
         self.page_size = page_size
         self._fd = os.open(path, os.O_RDONLY)
+        # a failure past this point releases whatever was set up, since
+        # probe_capabilities catches set-up errors and keeps running
         try:
             # the kernel's rule for when mincore reports page-cache state
             self._mincore_reports = os.fstat(self._fd).st_uid == os.geteuid() or (
@@ -127,20 +129,20 @@ class SharedRegion:
             self._mm = _mmap(
                 self._fd, length, flags=MAP_PRIVATE, prot=PROT_READ | PROT_WRITE
             )
-        except (OSError, ValueError):
-            os.close(self._fd)
+            self._view = (ctypes.c_char * length).from_buffer(self._mm)
+            self._addr = ctypes.addressof(self._view)
+            # readahead off on both access paths, or touching one page of a
+            # pair would pull its partner into the cache
+            os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_RANDOM)
+            self._mm.madvise(MADV_RANDOM)
+            # flush whatever bulk writes or copies left behind: kernels cache
+            # large writes as multi-page folios, and page-sized eviction
+            # advice cannot split one. After this flush, pages re-enter one
+            # at a time through the channel's own reads.
+            os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
+        except BaseException:
+            self.close()
             raise
-        self._view = (ctypes.c_char * length).from_buffer(self._mm)
-        self._addr = ctypes.addressof(self._view)
-        # readahead off on both access paths, or touching one page of a
-        # pair would pull its partner into the cache
-        os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_RANDOM)
-        self._mm.madvise(MADV_RANDOM)
-        # flush whatever bulk writes or copies left behind: kernels cache
-        # large writes as multi-page folios, and page-sized eviction advice
-        # cannot split one. After this flush, pages re-enter one at a time
-        # through the channel's own reads.
-        os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_DONTNEED)
 
     @property
     def page_count(self) -> int:

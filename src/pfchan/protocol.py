@@ -58,10 +58,6 @@ class PagePair(NamedTuple):
     p2: int
     slot: int
 
-    @property
-    def pages(self) -> tuple[int, int]:
-        return (self.p1, self.p2)
-
 
 # NamedTuple generates a Python-level __new__; building through the C tuple
 # constructor gives the same PagePair (type, fields, repr, equality) without

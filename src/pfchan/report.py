@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
+from operator import ne
 
 from .errors import ConfigError
 
@@ -43,28 +44,6 @@ def bits_from_hex(text: str) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
 
 
-def compute_metrics(
-    sent: list[int], received: list[int], elapsed_ns: int
-) -> tuple[float, float]:
-    """Bit error rate and bits per second for one transmission.
-
-    BER is the fraction of positions where the two vectors differ. Bandwidth
-    divides the payload size by the elapsed time, scaled to seconds.
-    """
-    if len(sent) != len(received):
-        raise ConfigError(
-            f"sent and received lengths differ: {len(sent)} vs {len(received)}"
-        )
-    if not sent:
-        raise ConfigError("cannot compute metrics for an empty payload")
-    if elapsed_ns <= 0:
-        raise ConfigError(f"elapsed_ns must be positive, got {elapsed_ns}")
-    differing = sum(1 for a, b in zip(sent, received) if a != b)
-    ber = differing / len(sent)
-    bandwidth_bps = len(sent) * 1_000_000_000 / elapsed_ns
-    return ber, bandwidth_bps
-
-
 @dataclass(frozen=True)
 class TransmissionReport:
     """What one transmission observed.
@@ -83,7 +62,13 @@ class TransmissionReport:
 
     @property
     def received(self) -> list[int]:
-        return _received(self.sent, self.decoded)
+        """One bit per slot. An ambiguous slot reads as the complement of the
+        sent bit, or as 0 when the payload is unknown."""
+        if self.sent is None:
+            return [0 if bit is None else bit for bit in self.decoded]
+        return [
+            1 - s if bit is None else bit for s, bit in zip(self.sent, self.decoded)
+        ]
 
     @property
     def payload_bits(self) -> int:
@@ -97,29 +82,26 @@ class TransmissionReport:
     def build(
         cls, sent: list[int] | None, decoded: list[int | None], elapsed_ns: int
     ) -> "TransmissionReport":
-        """Report on a transmission; indeterminate slots count as errors.
-        With sent=None, for a receiver without ground truth, ber is None."""
-        if sent is not None and len(sent) != len(decoded):
+        """Report on a transmission; the one place a BER is computed.
+
+        A slot is wrong when its decoded entry differs from the sent bit, so
+        an indeterminate slot (None) is always an error. With sent=None, for
+        a receiver without ground truth, ber is None. Bandwidth divides the
+        slot count by the elapsed time, scaled to seconds.
+        """
+        n = len(decoded)
+        if sent is not None and len(sent) != n:
             raise ConfigError(
-                f"payload has {len(sent)} bits but {len(decoded)} slots were observed"
+                f"payload has {len(sent)} bits but {n} slots were observed"
             )
-        received = _received(sent, decoded)
-        ber, bandwidth = compute_metrics(
-            received if sent is None else sent, received, elapsed_ns
-        )
+        if not n:
+            raise ConfigError("cannot compute metrics for an empty payload")
+        if elapsed_ns <= 0:
+            raise ConfigError(f"elapsed_ns must be positive, got {elapsed_ns}")
         return cls(
             sent=None if sent is None else list(sent),
             decoded=list(decoded),
             elapsed_ns=elapsed_ns,
-            ber=None if sent is None else ber,
-            bandwidth_bps=bandwidth,
+            ber=None if sent is None else sum(map(ne, sent, decoded)) / n,
+            bandwidth_bps=n * 1_000_000_000 / elapsed_ns,
         )
-
-
-def _received(sent: list[int] | None, decoded: list[int | None]) -> list[int]:
-    """One bit per slot. An ambiguous slot reads as the complement of the sent
-    bit, so plain Hamming distance charges it as an error, or as 0 when the
-    payload is unknown."""
-    if sent is None:
-        return [0 if bit is None else bit for bit in decoded]
-    return [1 - s if bit is None else bit for s, bit in zip(sent, decoded)]

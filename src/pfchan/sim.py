@@ -137,18 +137,6 @@ class CacheSchedSim:
     def _outside(self, page: int) -> ConfigError:
         return ConfigError(f"page {page} outside region of {self.region_pages} pages")
 
-    def is_mapped(self, process: str, page: int) -> bool:
-        return page in self._mapped.get(process, ())
-
-    def classify_access(self, page: int, mapped: bool) -> FaultKind:
-        """Fault taken by an access given current residency and the caller's
-        mapping state. Pages outside the region are a usage error."""
-        if not 0 <= page < self.region_pages:
-            raise self._outside(page)
-        if page not in self._cache:
-            return _HARD
-        return _NONE if mapped else _SOFT
-
     def evict(self, pages) -> None:
         """Drop pages from the cache and invalidate every mapping of them.
 
@@ -162,15 +150,6 @@ class CacheSchedSim:
                 for table in self._mapped.values():
                     table.discard(page)
 
-    def mark_resident(self, pages, process: str | None = None) -> None:
-        """Test and setup hook: force pages into the cache, optionally with a
-        mapping, without consuming modeled time."""
-        for page in pages:
-            if process is None:
-                self._cache.add(page)
-            else:
-                self.land_access(process, page)
-
     # -- the sender's single access ----------------------------------------
 
     def plan_access(
@@ -178,10 +157,11 @@ class CacheSchedSim:
     ) -> tuple[FaultKind, int]:
         """Classify process's access starting at start_tick.
 
-        Returns (fault, completion_tick) and leaves the cache untouched until
+        An uncached page takes a HARD fault; a cached page is a plain hit
+        (NONE) when process maps it and a SOFT fault otherwise. Returns
+        (fault, completion_tick) and leaves the cache untouched until
         land_access applies the access, so a probe that runs before the
-        completion tick still sees the pre-access state. The fault follows
-        classify_access's rule, written out inline for the slot path.
+        completion tick still sees the pre-access state.
         """
         if not 0 <= page < self.region_pages:
             raise self._outside(page)

@@ -107,9 +107,6 @@ class CellResult:
         )
 
 
-CSV_HEADER = ",".join(f.name for f in fields(CellResult))
-
-
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec

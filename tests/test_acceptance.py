@@ -15,7 +15,7 @@ import pytest
 
 from pfchan.config import ChannelConfig
 from pfchan.protocol import ObservedOrder, PagePair, page_pair_for_slot
-from pfchan.report import compute_metrics, random_payload
+from pfchan.report import TransmissionReport, random_payload
 from pfchan.sim import CacheSchedSim, EvictionBehavior, SimParams, run_channel_sim
 from pfchan.sweep import CellResult, SweepSpec, render_csv, run_sweep, write_csv
 
@@ -71,9 +71,9 @@ def test_completion_order_tracks_the_evicted_page():
                     1024,
                 )
                 if not e1:
-                    sim.mark_resident([10], process="spy")
+                    sim.land_access("spy", 10)
                 if not e2:
-                    sim.mark_resident([20], process="spy")
+                    sim.land_access("spy", 20)
                 order, _ = sim.run_spy_slot(PagePair(p1=10, p2=20, slot=0))
                 if e1 and not e2:
                     expected = ObservedOrder.T1_LAST
@@ -166,25 +166,46 @@ def test_error_rate_rises_with_bit_rate():
 
 
 def test_metrics_match_brute_force():
-    # 100000 random vector pairs: the reported error rate and bandwidth
-    # equal an index-by-index recount, exactly.
+    # 100000 random (sent, decoded, elapsed_ns) triples, with undecodable
+    # slots (None): the reported error rate and bandwidth equal an
+    # index-by-index recount, exactly, and a blind report of the same slots
+    # claims no error rate but the same bandwidth and received bits.
     rng = random.Random(424242)
     for _ in range(100_000):
         n = rng.randint(1, 24)
         sent = [rng.randint(0, 1) for _ in range(n)]
-        received = [rng.randint(0, 1) for _ in range(n)]
+        decoded = [rng.choice((0, 1, None)) for _ in range(n)]
         elapsed = rng.randint(1, 10**12)
-        ber, bw = compute_metrics(sent, received, elapsed)
+        report = TransmissionReport.build(sent, decoded, elapsed)
+        blind = TransmissionReport.build(None, decoded, elapsed)
         wrong = 0
+        received = []
         for i in range(n):
-            if sent[i] != received[i]:
+            if decoded[i] is None:
                 wrong += 1
-        if ber != wrong / n or bw != n * 1e9 / elapsed:
+                received.append(1 - sent[i])
+            else:
+                if decoded[i] != sent[i]:
+                    wrong += 1
+                received.append(decoded[i])
+        bw = n * 1e9 / elapsed
+        blind_received = [0 if bit is None else bit for bit in decoded]
+        if (
+            report.ber != wrong / n
+            or report.bandwidth_bps != bw
+            or report.received != received
+            or blind.ber is not None
+            or blind.bandwidth_bps != bw
+            or blind.received != blind_received
+        ):
             _verdict(
                 "metrics brute force", False,
-                f"n={n} elapsed={elapsed}: ({ber},{bw}) != recount",
+                f"n={n} elapsed={elapsed}: {report} != recount",
             )
-    _verdict("metrics brute force", True, "100000 random vector pairs, exact match")
+    _verdict(
+        "metrics brute force", True,
+        "100000 random (sent, decoded, elapsed) triples, exact match",
+    )
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path):

@@ -16,9 +16,13 @@ from pfchan.errors import ConfigError
 from pfchan.live import BackendCapabilities, SenderSlotLog
 from pfchan.report import TransmissionReport
 from pfchan.sim import SimParams
-from pfchan.sweep import CSV_HEADER
 
 MIB = 1024 * 1024
+# the CSV's columns, in order: CellResult's fields
+CSV_HEADER = (
+    "variable,value,repetition,seed,payload_bits,page_gap,region_bytes,"
+    "sync_period_ns,ber,bandwidth_bps,indeterminate_slots"
+)
 
 SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
 
@@ -400,9 +404,25 @@ def test_epoch_offsets_count_from_the_live_endpoints_clock(monkeypatch):
     monkeypatch.setattr(pfchan.live, "_now_ns", lambda: 5)
     assert pfchan.cli._parse_epoch("+2") == 2_000_000_005
     assert pfchan.cli._parse_epoch("17") == 17
-    # an offset into the past would make every slot overrun and still report
+    assert pfchan.cli._parse_epoch("5") == 5
+    # an epoch in the past would make every slot overrun and still report
     with pytest.raises(ConfigError, match="epoch offset must be >= 0"):
         pfchan.cli._parse_epoch("+-5")
+    with pytest.raises(ConfigError, match="epoch '4' has already passed"):
+        pfchan.cli._parse_epoch("4")
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_an_absolute_epoch_that_has_passed_exits_1(monkeypatch, capsys, command):
+    # a receive against a stale epoch once printed a BER and exited 0
+    endpoint = "trojan_send" if command == "send" else "spy_receive"
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: pytest.fail("opened"))
+    monkeypatch.setattr(pfchan.live, endpoint, lambda *a, **kw: pytest.fail("ran"))
+    code = run_cli(
+        command, "--region-file", "unused", "--epoch", "1", "--bits", "0110"
+    )
+    assert code == 1
+    assert "epoch '1' has already passed" in capsys.readouterr().err
 
 
 def _sim_flag(f) -> list[str]:
@@ -452,7 +472,7 @@ def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch
     )
     assert run_cli(
         "send", "--config", str(cfg_file), "--region-file", "unused",
-        "--epoch", "0", "--bits", "01",
+        "--epoch", "+0", "--bits", "01",
     ) == 0
     assert [cfg.page_gap for cfg in configs] == [32]
 
@@ -475,7 +495,7 @@ def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
     monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
     out_csv = tmp_path / "sender.csv"
     code = run_cli(
-        "send", "--region-file", "unused", "--epoch", "0", "--bits", "01",
+        "send", "--region-file", "unused", "--epoch", "+0", "--bits", "01",
         "--out", str(out_csv),
     )
     assert code == 0
@@ -503,7 +523,7 @@ def test_send_counts_unconfirmed_evictions_only_where_mincore_reports(
     ]
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
     monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
-    assert run_cli("send", "--region-file", "unused", "--epoch", "0", "--bits", "011") == 0
+    assert run_cli("send", "--region-file", "unused", "--epoch", "+0", "--bits", "011") == 0
     assert capsys.readouterr().out == f"sent 3 bits: 1 deadline overruns, {evictions}\n"
 
 
@@ -513,9 +533,9 @@ def test_send_cpu_flag_pins_the_sender(monkeypatch):
     monkeypatch.setattr(
         pfchan.live, "trojan_send", lambda *a, **kw: calls.append(kw) or []
     )
-    assert run_cli("send", "--region-file", "unused", "--epoch", "0", "--bits", "01") == 0
+    assert run_cli("send", "--region-file", "unused", "--epoch", "+0", "--bits", "01") == 0
     assert run_cli(
-        "send", "--region-file", "unused", "--epoch", "0", "--bits", "01", "--cpu", "1"
+        "send", "--region-file", "unused", "--epoch", "+0", "--bits", "01", "--cpu", "1"
     ) == 0
     assert [kw["cpu"] for kw in calls] == [None, 1]
 
@@ -525,7 +545,7 @@ def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:
     monkeypatch.setattr(pfchan.live, "spy_receive", lambda *a, **kw: report)
     out_csv = tmp_path / "receiver.csv"
     code = run_cli(
-        "receive", "--region-file", "unused", "--epoch", "0", *argv,
+        "receive", "--region-file", "unused", "--epoch", "+0", *argv,
         "--out", str(out_csv),
     )
     assert code == 0

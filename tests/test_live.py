@@ -120,6 +120,21 @@ def test_region_close_is_reentrant(region_file):
     region.close()
 
 
+def test_region_set_up_failure_releases_the_fd_and_mapping(region_file, monkeypatch):
+    # probe_capabilities catches set-up errors and keeps running, so a
+    # failure after the mapping exists must not leak it
+    def refuse(*args):
+        raise OSError(22, "advice refused")
+
+    monkeypatch.setattr(os, "posix_fadvise", refuse)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="advice refused"):
+        open_region(region_file, small_cfg())
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with open("/proc/self/maps") as maps:
+        assert region_file not in maps.read()
+
+
 def test_evict_pair_shape(region_file):
     with open_region(region_file, small_cfg()) as region:
         region.read_byte(3)
@@ -283,6 +298,28 @@ def test_sender_pins_only_when_asked(region_file):
             with pytest.raises(SetupError, match="cannot pin sender"):
                 trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=cpu)
     assert os.sched_getaffinity(0) == before
+
+
+def test_receiver_pins_to_the_given_core(region_file, monkeypatch):
+    before = os.sched_getaffinity(0)
+    cpu = min(before)
+    seen = []
+
+    def probe(region, pair):
+        seen.append(os.sched_getaffinity(0))
+        return ObservedOrder.T1_LAST
+
+    monkeypatch.setattr(live, "_probe_pair", probe)
+    cfg = small_cfg(payload_bits=2)
+    with open_region(region_file, cfg) as region:
+        spy_receive(region, cfg, live._now_ns(), cpu=cpu, capabilities=READY)
+        assert seen == [{cpu}, {cpu}]
+        assert os.sched_getaffinity(0) == before
+        for bad in (4095, -1):
+            with pytest.raises(SetupError, match="cannot pin receiver"):
+                spy_receive(region, cfg, live._now_ns(), cpu=bad, capabilities=READY)
+            assert os.sched_getaffinity(0) == before
+    assert len(seen) == 2  # a core that cannot be pinned probes no slot
 
 
 def test_sender_empty_payload(region_file):

@@ -62,3 +62,17 @@ def test_readme_names_only_flags_the_cli_accepts():
         for option in action.option_strings
     }
     assert named and named - accepted == set()
+
+
+def test_model_surface_is_only_what_the_slot_path_uses():
+    # the fault rule and residency helpers live in the tests, not in src
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    callables = {
+        name for name in public(pfchan.CacheSchedSim)
+        if callable(getattr(pfchan.CacheSchedSim, name))
+    }
+    assert callables == {"evict", "plan_access", "land_access", "run_spy_slot"}
+    assert public(pfchan.PagePair) == {"p1", "p2", "slot", "count", "index"}
+    assert not hasattr(pfchan, "compute_metrics")

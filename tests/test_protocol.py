@@ -80,7 +80,7 @@ def test_page_pair_is_an_immutable_tuple():
     pair = page_pair_for_slot(make_cfg(), 2)
     with pytest.raises(AttributeError):
         pair.p1 = 0
-    assert pair.pages == (256, 320)
+    assert (pair.p1, pair.p2) == (256, 320)
     assert pair == (256, 320, 2)
     assert repr(PagePair(p1=2, p2=3, slot=0)) == "PagePair(p1=2, p2=3, slot=0)"
 
@@ -157,6 +157,12 @@ def test_config_rejects_bad_guard():
         ChannelConfig(sync_period_ns=1_000_000, guard_offset_ns=1_000_000)
     with pytest.raises(ConfigError):
         ChannelConfig(sync_period_ns=0)
+    # the half-period guard of a 1 ns period is 0; the message must not blame
+    # a guard_offset_ns the caller never set
+    with pytest.raises(ConfigError, match=r"sync_period_ns \(1\) is too short") as err:
+        ChannelConfig(sync_period_ns=1)
+    assert "guard_offset_ns" not in str(err.value)
+    assert ChannelConfig(sync_period_ns=2).guard_ns == 1
 
 
 # --- quantified schedule properties --------------------------------------

@@ -13,41 +13,48 @@ from pfchan.report import (
     TransmissionReport,
     bits_from_hex,
     bits_from_string,
-    compute_metrics,
     random_payload,
 )
 
 
-def brute_force_metrics(sent, received, elapsed_ns):
+def brute_force_metrics(sent, decoded, elapsed_ns):
     differing = 0
     for i in range(len(sent)):
-        if sent[i] != received[i]:
+        if decoded[i] is None or sent[i] != decoded[i]:
             differing += 1
     return differing / len(sent), len(sent) * 1_000_000_000 / elapsed_ns
 
 
+def metrics(sent, decoded, elapsed_ns):
+    report = TransmissionReport.build(sent, decoded, elapsed_ns)
+    return report.ber, report.bandwidth_bps
+
+
 def test_metrics_worked_example():
-    ber, bw = compute_metrics([1, 0, 1, 0], [1, 0, 0, 0], 1_000_000_000)
-    assert ber == 0.25
-    assert bw == 4.0
+    assert metrics([1, 0, 1, 0], [1, 0, 0, 0], 1_000_000_000) == (0.25, 4.0)
+    assert metrics([1, 0, 1, 0], [1, None, 1, 0], 1_000_000_000) == (0.25, 4.0)
 
 
 def test_metrics_identity_and_complement():
     sent = [1, 0, 1, 1, 0]
-    ber, _ = compute_metrics(sent, list(sent), 5)
+    ber, _ = metrics(sent, list(sent), 5)
     assert ber == 0.0
     flipped = [1 - b for b in sent]
-    ber, _ = compute_metrics(sent, flipped, 5)
+    ber, _ = metrics(sent, flipped, 5)
+    assert ber == 1.0
+    # None differs from both bits
+    ber, _ = metrics(sent, [None] * len(sent), 5)
     assert ber == 1.0
 
 
 def test_metrics_rejects_length_mismatch():
-    with pytest.raises(ConfigError):
-        compute_metrics([1, 0], [1], 10)
-    with pytest.raises(ConfigError):
-        compute_metrics([], [], 10)
-    with pytest.raises(ConfigError):
-        compute_metrics([1], [1], 0)
+    with pytest.raises(ConfigError, match="payload has 2 bits but 1 slots"):
+        metrics([1, 0], [1], 10)
+    for sent in ([], None):
+        with pytest.raises(ConfigError, match="empty payload"):
+            metrics(sent, [], 10)
+        with pytest.raises(ConfigError, match="elapsed_ns must be positive, got 0"):
+            metrics(None if sent is None else [1], [1], 0)
 
 
 @given(
@@ -57,13 +64,15 @@ def test_metrics_rejects_length_mismatch():
 )
 @settings(max_examples=200)
 def test_metrics_bounds_and_symmetry(sent, rng, elapsed):
-    received = [rng.randint(0, 1) for _ in sent]
-    ber, bw = compute_metrics(sent, received, elapsed)
+    decoded = [rng.choice((0, 1, None)) for _ in sent]
+    report = TransmissionReport.build(sent, decoded, elapsed)
+    ber, bw = report.ber, report.bandwidth_bps
     assert 0.0 <= ber <= 1.0
     assert bw > 0
-    ber_swapped, _ = compute_metrics(received, sent, elapsed)
-    assert ber == ber_swapped
-    assert (ber, bw) == brute_force_metrics(sent, received, elapsed)
+    # received differs from sent exactly at the wrong slots, either way round
+    assert metrics(sent, report.received, elapsed) == (ber, bw)
+    assert metrics(report.received, sent, elapsed) == (ber, bw)
+    assert (ber, bw) == brute_force_metrics(sent, decoded, elapsed)
 
 
 def test_random_payload_deterministic():
@@ -153,8 +162,8 @@ def test_metrics_against_bruteforce_many_random_pairs():
     for _ in range(2000):
         n = rng.randint(1, 48)
         sent = [rng.randint(0, 1) for _ in range(n)]
-        received = [rng.randint(0, 1) for _ in range(n)]
+        decoded = [rng.choice((0, 1, None)) for _ in range(n)]
         elapsed = rng.randint(1, 10**12)
-        assert compute_metrics(sent, received, elapsed) == brute_force_metrics(
-            sent, received, elapsed
+        assert metrics(sent, decoded, elapsed) == brute_force_metrics(
+            sent, decoded, elapsed
         )

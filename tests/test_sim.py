@@ -73,24 +73,30 @@ def test_params_validation():
 
 
 def test_classify_access_cases():
+    # plan_access and the tests' own fault rule agree on every case
     sim = make_sim()
-    assert sim.classify_access(5, mapped=False) is FaultKind.HARD
-    sim.mark_resident([5])
-    assert sim.classify_access(5, mapped=False) is FaultKind.SOFT
-    assert sim.classify_access(5, mapped=True) is FaultKind.NONE
+    assert sim.plan_access("spy", 5, 0)[0] is FaultKind.HARD
+    assert reference_fault(sim, "spy", 5) is FaultKind.HARD
+    sim._cache.add(5)
+    assert sim.plan_access("spy", 5, 0)[0] is FaultKind.SOFT
+    assert reference_fault(sim, "spy", 5) is FaultKind.SOFT
+    sim.land_access("spy", 5)
+    assert sim.plan_access("spy", 5, 0)[0] is FaultKind.NONE
+    assert reference_fault(sim, "spy", 5) is FaultKind.NONE
     with pytest.raises(ConfigError):
-        sim.classify_access(4096, mapped=False)
+        sim.plan_access("spy", 4096, 0)
 
 
 def test_evict_is_advisory_and_invalidates_mappings():
     sim = make_sim()
-    sim.mark_resident([1, 2], process="spy")
-    assert sim.is_mapped("spy", 1)
+    sim.land_access("spy", 1)
+    sim.land_access("spy", 2)
+    assert 1 in sim._mapped["spy"]
     sim.evict([1, 7])  # 7 absent: ignored
     assert 1 not in sim._cache
     assert 2 in sim._cache
-    assert not sim.is_mapped("spy", 1)
-    assert sim.is_mapped("spy", 2)
+    assert 1 not in sim._mapped["spy"]
+    assert 2 in sim._mapped["spy"]
 
 
 def test_plan_access_rejects_a_page_outside_the_region():
@@ -103,7 +109,7 @@ def test_plan_access_rejects_a_page_outside_the_region():
 
 def test_touch_resident_keeps_core_and_costs_mem_latency():
     sim = make_sim()
-    sim.mark_resident([3], process="trojan")
+    sim.land_access("trojan", 3)
     fault, completion = touch(sim, "trojan", 3)
     assert fault is FaultKind.NONE
     assert completion == 1  # mem_latency from tick 0
@@ -140,7 +146,7 @@ def test_spy_slot_rejects_a_pair_of_one_page():
 
 def test_spy_slot_p1_evicted_means_t1_last():
     sim = make_sim()
-    sim.mark_resident([20], process="spy")
+    sim.land_access("spy", 20)
     order, trace = spy_slot(sim)
     assert order is ObservedOrder.T1_LAST
     assert [rec.fault for rec in trace] == [FaultKind.HARD, FaultKind.NONE]
@@ -152,7 +158,7 @@ def test_spy_slot_p1_evicted_means_t1_last():
 
 def test_spy_slot_p2_evicted_means_t2_last():
     sim = make_sim()
-    sim.mark_resident([10], process="spy")
+    sim.land_access("spy", 10)
     order, trace = spy_slot(sim)
     assert order is ObservedOrder.T2_LAST
     assert [rec.fault for rec in trace] == [FaultKind.NONE, FaultKind.HARD]
@@ -163,7 +169,7 @@ def test_spy_slot_p2_evicted_means_t2_last():
 
 def test_spy_slot_soft_fault_never_yields():
     sim = make_sim()
-    sim.mark_resident([10, 20])  # resident but unmapped for the spy
+    sim._cache.update((10, 20))  # resident but unmapped for the spy
     order, trace = spy_slot(sim)
     assert order is ObservedOrder.AMBIGUOUS
     assert [rec.fault for rec in trace] == [FaultKind.SOFT, FaultKind.SOFT]
@@ -181,7 +187,7 @@ def test_spy_slot_both_evicted_ambiguous():
     # after the slot both pages are cached and mapped by the spy
     assert 10 in sim._cache
     assert 20 in sim._cache
-    assert sim.is_mapped("spy", 10) and sim.is_mapped("spy", 20)
+    assert {10, 20} <= sim._mapped["spy"]
 
 
 residency_state = st.sampled_from(["evicted", "cached", "mapped"])
@@ -203,9 +209,9 @@ def test_hard_faults_yield_and_soft_faults_do_not(s1, s2, disk, mem, switch):
     )
     for state, page in ((s1, 10), (s2, 20)):
         if state == "cached":
-            sim.mark_resident([page])
+            sim._cache.add(page)
         elif state == "mapped":
-            sim.mark_resident([page], process="spy")
+            sim.land_access("spy", page)
     order, trace = spy_slot(sim)
     assert len(trace) == 2
     first, second = trace
@@ -228,6 +234,15 @@ def test_hard_faults_yield_and_soft_faults_do_not(s1, s2, disk, mem, switch):
 
 # -- reference scheduler ----------------------------------------------------
 
+def reference_fault(sim, process, page):
+    """The fault rule, written apart from the slot path: an uncached page
+    takes a hard fault; a cached one is a plain hit when process maps it and
+    a soft fault otherwise."""
+    if page not in sim._cache:
+        return FaultKind.HARD
+    return FaultKind.NONE if page in sim._mapped.get(process, ()) else FaultKind.SOFT
+
+
 def reference_spy_slot(sim, pair):
     """A general event-loop scheduler for the spy slot, kept as the oracle
     for CacheSchedSim.run_spy_slot.
@@ -242,7 +257,7 @@ def reference_spy_slot(sim, pair):
     start = sim.clock
     arrivals = []  # (available_tick, arrival_seq, thread, page, is_retry)
     seq = 0
-    for thread, page in zip(SPY_THREADS, pair.pages):
+    for thread, page in zip(SPY_THREADS, (pair.p1, pair.p2)):
         heapq.heappush(arrivals, (start, seq, thread, page, False))
         seq += 1
     runq = deque()
@@ -275,7 +290,7 @@ def reference_spy_slot(sim, pair):
             completions[thread] = core_free + p.mem_latency
             core_free = completions[thread]
             continue
-        fault = sim.classify_access(page, sim.is_mapped(SPY_PROCESS, page))
+        fault = reference_fault(sim, SPY_PROCESS, page)
         slot_trace.append(AccessRecord(core_free, thread, page, fault))
         if fault is FaultKind.HARD:
             hard_faulted[thread] = True
@@ -331,11 +346,11 @@ def reference_channel_sim(cfg, params, payload):
         if probe_tick < sender_start:
             order = probe_at(probe_tick, pair)
         if always_honor or k < cfg.slots_per_wrap:
-            for page in pair.pages:
+            for page in (pair.p1, pair.p2):
                 sim._cache.discard(page)
                 for table in sim._mapped.values():
                     table.discard(page)
-        fault = sim.classify_access(target, sim.is_mapped("trojan", target))
+        fault = reference_fault(sim, "trojan", target)
         encode_done = sender_start + p.mem_latency
         if fault is FaultKind.HARD:
             encode_done += max(p.disk_latency, p.switch_cost)
@@ -372,9 +387,9 @@ def sim_from_ops(params, ops):
     sim = CacheSchedSim(params, ORACLE_PAGES)
     for op, page in ops:
         if op == "mark":
-            sim.mark_resident([page])
+            sim._cache.add(page)
         elif op == "mark-mapped":
-            sim.mark_resident([page], process=SPY_PROCESS)
+            sim.land_access(SPY_PROCESS, page)
         elif op == "evict":
             sim.evict([page])
         else:
@@ -496,7 +511,6 @@ def test_slot_path_builds_its_tuples_without_the_namedtuple_constructor(monkeypa
     for k, (pair, slot_trace) in enumerate(seen):
         assert type(pair) is PagePair
         assert (pair.p1, pair.p2, pair.slot) == page_pair_for_slot(cfg, k)
-        assert pair.pages == (pair.p1, pair.p2)
         assert [type(rec) for rec in slot_trace] == [AccessRecord, AccessRecord]
         assert [(rec.thread, rec.page) for rec in slot_trace] == [
             ("t1", pair.p1), ("t2", pair.p2)

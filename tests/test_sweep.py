@@ -16,7 +16,6 @@ from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
 from pfchan.sim import EvictionBehavior, SimParams, run_channel_sim
 from pfchan.sweep import (
-    CSV_HEADER,
     SweepSpec,
     apply_variable,
     cell_seed,
@@ -26,6 +25,11 @@ from pfchan.sweep import (
 )
 
 MIB = 1024 * 1024
+# the CSV's columns, in order: CellResult's fields
+CSV_HEADER = (
+    "variable,value,repetition,seed,payload_bits,page_gap,region_bytes,"
+    "sync_period_ns,ber,bandwidth_bps,indeterminate_slots"
+)
 
 
 def sim_params(**kw) -> SimParams:
