@@ -6,7 +6,7 @@ defaults. Each subcommand has override flags only for the settings it
 reads (send and receive: the channel's; a sweep given a region file
 refuses the simulator's), while one config file may hold every key. Exit
 codes: 0 success, 1 usage or config error, 2 missing capability or setup
-failure, 3 runtime abort.
+failure, 3 runtime abort, including a system call that fails during a run.
 """
 from __future__ import annotations
 
@@ -134,12 +134,15 @@ def _parse_values(text: str) -> tuple[int, ...]:
 
 
 def _payload_from_args(args, cfg: ChannelConfig) -> list[int]:
+    if args.payload_hex is None and args.bits is None:
+        return random_payload(args.seed, cfg.payload_bits)
+    if args.payload_bits is not None:  # the payload already fixes the length
+        flag = "--bits" if args.payload_hex is None else "--payload-hex"
+        raise ConfigError(f"argument --payload-bits: not allowed with argument {flag}")
     # an empty flag is an empty payload, which the parsers refuse
-    if getattr(args, "payload_hex", None) is not None:
+    if args.payload_hex is not None:
         return bits_from_hex(args.payload_hex)
-    if getattr(args, "bits", None) is not None:
-        return bits_from_string(args.bits)
-    return random_payload(args.seed, cfg.payload_bits)
+    return bits_from_string(args.bits)
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -408,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except SetupError as exc:
         print(f"setup error: {exc}", file=sys.stderr)
         return 2
-    except RunAbort as exc:
+    except (RunAbort, OSError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
 

@@ -19,18 +19,14 @@ class ChannelConfig:
     """Parameters of one covert-channel deployment.
 
     Slot k probes pages k * page_gap and half a gap after it, so page_gap
-    must leave P2 room: at least 2. guard_offset_ns may be left as None, in
-    which case it resolves to half the sync period. The raw field keeps the
-    None so that derived copies (for example a sweep that rewrites the bit
-    rate) re-derive the guard instead of inheriting a stale one. Use
-    guard_ns for the resolved value.
+    must leave P2 room: at least 2. The receiver probes half a period into
+    each slot (guard_ns), so the period must be at least 2 ns.
     """
 
     page_size: int = 4096
     region_size: int = 32 * MIB
     page_gap: int = 64
     sync_period_ns: int = 20_000_000
-    guard_offset_ns: int | None = None
     payload_bits: int = 100
 
     def __post_init__(self) -> None:
@@ -46,27 +42,17 @@ class ChannelConfig:
             raise ConfigError(
                 f"page_gap must lie in [2, {pages}] for this region, got {self.page_gap}"
             )
-        if self.sync_period_ns <= 0:
-            raise ConfigError(
-                f"sync_period_ns must be positive, got {self.sync_period_ns}"
-            )
-        guard = self.guard_ns
-        if self.guard_offset_ns is None and guard == 0:
+        if self.sync_period_ns < 2:
             raise ConfigError(
                 f"sync_period_ns ({self.sync_period_ns}) is too short for the "
-                f"default half-period guard: it needs at least 2 ns"
-            )
-        if not (0 < guard < self.sync_period_ns):
-            raise ConfigError(
-                f"guard_offset_ns must lie strictly between 0 and the sync "
-                f"period ({self.sync_period_ns}), got {guard}"
+                f"half-period guard: it needs at least 2 ns"
             )
         if self.payload_bits < 1:
             raise ConfigError(
                 f"payload_bits must be at least 1, got {self.payload_bits}"
             )
 
-    # Computed once per config: the slot path reads both for every slot.
+    # Computed once per config: the slot paths read these for every slot.
     # cached_property stores into the instance __dict__ directly, which a
     # frozen dataclass allows.
     @cached_property
@@ -78,10 +64,9 @@ class ChannelConfig:
         """Pages from P1 to P2: half a gap, at least 1."""
         return self.page_gap // 2
 
-    @property
+    @cached_property
     def guard_ns(self) -> int:
-        if self.guard_offset_ns is not None:
-            return self.guard_offset_ns
+        """Receiver lag after the sender's deadline: half a period."""
         return self.sync_period_ns // 2
 
     @property

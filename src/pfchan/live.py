@@ -46,6 +46,7 @@ from .errors import ConfigError, RunAbort, SetupError
 from .protocol import (
     ObservedOrder,
     PagePair,
+    check_bits,
     decode_from_order,
     encode_target,
     page_pair_for_slot,
@@ -442,8 +443,10 @@ def trojan_send(
     unpinned, since only the receiver's thread pair needs to share a core.
     A missed deadline is logged and the slot still runs, since skipping
     would desynchronize every later slot. A failed eviction advice or
-    mincore call raises its OSError and ends the transmission.
+    mincore call raises its OSError and ends the transmission; a non-bit
+    payload fails before the first slot.
     """
+    check_bits(payload)
     _require_ready(capabilities)
     log: list[SenderSlotLog] = []
     with _pinned(cpu, "sender"):
@@ -514,8 +517,10 @@ def spy_receive(
     the two accessor threads contend for it; failure to pin is a startup
     failure. Without the expected payload the report's sent and ber are
     None. An empty expected payload is a ConfigError: there is nothing to
-    report on.
+    report on. So is one that holds anything but bits, before the first slot.
     """
+    if expected is not None:
+        check_bits(expected)
     _require_ready(capabilities)
     n_bits = cfg.payload_bits if expected is None else len(expected)
     core = cpu if cpu is not None else live_cpus()[0]

@@ -91,6 +91,13 @@ def encode_target(bit: int, pair: PagePair) -> int:
     return pair.p2 if bit == 1 else pair.p1
 
 
+def check_bits(payload: list[int]) -> None:
+    """Refuse, before any slot, a payload of anything but 0 and 1; [] passes."""
+    for bit in payload:
+        if bit not in (0, 1):
+            raise ConfigError(f"payload must contain only bits, got {bit!r}")
+
+
 def decode_from_order(order: ObservedOrder) -> int | None:
     """Bit recovered from completion order, or None when undecodable.
 
@@ -108,8 +115,8 @@ def decode_from_order(order: ObservedOrder) -> int | None:
 def slot_deadline(cfg: ChannelConfig, epoch_ns: int, k: int, role: str) -> int:
     """Absolute wall-clock instant at which the given side acts in slot k.
 
-    The sender fires at epoch + k periods; the receiver probes guard_ns
-    later so the eviction and touch have settled.
+    The sender fires at epoch + k periods; the receiver probes guard_ns,
+    half a period, later so the eviction and touch have settled.
     """
     if role == "sender":
         return epoch_ns + k * cfg.sync_period_ns

@@ -35,6 +35,7 @@ from .protocol import (
     FaultKind,
     ObservedOrder,
     PagePair,
+    check_bits,
     decode_from_order,
     page_pair_for_slot,
 )
@@ -267,9 +268,7 @@ def run_channel_sim(
     accesses kept; they are appended to it in tick order, regardless of the
     order in which the model applied them.
     """
-    for bit in payload:
-        if bit not in (0, 1):
-            raise ConfigError(f"payload must contain only bits, got {bit!r}")
+    check_bits(payload)
     if not payload:
         raise ConfigError("payload must contain at least one bit")
 

@@ -148,7 +148,7 @@ def cell_seed(master_seed: int, variable: str, value: int, repetition: int) -> i
 
 def apply_variable(cfg: ChannelConfig, variable: str, value: int) -> ChannelConfig:
     """Rewrite one knob of the config. Derived values (pair offset, guard)
-    follow automatically: the guard's raw field keeps its None."""
+    follow automatically."""
     if variable not in VARIABLES:
         raise ConfigError(
             f"unknown sweep variable {variable!r}, expected one of {VARIABLES}"

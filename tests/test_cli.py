@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process, checking exit codes and artifacts."""
 from __future__ import annotations
 
+import errno
 import os
 from contextlib import nullcontext
 from dataclasses import fields, replace
@@ -97,6 +98,7 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("page_gap = 8\nreadahead = 1\n", "bad.cfg:2: unknown config key 'readahead'"),
         ("page_gap = 8\npair_offset = 8\n", "bad.cfg:2: unknown config key 'pair_offset'"),
         ("base_page = 0\n", "bad.cfg:1: unknown config key 'base_page'"),
+        ("guard_offset_ns = 5\n", "bad.cfg:1: unknown config key 'guard_offset_ns'"),
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
@@ -121,7 +123,7 @@ def test_unknown_flag_exits_1(capsys):
     # removed along with their settings
     for flag, value in [
         ("--eviction-policy", "lru"), ("--readahead", "2"), ("--cache-capacity", "2"),
-        ("--base-page", "0"), ("--pair-offset", "8"),
+        ("--base-page", "0"), ("--pair-offset", "8"), ("--guard-offset-ns", "5"),
     ]:
         assert run_cli("simulate", flag, value) == 1
         assert "error:" in capsys.readouterr().err
@@ -460,6 +462,54 @@ def test_a_blind_receive_takes_no_payload_flag(capsys, payload):
     )
     assert code == 1
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "send", "receive"])
+@pytest.mark.parametrize("payload", [["--bits", "0110"], ["--payload-hex", "6"]])
+def test_payload_bits_next_to_a_payload_flag_exits_1(monkeypatch, capsys, command, payload):
+    # the payload fixes the length; the flag used to be dropped without a word
+    monkeypatch.setattr(pfchan.cli, "run_channel_sim", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: pytest.fail("opened"))
+    argv = [command, *payload, "--payload-bits", "50"]
+    if command != "simulate":
+        argv += ["--region-file", "unused", "--epoch", "+0"]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --payload-bits: not allowed with argument {payload[0]}\n"
+    )
+
+
+def test_a_config_file_may_set_payload_bits_next_to_bits(tmp_path, capsys):
+    cfg_file = tmp_path / "chan.cfg"
+    cfg_file.write_text("payload_bits = 50\n")
+    assert run_cli("simulate", *SMALL, "--config", str(cfg_file), "--bits", "0110") == 0
+    assert "simulated 4 bits" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["send", "receive", "sweep"])
+def test_a_system_call_that_fails_during_a_run_exits_3(
+    tmp_path, monkeypatch, capsys, command
+):
+    # a failed advice, madvise, fork or pipe call raises OSError; it once
+    # escaped main as a traceback with exit code 1, the usage-error code
+    def fail(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    ready = BackendCapabilities(
+        shared_readonly_mapping=True, cache_advice_eviction=True, cpu_affinity=True
+    )
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
+    monkeypatch.setattr(pfchan.live, "trojan_send", fail)
+    monkeypatch.setattr(pfchan.live, "spy_receive", fail)
+    monkeypatch.setattr(pfchan.sweep, "_run_live_cell", fail)
+    region = str(tmp_path / "r.bin")
+    if command == "sweep":
+        argv = ["sweep", "--variable", "page_gap", "--values", "8", *SMALL]
+    else:
+        argv = [command, "--epoch", "+0", "--bits", "01"]
+    assert run_cli(*argv, "--region-file", region) == 3
+    assert capsys.readouterr().err == "aborted: [Errno 5] Input/output error\n"
 
 
 def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch):

@@ -327,6 +327,23 @@ def test_sender_empty_payload(region_file):
         assert trojan_send(region, small_cfg(), [], live._now_ns(), READY) == []
 
 
+def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch):
+    # both endpoints refuse it before pinning (core 4095 would fail to pin)
+    # or the first wait, so no slot evicts, touches or probes a pair
+    monkeypatch.setattr(live, "_wait_until_ns", lambda *a: pytest.fail("waited"))
+    monkeypatch.setattr(live, "evict_pair", lambda *a: pytest.fail("evicted"))
+    monkeypatch.setattr(live, "_probe_pair", lambda *a: pytest.fail("probed"))
+    cfg = small_cfg()
+    with open_region(region_file, cfg) as region:
+        with pytest.raises(ConfigError, match="only bits, got 2"):
+            trojan_send(region, cfg, [0, 1, 2], live._now_ns(), READY, cpu=4095)
+        with pytest.raises(ConfigError, match="only bits, got 2"):
+            spy_receive(
+                region, cfg, live._now_ns(), expected=[0, 2, 0], cpu=4095,
+                capabilities=READY,
+            )
+
+
 def test_open_region_refuses_a_host_without_posix_fadvise(monkeypatch, region_file):
     monkeypatch.delattr(os, "posix_fadvise")
     with pytest.raises(SetupError, match="posix_fadvise"):

@@ -99,6 +99,11 @@ def test_apply_variable_rewrites_one_knob():
     assert apply_variable(cfg, "region_size", 2 * MIB).region_size == 2 * MIB
     assert apply_variable(cfg, "bit_rate", 50).sync_period_ns == 20_000_000
     assert apply_variable(cfg, "bit_rate", 1000).sync_period_ns == 1_000_000
+    # the probe moves with the period: no guard is carried over by the copy
+    assert cfg.guard_ns == 10_000_000
+    assert apply_variable(cfg, "bit_rate", 1000).guard_ns == 500_000
+    with pytest.raises(ConfigError, match=r"sync_period_ns \(1\) is too short"):
+        apply_variable(cfg, "bit_rate", 500_000_001)
     with pytest.raises(ConfigError):
         apply_variable(cfg, "bit_rate", 0)
     with pytest.raises(ConfigError, match=r"'piglet', expected one of \('payload_bits', "):
