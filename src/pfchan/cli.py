@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from dataclasses import fields
 from enum import Enum
 from functools import partial
@@ -106,23 +107,32 @@ def _parse_epoch(text: str) -> int:
     """Absolute unix nanoseconds, or '+SECONDS' relative to now, read from
     the same clock the live endpoints keep their deadlines by. A negative
     offset or a past absolute epoch puts slot 0 in the past, so every slot
-    would overrun and the run would still report a BER."""
+    would overrun and the run would still report a BER. An epoch further
+    off than threading.TIMEOUT_MAX seconds is one the endpoints cannot
+    sleep until, so it fails here, before any set-up."""
     from . import live
 
+    now = live._now_ns()
     try:
         if text.startswith("+"):
             offset = float(text[1:])
             if offset < 0:
                 raise ConfigError(f"epoch offset must be >= 0 seconds, got {text!r}")
             # nan and inf pass float() and fail int()
-            return live._now_ns() + int(offset * 1e9)
-        epoch = int(text)
+            epoch = now + int(offset * 1e9)
+        else:
+            epoch = int(text)
     except (ValueError, OverflowError):
         raise ConfigError(
             f"epoch must be integer nanoseconds or +SECONDS, got {text!r}"
         ) from None
-    if epoch < live._now_ns():
+    if epoch < now:
         raise ConfigError(f"epoch {text!r} has already passed")
+    if epoch - now > threading.TIMEOUT_MAX * 1e9:
+        raise ConfigError(
+            f"epoch {text!r} is more than {threading.TIMEOUT_MAX:.0f} s away, "
+            f"further than this platform can wait"
+        )
     return epoch
 
 
@@ -177,6 +187,9 @@ def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
 def cmd_simulate(args) -> int:
     cfg, params = resolve_settings(args)
     payload = _payload_from_args(args, cfg)
+    if args.out and args.trace:  # the trace would overwrite the CSV
+        if os.path.realpath(args.out) == os.path.realpath(args.trace):
+            raise ConfigError(f"--out and --trace name the same file {args.out!r}")
     _check_writable(args.out, args.trace)
     trace = [] if args.trace else None
     report = run_channel_sim(cfg, params, payload, trace_out=trace)
@@ -205,7 +218,9 @@ def cmd_send(args) -> int:
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
-        log = live.trojan_send(region, cfg, payload, epoch, cpu=args.cpu)
+        log = live.trojan_send(
+            region, cfg, payload, epoch, live.probe_capabilities(), cpu=args.cpu
+        )
     overruns = sum(1 for rec in log if rec.overrun)
     if any(rec.evict_confirmed is None for rec in log):
         evictions = "evictions not verified (mincore cannot report on this file)"
@@ -227,7 +242,10 @@ def cmd_receive(args) -> int:
     epoch = _parse_epoch(args.epoch)
     _check_writable(args.out)
     with live.open_region(args.region_file, cfg) as region:
-        report = live.spy_receive(region, cfg, epoch, expected=expected, cpu=args.cpu)
+        report = live.spy_receive(
+            region, cfg, epoch, expected=expected, cpu=args.cpu,
+            capabilities=live.probe_capabilities(),
+        )
     if expected is None:
         print(
             f"received {report.payload_bits} bits blind "

@@ -37,7 +37,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
 from mmap import mmap as _mmap
 
@@ -75,19 +75,15 @@ class BackendCapabilities:
     cpu_affinity: bool
     notes: tuple[str, ...] = ()
 
+    def _flags(self) -> dict[str, bool]:
+        """The flags by name, in order: every field before notes, the last."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+
     def transmission_ready(self) -> bool:
-        return (
-            self.shared_readonly_mapping
-            and self.cache_advice_eviction
-            and self.cpu_affinity
-        )
+        return all(self._flags().values())
 
     def summary(self) -> str:
-        lines = [
-            f"shared_readonly_mapping: {self.shared_readonly_mapping}",
-            f"cache_advice_eviction:   {self.cache_advice_eviction}",
-            f"cpu_affinity:            {self.cpu_affinity}",
-        ]
+        lines = [f"{name + ':':<24} {value}" for name, value in self._flags().items()]
         lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
 
@@ -172,7 +168,7 @@ class SharedRegion:
         against eviction for the rest of the process lifetime.
         """
         data = os.pread(self._fd, 1, self._offset(page))
-        if len(data) != 1:  # pragma: no cover - region size already checked
+        if len(data) != 1:  # the file shrank after open_region checked its size
             raise RunAbort(f"short read at page {page}")
         return data[0]
 
@@ -355,11 +351,9 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
         notes.append(f"scratch file setup failed: {exc}")
 
     try:
-        original = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(original)})
-        os.sched_setaffinity(0, original)
-        affinity_ok = True
-    except OSError as exc:
+        with _pinned(live_cpus()[0], "probe"):
+            affinity_ok = True
+    except (OSError, SetupError) as exc:
         notes.append(f"cpu affinity control failed: {exc}")
 
     return BackendCapabilities(
@@ -370,8 +364,8 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
     )
 
 
-def _require_ready(capabilities: BackendCapabilities | None) -> BackendCapabilities:
-    caps = capabilities if capabilities is not None else probe_capabilities()
+def _require_ready(caps: BackendCapabilities) -> BackendCapabilities:
+    """Check, never probe: whoever starts a transmission probes."""
     if not caps.transmission_ready():
         raise SetupError(
             "live backend lacks required capabilities:\n" + caps.summary()
@@ -431,7 +425,7 @@ def trojan_send(
     cfg: ChannelConfig,
     payload: list[int],
     epoch_ns: int,
-    capabilities: BackendCapabilities | None = None,
+    capabilities: BackendCapabilities,
     cpu: int | None = None,
 ) -> list[SenderSlotLog]:
     """Transmit the payload: per slot, evict the pair then touch the encode
@@ -444,7 +438,8 @@ def trojan_send(
     A missed deadline is logged and the slot still runs, since skipping
     would desynchronize every later slot. A failed eviction advice or
     mincore call raises its OSError and ends the transmission; a non-bit
-    payload fails before the first slot.
+    payload fails before the first slot, and so do capabilities that are
+    not transmission_ready(). The caller probes; this only checks.
     """
     check_bits(payload)
     _require_ready(capabilities)
@@ -508,7 +503,8 @@ def spy_receive(
     epoch_ns: int,
     expected: list[int] | None = None,
     cpu: int | None = None,
-    capabilities: BackendCapabilities | None = None,
+    *,
+    capabilities: BackendCapabilities,
 ) -> TransmissionReport:
     """Receive one bit per slot, probing each slot at its guard deadline:
     len(expected) bits, or cfg.payload_bits without the expected payload.
@@ -518,6 +514,8 @@ def spy_receive(
     failure. Without the expected payload the report's sent and ber are
     None. An empty expected payload is a ConfigError: there is nothing to
     report on. So is one that holds anything but bits, before the first slot.
+    Capabilities that are not transmission_ready() fail before it too; the
+    caller probes them, this only checks.
     """
     if expected is not None:
         check_bits(expected)

@@ -84,10 +84,9 @@ def encode_target(bit: int, pair: PagePair) -> int:
     """Page the sender must touch: P2 for a 1, P1 for a 0.
 
     The touched page becomes resident, so the complementary page is the one
-    left on disk for the receiver to trip over.
+    left on disk for the receiver to trip over. The bit is one check_bits
+    has passed; it is not tested again here, once per slot.
     """
-    if bit not in (0, 1):
-        raise ConfigError(f"bit must be 0 or 1, got {bit!r}")
     return pair.p2 if bit == 1 else pair.p1
 
 

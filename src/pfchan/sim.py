@@ -269,8 +269,6 @@ def run_channel_sim(
     order in which the model applied them.
     """
     check_bits(payload)
-    if not payload:
-        raise ConfigError("payload must contain at least one bit")
 
     sim = CacheSchedSim(params, cfg.region_pages)
     spy_slot, evict = sim.run_spy_slot, sim.evict

@@ -3,8 +3,9 @@
 A sweep varies exactly one knob over a list of values, repeats each cell,
 and records error rate and bandwidth per cell. Cell seeds are derived from
 the sweep seed with a stable hash, so a sweep is reproducible byte for byte
-from its spec alone. Simulator cells are self-contained; live cells run one
-sender and one receiver process back to back, strictly sequentially.
+from its spec alone. Simulator cells are self-contained; a live cell runs
+one sender and one receiver process at the same time, and the cells run one
+after another.
 """
 from __future__ import annotations
 

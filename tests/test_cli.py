@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import errno
 import os
+import threading
 from contextlib import nullcontext
 from dataclasses import fields, replace
 
@@ -26,6 +27,16 @@ CSV_HEADER = (
 )
 
 SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
+READY = BackendCapabilities(
+    shared_readonly_mapping=True, cache_advice_eviction=True, cpu_affinity=True
+)
+
+
+def fake_live_setup(monkeypatch) -> None:
+    """Stand in for the region and the probe: send and receive probe first,
+    and a real probe maps a scratch file through open_region."""
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
 
 
 def run_cli(*argv) -> int:
@@ -53,6 +64,18 @@ def test_simulate_writes_csv_and_trace(tmp_path, capsys):
     assert len(lines) == 2
     trace_lines = out_trace.read_text().splitlines()
     assert len(trace_lines) == 3 * 8  # one sender, two receiver rows per slot
+
+
+def test_simulate_refuses_one_file_for_out_and_trace(tmp_path, monkeypatch, capsys):
+    # the trace once overwrote the CSV while both were reported as written
+    monkeypatch.setattr(pfchan.cli, "run_channel_sim", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "x"
+    trace = os.path.join(str(tmp_path), ".", "x")
+    assert run_cli("simulate", "--bits", "01", "--out", str(out), "--trace", trace) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out and --trace name the same file")
+    assert not out.exists()
 
 
 def test_config_file_feeds_settings(tmp_path):
@@ -364,12 +387,7 @@ def test_report_csv_reflects_actual_payload(tmp_path):
 
 
 def test_send_creates_region_on_request(tmp_path, capsys, monkeypatch):
-    ready = BackendCapabilities(
-        shared_readonly_mapping=True,
-        cache_advice_eviction=True,
-        cpu_affinity=True,
-    )
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
     region = tmp_path / "region.bin"
     code = run_cli(
         "send", *SMALL, "--page-gap", "8",
@@ -412,6 +430,37 @@ def test_epoch_offsets_count_from_the_live_endpoints_clock(monkeypatch):
         pfchan.cli._parse_epoch("+-5")
     with pytest.raises(ConfigError, match="epoch '4' has already passed"):
         pfchan.cli._parse_epoch("4")
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+@pytest.mark.parametrize("epoch", ["+1e30", str(10**30)])
+def test_an_epoch_further_than_the_platform_can_wait_exits_1(
+    tmp_path, monkeypatch, capsys, command, epoch
+):
+    # it once wrote the region, probed and pinned, and then died in the wait
+    # with an OverflowError traceback and exit code 1
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: pytest.fail("opened"))
+    monkeypatch.setattr(
+        pfchan.live, "probe_capabilities", lambda *a, **k: pytest.fail("probed")
+    )
+    region = tmp_path / "r.bin"
+    argv = [command, "--region-file", str(region), "--epoch", epoch, "--bits", "01"]
+    if command == "send":
+        argv.append("--create-region")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: epoch {epoch!r} is more than")
+    assert "further than this platform can wait" in err
+    assert not region.exists()
+
+
+def test_the_furthest_epoch_is_the_platforms_longest_wait(monkeypatch):
+    monkeypatch.setattr(pfchan.live, "_now_ns", lambda: 5)
+    furthest = 5 + int(threading.TIMEOUT_MAX * 1e9)
+    assert pfchan.cli._parse_epoch(str(furthest)) == furthest
+    assert pfchan.cli._parse_epoch(f"+{threading.TIMEOUT_MAX}") == furthest
+    with pytest.raises(ConfigError, match="further than this platform can wait"):
+        pfchan.cli._parse_epoch(str(furthest + 1))
 
 
 @pytest.mark.parametrize("command", ["send", "receive"])
@@ -495,11 +544,7 @@ def test_a_system_call_that_fails_during_a_run_exits_3(
     def fail(*args, **kwargs):
         raise OSError(errno.EIO, "Input/output error")
 
-    ready = BackendCapabilities(
-        shared_readonly_mapping=True, cache_advice_eviction=True, cpu_affinity=True
-    )
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
+    fake_live_setup(monkeypatch)
     monkeypatch.setattr(pfchan.live, "trojan_send", fail)
     monkeypatch.setattr(pfchan.live, "spy_receive", fail)
     monkeypatch.setattr(pfchan.sweep, "_run_live_cell", fail)
@@ -516,7 +561,7 @@ def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch
     cfg_file = tmp_path / "chan.cfg"
     cfg_file.write_text("page_gap = 32\ndisk_latency = 5\n")
     configs = []
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    fake_live_setup(monkeypatch)
     monkeypatch.setattr(
         pfchan.live, "trojan_send", lambda region, cfg, *a, **kw: configs.append(cfg) or []
     )
@@ -541,7 +586,7 @@ def test_send_log_csv_has_one_column_per_log_field(tmp_path, monkeypatch):
         SenderSlotLog(0, 0, 32, 32, 10, 11, 12, None, False),
         SenderSlotLog(1, 64, 96, 64, 20, 25, 29, False, True),
     ]
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    fake_live_setup(monkeypatch)
     monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
     out_csv = tmp_path / "sender.csv"
     code = run_cli(
@@ -571,7 +616,7 @@ def test_send_counts_unconfirmed_evictions_only_where_mincore_reports(
         SenderSlotLog(k, 0, 32, 32, 10, 11, 12, ok, k == 0)
         for k, ok in enumerate(confirmed)
     ]
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    fake_live_setup(monkeypatch)
     monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: log)
     assert run_cli("send", "--region-file", "unused", "--epoch", "+0", "--bits", "011") == 0
     assert capsys.readouterr().out == f"sent 3 bits: 1 deadline overruns, {evictions}\n"
@@ -579,7 +624,7 @@ def test_send_counts_unconfirmed_evictions_only_where_mincore_reports(
 
 def test_send_cpu_flag_pins_the_sender(monkeypatch):
     calls = []
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    fake_live_setup(monkeypatch)
     monkeypatch.setattr(
         pfchan.live, "trojan_send", lambda *a, **kw: calls.append(kw) or []
     )
@@ -591,7 +636,7 @@ def test_send_cpu_flag_pins_the_sender(monkeypatch):
 
 
 def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    fake_live_setup(monkeypatch)
     monkeypatch.setattr(pfchan.live, "spy_receive", lambda *a, **kw: report)
     out_csv = tmp_path / "receiver.csv"
     code = run_cli(

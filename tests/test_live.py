@@ -135,6 +135,14 @@ def test_region_set_up_failure_releases_the_fd_and_mapping(region_file, monkeypa
         assert region_file not in maps.read()
 
 
+def test_load_byte_past_the_end_of_a_file_truncated_after_open_is_an_abort(region_file):
+    with open_region(region_file, small_cfg()) as region:
+        os.truncate(region_file, 10 * PAGE)
+        assert region.load_byte(9) == 0
+        with pytest.raises(RunAbort, match="short read at page 10"):
+            region.load_byte(10)
+
+
 def test_evict_pair_shape(region_file):
     with open_region(region_file, small_cfg()) as region:
         region.read_byte(3)
@@ -190,6 +198,35 @@ def test_probe_capabilities_survives_a_scratch_file_it_cannot_write(
     assert any(n.startswith("scratch file setup failed: cannot write") for n in caps.notes)
 
 
+def test_the_probe_leaves_affinity_as_it_found_it(tmp_path, monkeypatch):
+    # a stand-in mask of three cores: the process's real mask may already be
+    # one core, and then a one-core pin the probe kept would not show
+    mask = {0, 1, 2}
+    pins = []
+
+    def set_mask(pid, cpus):
+        pins.append(set(cpus))
+        mask.clear()
+        mask.update(cpus)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(os, "sched_setaffinity", set_mask)
+    assert probe_capabilities(scratch_dir=str(tmp_path)).cpu_affinity is True
+    assert pins == [{0}, {0, 1, 2}]
+    assert mask == {0, 1, 2}
+
+
+def test_a_probe_that_cannot_pin_reports_it_and_does_not_raise(tmp_path, monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    caps = probe_capabilities(scratch_dir=str(tmp_path))
+    assert caps.cpu_affinity is False
+    assert caps.transmission_ready() is False
+    assert any(n.startswith("cpu affinity control failed:") for n in caps.notes)
+
+
 def test_capabilities_state_three_observed_flags_and_need_each():
     flags = ("shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity")
     assert tuple(f.name for f in fields(BackendCapabilities)) == (*flags, "notes")
@@ -233,6 +270,34 @@ def test_receive_requires_capabilities(region_file):
     with open_region(region_file, small_cfg()) as region:
         with pytest.raises(SetupError, match="lacks required"):
             spy_receive(region, small_cfg(), live._now_ns(), capabilities=NOT_READY)
+
+
+def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
+    region_file, monkeypatch
+):
+    monkeypatch.setattr(live, "probe_capabilities", Mock(side_effect=AssertionError))
+    monkeypatch.setattr(live, "_probe_pair", lambda region, pair: ObservedOrder.T1_LAST)
+    cfg = small_cfg(payload_bits=2, sync_period_ns=1_000_000)
+    with open_region(region_file, cfg) as region:
+        assert len(trojan_send(region, cfg, [1, 0], live._now_ns(), READY)) == 2
+        report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+    assert report.decoded == [1, 1]
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_send_and_receive_probe_once_and_hand_the_result_on(
+    region_file, monkeypatch, command
+):
+    probe = Mock(return_value=READY)
+    monkeypatch.setattr(live, "probe_capabilities", probe)
+    monkeypatch.setattr(live, "_probe_pair", lambda region, pair: ObservedOrder.T2_LAST)
+    assert main([
+        command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
+        "--region-size", str(64 * PAGE), "--page-gap", "8",
+        "--sync-period-ns", "1000000",
+    ]) == 0
+    # the default temp directory, as pfchan probe uses
+    probe.assert_called_once_with()
 
 
 def test_receive_zero_bits_is_a_config_error(region_file):

@@ -17,6 +17,7 @@ from pfchan.errors import ConfigError
 from pfchan.protocol import (
     ObservedOrder,
     PagePair,
+    check_bits,
     decode_from_order,
     encode_target,
     page_pair_for_slot,
@@ -93,10 +94,13 @@ def test_encode_target_picks_pair_side():
     assert encode_target(1, other) == 320
 
 
-def test_encode_rejects_non_bits():
-    pair = PagePair(p1=0, p2=64, slot=0)
-    with pytest.raises(ConfigError):
-        encode_target(2, pair)
+def test_check_bits_rejects_non_bits():
+    # the one bit test: encode_target takes a bit that has passed it
+    for payload in ([2], [0, 1, -1], [1, "1"], [0, None]):
+        with pytest.raises(ConfigError, match="payload must contain only bits"):
+            check_bits(payload)
+    check_bits([0, 1, 1, 0])
+    check_bits([])
 
 
 def test_decode_mapping():
