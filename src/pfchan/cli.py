@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: simulate, send, receive, sweep, calibrate, probe. Settings
+Subcommands: simulate, send, receive, sweep, probe. Settings
 resolve with CLI flags overriding the config file overriding built-in
 defaults. Each subcommand has override flags only for the settings it
 reads (send and receive: the channel's; a sweep given a region file
@@ -274,8 +274,8 @@ def _note_unpinned_sender(spec: SweepSpec) -> None:
 
 
 def cmd_sweep(args) -> int:
-    """Run sweep and calibrate; calibrate is a page_gap sweep that also
-    names the gap with the lowest mean error rate."""
+    """Run a sweep; a page_gap sweep also names the gap with the lowest mean
+    error rate, which is how the gap is calibrated."""
     if args.region_file is not None:
         # live cells read no simulator setting; a config file may still hold them
         for key in SIM_KEYS:
@@ -300,11 +300,11 @@ def cmd_sweep(args) -> int:
     _check_writable(args.out)
     result = run_sweep(spec)
     print(summary_table(result))
+    if args.variable == "page_gap":
+        print(f"best page_gap: {result.best_value()}")
     if args.out:
         _write_csv(args.out, CellResult, result.rows)
         print(f"wrote {args.out}")
-    if args.command == "calibrate":
-        print(f"best page_gap: {result.best_value()}")
     _note_unpinned_sender(spec)
     return 0
 
@@ -357,14 +357,6 @@ def _add_live_common(parser: argparse.ArgumentParser):
     return _add_payload(parser)
 
 
-def _add_sweep(parser: argparse.ArgumentParser, repetitions: int) -> None:
-    _add_common(parser, CHANNEL_KEYS + SIM_KEYS)
-    parser.add_argument("--values", help="comma-separated values (default: built-in grid)")
-    parser.add_argument("--repetitions", type=int, default=repetitions)
-    parser.add_argument("--region-file", help="backing file; run the cells live")
-    parser.set_defaults(func=cmd_sweep)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pfchan",
@@ -403,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_receive)
 
     p = sub.add_parser("sweep", help="sweep one variable over a grid")
-    _add_sweep(p, repetitions=1)
+    _add_common(p, CHANNEL_KEYS + SIM_KEYS)
     p.add_argument("--variable", required=True, choices=list(DEFAULT_GRIDS))
-
-    p = sub.add_parser("calibrate", help="find the best page gap")
-    _add_sweep(p, repetitions=7)
-    p.set_defaults(variable="page_gap")
+    p.add_argument("--values", help="comma-separated values (default: built-in grid)")
+    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--region-file", help="backing file; run the cells live")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("probe", help="report live backend capabilities")
     p.add_argument("--config", help="key=value config file to validate")

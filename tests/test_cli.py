@@ -296,7 +296,7 @@ def test_a_region_file_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize(
     "flag, value", [("--disk-latency", "5"), ("--eviction-behavior", "first-wrap")]
 )
@@ -307,10 +307,8 @@ def test_a_live_sweep_refuses_simulator_flags(
         raise AssertionError("probed before refusing the flag")
 
     monkeypatch.setattr(pfchan.live, "probe_capabilities", no_probe)
-    argv = [command, "--values", "8", "--repetitions", "1", flag, value]
-    if command == "sweep":
-        argv += ["--variable", "page_gap"]
-    code = run_cli(*argv, *SMALL, "--region-file", str(tmp_path / "r.bin"))
+    argv = [command, "--variable", "page_gap", "--values", "8", "--repetitions", "1"]
+    code = run_cli(*argv, flag, value, *SMALL, "--region-file", str(tmp_path / "r.bin"))
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err
@@ -318,18 +316,26 @@ def test_a_live_sweep_refuses_simulator_flags(
 
 
 def test_calibrate_reports_best_gap(capsys):
+    # calibrating is a page_gap sweep; no other variable names a best value
     code = run_cli(
-        "calibrate", "--values", "8,16", "--repetitions", "1",
+        "sweep", "--variable", "page_gap", "--values", "8,16", "--repetitions", "1",
         *SMALL, "--payload-bits", "20",
     )
     assert code == 0
-    assert "best page_gap: 16" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines()[-1] == "best page_gap: 16"
+    assert run_cli("sweep", "--variable", "payload_bits", "--values", "20", *SMALL) == 0
+    assert "best" not in capsys.readouterr().out
+
+
+def test_the_calibrate_subcommand_is_gone(capsys):
+    assert run_cli("calibrate", "--values", "8,16") == 1
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 UNPINNED_NOTE = "note: one usable core, so the live sender shared the receiver's core"
 
 
-@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize(
     "backend, cores, notes", [("live", {0}, 1), ("live", {0, 1}, 0), ("sim", {0}, 0)]
 )
@@ -345,9 +351,7 @@ def test_live_runs_say_when_the_sender_shared_the_receivers_core(
     monkeypatch.setattr(pfchan.cli, "run_sweep", fake_run_sweep)
     monkeypatch.setattr(pfchan.sweep, "run_sweep", fake_run_sweep)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
-    argv = [command, "--values", "8,16", "--repetitions", "1"]
-    if command == "sweep":
-        argv += ["--variable", "page_gap"]
+    argv = [command, "--variable", "page_gap", "--values", "8,16", "--repetitions", "1"]
     if backend == "live":
         argv += ["--region-file", str(tmp_path / "r.bin")]
     code = run_cli(*argv, *SMALL, "--payload-bits", "20")
@@ -490,7 +494,6 @@ def _sim_flag(f) -> list[str]:
         ["probe", "--seed", "3"],
         ["receive", "--blind", "--n-bits", "4"],
         ["sweep", "--variable", "page_gap", "--backend", "live"],
-        ["calibrate", "--backend", "sim"],
     ],
     ids=" ".join,
 )

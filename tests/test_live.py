@@ -198,19 +198,32 @@ def test_probe_capabilities_survives_a_scratch_file_it_cannot_write(
     assert any(n.startswith("scratch file setup failed: cannot write") for n in caps.notes)
 
 
-def test_the_probe_leaves_affinity_as_it_found_it(tmp_path, monkeypatch):
-    # a stand-in mask of three cores: the process's real mask may already be
-    # one core, and then a one-core pin the probe kept would not show
+@pytest.fixture
+def three_cores(monkeypatch):
+    """A stand-in affinity mask of cores 0-2, and the masks set on it. The
+    process's real mask may already be one core, after an earlier test
+    pinned it, and then a one-core pin that was never undone would not show.
+    Like the real call, it refuses a negative core with ValueError and a
+    core outside the machine with OSError."""
     mask = {0, 1, 2}
     pins = []
 
     def set_mask(pid, cpus):
+        if min(cpus) < 0:
+            raise ValueError("negative CPU number")
+        if not set(cpus) <= {0, 1, 2}:
+            raise OSError(errno.EINVAL, "Invalid argument")
         pins.append(set(cpus))
         mask.clear()
         mask.update(cpus)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
     monkeypatch.setattr(os, "sched_setaffinity", set_mask)
+    return mask, pins
+
+
+def test_the_probe_leaves_affinity_as_it_found_it(tmp_path, three_cores):
+    mask, pins = three_cores
     assert probe_capabilities(scratch_dir=str(tmp_path)).cpu_affinity is True
     assert pins == [{0}, {0, 1, 2}]
     assert mask == {0, 1, 2}
@@ -258,6 +271,66 @@ def test_decode_path_reads_no_clock():
     source = inspect.getsource(live._probe_pair)
     for token in ("time.", "_now_ns", "clock_gettime", "perf_counter", "monotonic"):
         assert token not in source, token
+
+
+class FakeClock:
+    """A clock that moves 1 us per read; a sleep moves it by the time slept
+    plus whatever the next entry of steps adds (negative: a backward step)."""
+
+    def __init__(self, now_ns: int, steps=()) -> None:
+        self.now_ns = now_ns
+        self.steps = list(steps)
+        self.reads = 0
+        self.sleeps: list[float] = []
+
+    def read(self) -> int:
+        self.reads += 1
+        self.now_ns += 1_000
+        return self.now_ns
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now_ns += round(seconds * 1e9) + (self.steps.pop(0) if self.steps else 0)
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    def install(now_ns: int, steps=()) -> FakeClock:
+        clock = FakeClock(now_ns, steps)
+        monkeypatch.setattr(live, "_now_ns", clock.read)
+        monkeypatch.setattr(live.time, "sleep", clock.sleep)
+        return clock
+
+    return install
+
+
+def test_a_past_deadline_does_not_sleep(fake_clock):
+    clock = fake_clock(10_000_000)
+    live._wait_until_ns(5_000_000)
+    assert clock.sleeps == []
+    assert clock.reads == 1
+
+
+@pytest.mark.parametrize(
+    "steps, sleeps",
+    [
+        ((), 1),
+        # the sleep returned 2 ms short: sleep again for what is left
+        ((-2_000_000,), 2),
+        # the clock stepped back 50 ms while asleep: no early return
+        ((-50_000_000,), 2),
+    ],
+)
+def test_the_wait_sleeps_until_the_clock_reaches_the_deadline(
+    fake_clock, steps, sleeps
+):
+    clock = fake_clock(10_000_000, steps)
+    deadline = 15_000_000
+    live._wait_until_ns(deadline)
+    assert clock.now_ns >= deadline
+    assert len(clock.sleeps) == sleeps
+    # one clock read per sleep, and a spin over the last _SPIN_NS only
+    assert clock.reads <= len(clock.sleeps) + live._SPIN_NS // 1_000 + 1
 
 
 def test_send_requires_capabilities(region_file):
@@ -354,20 +427,23 @@ def test_failed_eviction_advice_ends_the_transmission(region_file, monkeypatch):
     assert loaded == []
 
 
-def test_sender_pins_only_when_asked(region_file):
-    before = os.sched_getaffinity(0)
+def test_sender_pins_only_when_asked(region_file, three_cores):
+    mask, pins = three_cores
     with open_region(region_file, small_cfg()) as region:
-        trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=min(before))
-        assert os.sched_getaffinity(0) == before
+        trojan_send(region, small_cfg(), [1], live._now_ns(), READY)
+        assert pins == []
+        trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=1)
+        assert pins == [{1}, {0, 1, 2}]
+        assert mask == {0, 1, 2}
         for cpu in (4095, -1):
             with pytest.raises(SetupError, match="cannot pin sender"):
                 trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=cpu)
-    assert os.sched_getaffinity(0) == before
+    assert mask == {0, 1, 2}
 
 
-def test_receiver_pins_to_the_given_core(region_file, monkeypatch):
-    before = os.sched_getaffinity(0)
-    cpu = min(before)
+def test_receiver_pins_to_the_given_core(region_file, monkeypatch, three_cores):
+    mask, _ = three_cores
+    cpu = 1
     seen = []
 
     def probe(region, pair):
@@ -379,11 +455,11 @@ def test_receiver_pins_to_the_given_core(region_file, monkeypatch):
     with open_region(region_file, cfg) as region:
         spy_receive(region, cfg, live._now_ns(), cpu=cpu, capabilities=READY)
         assert seen == [{cpu}, {cpu}]
-        assert os.sched_getaffinity(0) == before
+        assert mask == {0, 1, 2}
         for bad in (4095, -1):
             with pytest.raises(SetupError, match="cannot pin receiver"):
                 spy_receive(region, cfg, live._now_ns(), cpu=bad, capabilities=READY)
-            assert os.sched_getaffinity(0) == before
+            assert mask == {0, 1, 2}
     assert len(seen) == 2  # a core that cannot be pinned probes no slot
 
 

@@ -78,7 +78,7 @@ def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch, capsys):
     # gap 1 leaves P2 no room; gap 64 is fine, and must not run first
     with pytest.raises(ConfigError, match="page_gap"):
         run_sweep(small_spec(values=(64, 1), cfg=cfg))
-    assert main(["calibrate", "--values", "64,1"]) == 1
+    assert main(["sweep", "--variable", "page_gap", "--values", "64,1"]) == 1
     assert "page_gap" in capsys.readouterr().err
     assert ran == []
 
