@@ -4,9 +4,10 @@ Subcommands: simulate, send, receive, sweep, probe. Settings
 resolve with CLI flags overriding the config file overriding built-in
 defaults. Each subcommand has override flags only for the settings it
 reads (send and receive: the channel's; a sweep given a region file
-refuses the simulator's), while one config file may hold every key. Exit
-codes: 0 success, 1 usage or config error, 2 missing capability or setup
-failure, 3 runtime abort, including a system call that fails during a run.
+refuses the simulator's; probe takes no flag at all), while one config
+file may hold every key. Exit codes: 0 success, 1 usage or config error,
+2 missing capability or setup failure, 3 runtime abort, including a
+system call that fails during a run.
 """
 from __future__ import annotations
 
@@ -312,16 +313,8 @@ def cmd_sweep(args) -> int:
 def cmd_probe(args) -> int:
     from . import live
 
-    if args.config:
-        resolve_settings(args)  # surface config problems before probing
-    _check_writable(args.out)
     caps = live.probe_capabilities()
-    text = caps.summary()
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
+    print(caps.summary())
     return 0 if caps.transmission_ready() else 2
 
 
@@ -403,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("probe", help="report live backend capabilities")
-    p.add_argument("--config", help="key=value config file to validate")
-    p.add_argument("--out", help="write the capability report here")
     p.set_defaults(func=cmd_probe)
 
     return parser

@@ -1,7 +1,7 @@
 """Channel configuration shared by every backend.
 
 All sizes are bytes, all times are nanoseconds, and pages are indices into
-the shared region (region offset // page_size). A config is immutable and
+the shared region (region offset // PAGE_SIZE). A config is immutable and
 validated on construction; anything invalid raises ConfigError.
 """
 from __future__ import annotations
@@ -12,6 +12,10 @@ from functools import cached_property
 from .errors import ConfigError
 
 MIB = 1024 * 1024
+# One page per access, on every backend. A constant rather than the host's
+# size, so simulator results do not depend on the host; the live backend
+# refuses a host whose pages differ.
+PAGE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -23,21 +27,18 @@ class ChannelConfig:
     each slot (guard_ns), so the period must be at least 2 ns.
     """
 
-    page_size: int = 4096
     region_size: int = 32 * MIB
     page_gap: int = 64
     sync_period_ns: int = 20_000_000
     payload_bits: int = 100
 
     def __post_init__(self) -> None:
-        if self.page_size <= 0:
-            raise ConfigError(f"page_size must be positive, got {self.page_size}")
-        if self.region_size <= 0 or self.region_size % self.page_size != 0:
+        if self.region_size <= 0 or self.region_size % PAGE_SIZE != 0:
             raise ConfigError(
-                f"region_size must be a positive multiple of page_size "
-                f"({self.page_size}), got {self.region_size}"
+                f"region_size must be a positive multiple of the page size "
+                f"({PAGE_SIZE}), got {self.region_size}"
             )
-        pages = self.region_size // self.page_size
+        pages = self.region_size // PAGE_SIZE
         if not (2 <= self.page_gap <= pages):
             raise ConfigError(
                 f"page_gap must lie in [2, {pages}] for this region, got {self.page_gap}"
@@ -57,7 +58,7 @@ class ChannelConfig:
     # frozen dataclass allows.
     @cached_property
     def region_pages(self) -> int:
-        return self.region_size // self.page_size
+        return self.region_size // PAGE_SIZE
 
     @cached_property
     def pair_offset_pages(self) -> int:

@@ -2,8 +2,9 @@
 
 The backend is Linux-only, and that is checked in one place: importing this
 module needs mmap's MAP_PRIVATE and MADV_* and libc's memcpy and mincore,
-and open_region refuses a host without posix_fadvise with a SetupError. No
-call falls back to a quieter channel that would still print an error rate.
+and open_region refuses a host without posix_fadvise, or whose pages are
+not PAGE_SIZE bytes, with a SetupError. No call falls back to a quieter
+channel that would still print an error rate.
 
 The sender and receiver share a read-only file mapped MAP_PRIVATE. Eviction
 uses posix_fadvise(DONTNEED), which is advisory: probe_capabilities checks
@@ -41,7 +42,7 @@ from dataclasses import dataclass, fields
 from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
 from mmap import mmap as _mmap
 
-from .config import ChannelConfig
+from .config import PAGE_SIZE, ChannelConfig
 from .errors import ConfigError, RunAbort, SetupError
 from .protocol import (
     ObservedOrder,
@@ -108,10 +109,9 @@ class SharedRegion:
     cache and remains evictable through fadvise on the backing file.
     """
 
-    def __init__(self, path: str, length: int, page_size: int) -> None:
+    def __init__(self, path: str, length: int) -> None:
         self.path = path
         self.length = length
-        self.page_size = page_size
         self._fd = os.open(path, os.O_RDONLY)
         # a failure past this point releases whatever was set up, since
         # probe_capabilities catches set-up errors and keeps running
@@ -143,13 +143,13 @@ class SharedRegion:
 
     @property
     def page_count(self) -> int:
-        return self.length // self.page_size
+        return self.length // PAGE_SIZE
 
     def _offset(self, page: int) -> int:
         """Byte offset of the page; a page outside the region is a usage error."""
         if not (0 <= page < self.page_count):
             raise ConfigError(f"page {page} outside region of {self.page_count} pages")
-        return page * self.page_size
+        return page * PAGE_SIZE
 
     def read_byte(self, page: int) -> int:
         """Touch one byte of the page and return it. The read goes through
@@ -175,12 +175,10 @@ class SharedRegion:
     def drop_mapping(self, page: int) -> None:
         """Release this process's page table entry for the page, keeping the
         page cache untouched. The next mapped read faults again."""
-        self._mm.madvise(MADV_DONTNEED, self._offset(page), self.page_size)
+        self._mm.madvise(MADV_DONTNEED, self._offset(page), PAGE_SIZE)
 
     def advise_dontneed(self, page: int) -> None:
-        os.posix_fadvise(
-            self._fd, self._offset(page), self.page_size, os.POSIX_FADV_DONTNEED
-        )
+        os.posix_fadvise(self._fd, self._offset(page), PAGE_SIZE, os.POSIX_FADV_DONTNEED)
 
     def residency(self, *pages: int) -> list[bool] | None:
         """Page-cache residency of the given pages, in order, or None when
@@ -202,7 +200,7 @@ class SharedRegion:
         vec = (ctypes.c_ubyte * 1)()
         resident = []
         for page in pages:
-            if _libc.mincore(self._addr + self._offset(page), self.page_size, vec):
+            if _libc.mincore(self._addr + self._offset(page), PAGE_SIZE, vec):
                 err = ctypes.get_errno()
                 raise OSError(err, f"mincore on page {page}: {os.strerror(err)}")
             resident.append(bool(vec[0] & 1))
@@ -230,12 +228,18 @@ def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
 
     No page is touched here; first access happens inside a timed slot.
     This is the backend's one platform gate: every page-sized eviction and
-    the readahead switch-off need posix_fadvise.
+    the readahead switch-off need posix_fadvise, and every page-sized call
+    needs the host's pages to be PAGE_SIZE bytes.
     """
     if not hasattr(os, "posix_fadvise"):
         raise SetupError(
             "the live backend is Linux-only and needs os.posix_fadvise, "
             "which this platform lacks"
+        )
+    if PAGESIZE != PAGE_SIZE:
+        raise SetupError(
+            f"the live backend moves {PAGE_SIZE}-byte pages, but this host's "
+            f"pages are {PAGESIZE} bytes"
         )
     if not os.path.exists(path):
         raise SetupError(
@@ -251,12 +255,7 @@ def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
             f"backing file {path!r} holds {size} bytes but the region needs "
             f"{cfg.region_size}; grow the file or shrink region_size"
         )
-    if cfg.page_size != PAGESIZE:
-        raise SetupError(
-            f"cfg.page_size ({cfg.page_size}) must equal the system page size "
-            f"({PAGESIZE}) for the live backend"
-        )
-    return SharedRegion(path, cfg.region_size, cfg.page_size)
+    return SharedRegion(path, cfg.region_size)
 
 
 def create_backing_file(path: str, size: int) -> str:
@@ -311,17 +310,11 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
 
     import tempfile
 
-    pages = 16
     try:
         with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
             scratch = os.path.join(tmp, "probe.bin")
-            create_backing_file(scratch, pages * PAGESIZE)
-            cfg = ChannelConfig(
-                page_size=PAGESIZE,
-                region_size=pages * PAGESIZE,
-                page_gap=4,
-                sync_period_ns=1_000_000,
-            )
+            cfg = ChannelConfig(region_size=16 * PAGE_SIZE, page_gap=4)
+            create_backing_file(scratch, cfg.region_size)
             try:
                 with open_region(scratch, cfg) as region:
                     region.read_byte(0)
@@ -388,21 +381,24 @@ def live_cpus() -> tuple[int, int | None]:
 _SPIN_NS = 1_000_000
 
 
-def _wait_until_ns(deadline_ns: int) -> None:
-    """Sleep coarsely, then spin the last stretch for ms-scale precision."""
+def _wait_until_ns(deadline_ns: int) -> int:
+    """Sleep coarsely, then spin the last stretch for ms-scale precision.
+    Returns the clock reading at or past the deadline that ended the wait."""
     while True:
-        delta = deadline_ns - _now_ns()
+        now = _now_ns()
+        delta = deadline_ns - now
         if delta <= 0:
-            return
+            return now
         if delta > _SPIN_NS:
             time.sleep((delta - _SPIN_NS) / 1e9)
 
 
 @contextmanager
 def _pinned(cpu: int | None, who: str):
-    """Run the block with the whole process on core cpu, or unpinned when
-    cpu is None. The original affinity comes back on exit, and a core that
-    cannot be pinned is a startup failure."""
+    """Run the block with the calling thread on core cpu, or unpinned when
+    cpu is None; threads it starts inside the block inherit the pin. The
+    original affinity comes back on exit, and a core that cannot be pinned
+    is a startup failure."""
     if cpu is None:
         yield
         return
@@ -431,8 +427,8 @@ def trojan_send(
     """Transmit the payload: per slot, evict the pair then touch the encode
     target at the sender deadline.
 
-    With cpu given, the process is pinned to that core before the first
-    slot, which keeps the sender's waits and syscalls off the receiver's
+    With cpu given, the sending thread is pinned to that core before the
+    first slot, which keeps the sender's waits and syscalls off the receiver's
     core; failure to pin is a startup failure. Without it the sender runs
     unpinned, since only the receiver's thread pair needs to share a core.
     A missed deadline is logged and the slot still runs, since skipping
@@ -450,8 +446,7 @@ def trojan_send(
             target = encode_target(bit, pair)
             deadline = slot_deadline(cfg, epoch_ns, k, "sender")
             arrived = _now_ns()
-            _wait_until_ns(deadline)
-            start = _now_ns()
+            start = _wait_until_ns(deadline)
             confirmed = evict_pair(region, pair)
             # pread, not a mapped touch: a page table entry would pin the
             # target against the next wrap's eviction advice
@@ -509,11 +504,13 @@ def spy_receive(
     """Receive one bit per slot, probing each slot at its guard deadline:
     len(expected) bits, or cfg.payload_bits without the expected payload.
 
-    The whole process is pinned to a single core before the first slot so
-    the two accessor threads contend for it; failure to pin is a startup
-    failure. Without the expected payload the report's sent and ber are
-    None. An empty expected payload is a ConfigError: there is nothing to
-    report on. So is one that holds anything but bits, before the first slot.
+    The receiving thread is pinned to a single core before the first slot,
+    and the two accessor threads it starts inherit the pin, so they contend
+    for that core; failure to pin is a startup failure. Without the expected
+    payload the report's sent and ber are None. Bandwidth counts whole
+    slots, as on the simulator, unless the receiver fell behind them. An
+    empty expected payload is a ConfigError: there is nothing to report on.
+    So is one that holds anything but bits, before the first slot.
     Capabilities that are not transmission_ready() fail before it too; the
     caller probes them, this only checks.
     """
@@ -535,4 +532,6 @@ def spy_receive(
             decoded.append(decode_from_order(order))
         end_ns = _now_ns()
 
-    return TransmissionReport.build(expected, decoded, max(1, end_ns - epoch_ns))
+    # the last probe comes half a slot before the channel's last slot ends
+    elapsed_ns = max(end_ns - epoch_ns, n_bits * cfg.sync_period_ns)
+    return TransmissionReport.build(expected, decoded, elapsed_ns)

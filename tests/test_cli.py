@@ -122,6 +122,7 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("page_gap = 8\npair_offset = 8\n", "bad.cfg:2: unknown config key 'pair_offset'"),
         ("base_page = 0\n", "bad.cfg:1: unknown config key 'base_page'"),
         ("guard_offset_ns = 5\n", "bad.cfg:1: unknown config key 'guard_offset_ns'"),
+        ("page_size = 4096\n", "bad.cfg:1: unknown config key 'page_size'"),
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
@@ -147,6 +148,7 @@ def test_unknown_flag_exits_1(capsys):
     for flag, value in [
         ("--eviction-policy", "lru"), ("--readahead", "2"), ("--cache-capacity", "2"),
         ("--base-page", "0"), ("--pair-offset", "8"), ("--guard-offset-ns", "5"),
+        ("--page-size", "4096"),
     ]:
         assert run_cli("simulate", flag, value) == 1
         assert "error:" in capsys.readouterr().err
@@ -359,23 +361,14 @@ def test_live_runs_say_when_the_sender_shared_the_receivers_core(
     assert capsys.readouterr().out.splitlines().count(UNPINNED_NOTE) == notes
 
 
-def test_probe_prints_capability_report(tmp_path, capsys):
-    out_file = tmp_path / "caps.txt"
-    code = run_cli("probe", "--out", str(out_file))
+def test_probe_prints_capability_report(capsys):
+    code = run_cli("probe")
     assert code in (0, 2)
     out = capsys.readouterr().out
     flags = [line.split(":")[0] for line in out.splitlines()[:3]]
     assert flags == ["shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity"]
-    assert all(line.startswith(("note: ", "wrote ")) for line in out.splitlines()[3:])
+    assert all(line.startswith("note: ") for line in out.splitlines()[3:])
     assert "assumed" not in out
-    assert "cpu_affinity" in out_file.read_text()
-
-
-def test_probe_validates_config_file(tmp_path, capsys):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("piglets = 3\n")
-    assert run_cli("probe", "--config", str(cfg_file)) == 1
-    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_report_csv_reflects_actual_payload(tmp_path):
@@ -492,13 +485,15 @@ def _sim_flag(f) -> list[str]:
     [[command, *_sim_flag(f)] for command in ("send", "receive") for f in fields(SimParams)]
     + [
         ["probe", "--seed", "3"],
+        ["probe", "--config", "x"],
+        ["probe", "--out", "x"],
         ["receive", "--blind", "--n-bits", "4"],
         ["sweep", "--variable", "page_gap", "--backend", "live"],
     ],
     ids=" ".join,
 )
 def test_a_flag_the_subcommand_would_ignore_exits_1(capsys, argv):
-    # the live endpoints read no simulator setting and probe no seed; a blind
+    # the live endpoints read no simulator setting, probe takes no flag; a blind
     # receive is --payload-bits long, and a sweep with --region-file is live
     if argv[0] in ("send", "receive"):
         argv = [*argv, "--region-file", "unused", "--epoch", "0"]

@@ -18,7 +18,7 @@ from unittest.mock import Mock
 import pytest
 
 from pfchan import live
-from pfchan.config import ChannelConfig
+from pfchan.config import PAGE_SIZE, ChannelConfig
 from pfchan.cli import main
 from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import (
@@ -32,8 +32,6 @@ from pfchan.live import (
     trojan_send,
 )
 from pfchan.protocol import ObservedOrder, PagePair, encode_target, page_pair_for_slot
-
-PAGE = 4096
 
 READY = BackendCapabilities(
     shared_readonly_mapping=True,
@@ -49,7 +47,9 @@ NOT_READY = BackendCapabilities(
 
 
 def small_cfg(pages=64, **kw) -> ChannelConfig:
-    defaults = dict(region_size=pages * PAGE, page_gap=8, sync_period_ns=5_000_000)
+    defaults = dict(
+        region_size=pages * PAGE_SIZE, page_gap=8, sync_period_ns=5_000_000
+    )
     defaults.update(kw)
     return ChannelConfig(**defaults)
 
@@ -57,14 +57,14 @@ def small_cfg(pages=64, **kw) -> ChannelConfig:
 @pytest.fixture
 def region_file(tmp_path):
     path = str(tmp_path / "region.bin")
-    create_backing_file(path, 64 * PAGE)
+    create_backing_file(path, 64 * PAGE_SIZE)
     return path
 
 
 def test_create_backing_file_size_and_pattern(tmp_path):
     path = str(tmp_path / "r.bin")
-    create_backing_file(path, 10 * PAGE)
-    assert os.path.getsize(path) == 10 * PAGE
+    create_backing_file(path, 10 * PAGE_SIZE)
+    assert os.path.getsize(path) == 10 * PAGE_SIZE
     with open(path, "rb") as fh:
         data = fh.read(512)
     assert data == bytes(i % 256 for i in range(512))
@@ -72,14 +72,14 @@ def test_create_backing_file_size_and_pattern(tmp_path):
 
 def test_create_backing_file_is_idempotent(region_file):
     before = os.path.getmtime(region_file)
-    assert create_backing_file(region_file, 64 * PAGE) == region_file
+    assert create_backing_file(region_file, 64 * PAGE_SIZE) == region_file
     assert os.path.getmtime(region_file) == before
 
 
 def test_create_backing_file_in_a_missing_directory_is_a_setup_error(tmp_path):
     path = str(tmp_path / "absent" / "r.bin")
     with pytest.raises(SetupError, match=f"cannot write backing file {path!r}"):
-        create_backing_file(path, PAGE)
+        create_backing_file(path, PAGE_SIZE)
 
 
 def test_create_backing_file_rejects_bad_size(tmp_path):
@@ -107,7 +107,7 @@ def test_open_region_page_count(region_file):
 def test_read_byte_matches_file_content(region_file):
     with open_region(region_file, small_cfg()) as region:
         # the backing pattern cycles every 256 bytes, so page k starts at
-        # byte value (k * PAGE) % 256 == 0
+        # byte value (k * PAGE_SIZE) % 256 == 0
         assert region.read_byte(0) == 0
         assert region.read_byte(5) == 0
         with pytest.raises(ConfigError):
@@ -137,7 +137,7 @@ def test_region_set_up_failure_releases_the_fd_and_mapping(region_file, monkeypa
 
 def test_load_byte_past_the_end_of_a_file_truncated_after_open_is_an_abort(region_file):
     with open_region(region_file, small_cfg()) as region:
-        os.truncate(region_file, 10 * PAGE)
+        os.truncate(region_file, 10 * PAGE_SIZE)
         assert region.load_byte(9) == 0
         with pytest.raises(RunAbort, match="short read at page 10"):
             region.load_byte(10)
@@ -306,7 +306,7 @@ def fake_clock(monkeypatch):
 
 def test_a_past_deadline_does_not_sleep(fake_clock):
     clock = fake_clock(10_000_000)
-    live._wait_until_ns(5_000_000)
+    assert live._wait_until_ns(5_000_000) == clock.now_ns
     assert clock.sleeps == []
     assert clock.reads == 1
 
@@ -326,8 +326,8 @@ def test_the_wait_sleeps_until_the_clock_reaches_the_deadline(
 ):
     clock = fake_clock(10_000_000, steps)
     deadline = 15_000_000
-    live._wait_until_ns(deadline)
-    assert clock.now_ns >= deadline
+    # the wait hands back the reading that ended it, so no caller reads again
+    assert live._wait_until_ns(deadline) == clock.now_ns >= deadline
     assert len(clock.sleeps) == sleeps
     # one clock read per sleep, and a spin over the last _SPIN_NS only
     assert clock.reads <= len(clock.sleeps) + live._SPIN_NS // 1_000 + 1
@@ -366,7 +366,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     monkeypatch.setattr(live, "_probe_pair", lambda region, pair: ObservedOrder.T2_LAST)
     assert main([
         command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
-        "--region-size", str(64 * PAGE), "--page-gap", "8",
+        "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
         "--sync-period-ns", "1000000",
     ]) == 0
     # the default temp directory, as pfchan probe uses
@@ -391,7 +391,8 @@ def test_blind_receive_reports_no_ber(region_file, monkeypatch):
     assert report.sent is None and report.ber is None
     assert report.decoded == [1, 0, None]
     assert report.received == [1, 0, 0]
-    assert report.bandwidth_bps > 0
+    # whole slots: the last probe, half a slot before the end, does not count
+    assert 0 < report.bandwidth_bps <= 1e9 / cfg.sync_period_ns
 
 
 def test_sender_follows_shared_schedule(region_file):
@@ -499,6 +500,17 @@ def test_probe_without_posix_fadvise_is_not_ready_and_says_why(tmp_path, monkeyp
     assert not any("private mapping failed" in note for note in caps.notes)
 
 
+def test_a_host_whose_pages_are_not_4_kib_is_refused_and_not_ready(
+    tmp_path, region_file, monkeypatch
+):
+    monkeypatch.setattr(live, "PAGESIZE", 16384)
+    with pytest.raises(SetupError, match="4096.*16384"):
+        open_region(region_file, small_cfg())
+    caps = probe_capabilities(scratch_dir=str(tmp_path))
+    assert caps.transmission_ready() is False
+    assert any("4096" in note and "16384" in note for note in caps.notes)
+
+
 @pytest.mark.parametrize(
     "outcome, eviction_ok, note",
     [
@@ -537,7 +549,7 @@ def advice_evicts_after_a_flush(tmp_path) -> bool:
     """Whether page-sized advice evicts on this filesystem once a file's
     write-time cache is gone. The probe would not do as a gate here: it
     relies on open_region's flush, which the caller is testing."""
-    path = create_backing_file(str(tmp_path / "gate.bin"), 16 * PAGE)
+    path = create_backing_file(str(tmp_path / "gate.bin"), 16 * PAGE_SIZE)
     fd = os.open(path, os.O_RDONLY)
     os.posix_fadvise(fd, 0, 0, os.POSIX_FADV_DONTNEED)
     os.close(fd)
