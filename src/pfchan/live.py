@@ -22,21 +22,22 @@ back to a page, nobody maps it and the advice works again. Kernel
 readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
 touch of one page cannot drag its partner into the cache.
 
-Receiver threads read one byte of their page through libc memcpy. That
+The receiver's two accessors are pooled workers, started once per receive
+on its core, and each reads one byte of a page through libc memcpy. That
 detour matters: a ctypes call releases the interpreter lock for its
-duration, so a thread stuck in a hard fault lets its sibling run, which is
+duration, so a worker stuck in a hard fault lets its sibling run, which is
 the scheduling behavior the channel measures. A plain index into the mmap
-object would hold the lock across the fault and serialize the threads.
+object would hold the lock across the fault and serialize the workers.
 
-Decoding uses only the order in which accessor threads finished their
-reads. No clock is read anywhere on the decode path.
+Decoding uses only the order in which the two reads finished. No clock is
+read anywhere on the decode path.
 """
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
@@ -467,13 +468,14 @@ def trojan_send(
     return log
 
 
-def _probe_pair(region: SharedRegion, pair: PagePair) -> ObservedOrder:
-    """Read both pages from two fresh threads and observe completion order.
+def _probe_pair(
+    pool: ThreadPoolExecutor, region: SharedRegion, pair: PagePair
+) -> ObservedOrder:
+    """Read both pages on the pool's two workers and observe completion order.
 
-    Each thread touches its page and then appends its name to a shared
-    list; an append is atomic, so the last name marks the thread that
-    finished last, which is the one whose page came from disk. Nothing here
-    reads a clock.
+    Each read touches its page and then appends the page's name to a shared
+    list; an append is atomic, so the last name marks the page that came
+    from disk, whichever worker read it. Nothing here reads a clock.
     """
     finished: list[str] = []
 
@@ -481,14 +483,10 @@ def _probe_pair(region: SharedRegion, pair: PagePair) -> ObservedOrder:
         region.read_byte(page)
         finished.append(name)
 
-    t1 = threading.Thread(target=accessor, args=("t1", pair.p1), daemon=True)
-    t2 = threading.Thread(target=accessor, args=("t2", pair.p2), daemon=True)
-    t1.start()
-    t2.start()
-    t1.join()
-    t2.join()
-    if len(finished) < 2:
-        raise RunAbort(f"accessor thread died in slot {pair.slot}")
+    reads = (pool.submit(accessor, "t1", pair.p1), pool.submit(accessor, "t2", pair.p2))
+    for read in reads:
+        if (error := read.exception()) is not None:
+            raise RunAbort(f"accessor thread died in slot {pair.slot}") from error
     return ObservedOrder.T1_LAST if finished[-1] == "t1" else ObservedOrder.T2_LAST
 
 
@@ -505,8 +503,9 @@ def spy_receive(
     len(expected) bits, or cfg.payload_bits without the expected payload.
 
     The receiving thread is pinned to a single core before the first slot,
-    and the two accessor threads it starts inherit the pin, so they contend
-    for that core; failure to pin is a startup failure. Without the expected
+    and the two pooled accessor workers it starts once, inside the pin,
+    inherit it, so they contend for that core; failure to pin is a startup
+    failure. Every way out joins both workers. Without the expected
     payload the report's sent and ber are None. Bandwidth counts whole
     slots, as on the simulator, unless the receiver fell behind them. An
     empty expected payload is a ConfigError: there is nothing to report on.
@@ -520,11 +519,11 @@ def spy_receive(
     n_bits = cfg.payload_bits if expected is None else len(expected)
     core = cpu if cpu is not None else live_cpus()[0]
     decoded: list[int | None] = []
-    with _pinned(core, "receiver"):
+    with _pinned(core, "receiver"), ThreadPoolExecutor(max_workers=2) as pool:
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
-            order = _probe_pair(region, pair)
+            order = _probe_pair(pool, region, pair)
             # release our page table entries so the pair stays evictable
             # when the schedule wraps back to it
             region.drop_mapping(pair.p1)

@@ -12,6 +12,8 @@ import inspect
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from unittest.mock import Mock
 
@@ -26,6 +28,7 @@ from pfchan.live import (
     SharedRegion,
     create_backing_file,
     evict_pair,
+    live_cpus,
     open_region,
     probe_capabilities,
     spy_receive,
@@ -259,10 +262,9 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypat
         return 0
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
-    monkeypatch.setattr(threading, "excepthook", lambda args: None)
-    with open_region(region_file, small_cfg()) as region:
+    with open_region(region_file, small_cfg()) as region, ThreadPoolExecutor(2) as pool:
         with pytest.raises(RunAbort, match="accessor thread died in slot 7"):
-            live._probe_pair(region, PagePair(p1=4, p2=8, slot=7))
+            live._probe_pair(pool, region, PagePair(p1=4, p2=8, slot=7))
 
 
 def test_decode_path_reads_no_clock():
@@ -349,7 +351,7 @@ def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
     region_file, monkeypatch
 ):
     monkeypatch.setattr(live, "probe_capabilities", Mock(side_effect=AssertionError))
-    monkeypatch.setattr(live, "_probe_pair", lambda region, pair: ObservedOrder.T1_LAST)
+    monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T1_LAST)
     cfg = small_cfg(payload_bits=2, sync_period_ns=1_000_000)
     with open_region(region_file, cfg) as region:
         assert len(trojan_send(region, cfg, [1, 0], live._now_ns(), READY)) == 2
@@ -363,7 +365,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
 ):
     probe = Mock(return_value=READY)
     monkeypatch.setattr(live, "probe_capabilities", probe)
-    monkeypatch.setattr(live, "_probe_pair", lambda region, pair: ObservedOrder.T2_LAST)
+    monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T2_LAST)
     assert main([
         command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
         "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
@@ -384,7 +386,7 @@ def test_receive_zero_bits_is_a_config_error(region_file):
 
 def test_blind_receive_reports_no_ber(region_file, monkeypatch):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
-    monkeypatch.setattr(live, "_probe_pair", lambda region, pair: next(orders))
+    monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
     with open_region(region_file, cfg) as region:
         report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
@@ -447,7 +449,7 @@ def test_receiver_pins_to_the_given_core(region_file, monkeypatch, three_cores):
     cpu = 1
     seen = []
 
-    def probe(region, pair):
+    def probe(pool, region, pair):
         seen.append(os.sched_getaffinity(0))
         return ObservedOrder.T1_LAST
 
@@ -462,6 +464,57 @@ def test_receiver_pins_to_the_given_core(region_file, monkeypatch, three_cores):
                 spy_receive(region, cfg, live._now_ns(), cpu=bad, capabilities=READY)
             assert mask == {0, 1, 2}
     assert len(seen) == 2  # a core that cannot be pinned probes no slot
+
+
+@pytest.mark.parametrize(
+    "ending, raised",
+    [("normal", None), ("dead accessor", RunAbort), ("interrupted", KeyboardInterrupt)],
+)
+def test_no_accessor_worker_outlives_a_receive(region_file, monkeypatch, ending, raised):
+    # the pool's workers are joined on every way out of the receive,
+    # including an interrupt that lands between two slots
+    readers = set()
+    real_read, real_wait = SharedRegion.read_byte, live._wait_until_ns
+
+    def read_byte(self, page):
+        readers.add(threading.current_thread())
+        if ending == "dead accessor":
+            raise OSError(14, "bad address")
+        return real_read(self, page)
+
+    def wait(deadline_ns):
+        if ending == "interrupted" and readers:  # slot 1, after slot 0's probe
+            raise KeyboardInterrupt
+        return real_wait(deadline_ns)
+
+    monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    monkeypatch.setattr(live, "_wait_until_ns", wait)
+    cfg = small_cfg(payload_bits=3, sync_period_ns=1_000_000)
+    before = threading.enumerate()
+    with open_region(region_file, cfg) as region:
+        with pytest.raises(raised) if raised else nullcontext():
+            spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+    assert threading.enumerate() == before
+    assert readers and threading.main_thread() not in readers
+
+
+def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatch):
+    # a pool whose workers started outside the pin would read on any core
+    readers, masks = set(), []
+    real_read = SharedRegion.read_byte
+
+    def read_byte(self, page):
+        readers.add(threading.current_thread())
+        masks.append(os.sched_getaffinity(0))
+        return real_read(self, page)
+
+    monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    cfg = small_cfg(payload_bits=8, sync_period_ns=1_000_000)
+    core = live_cpus()[0]
+    with open_region(region_file, cfg) as region:
+        spy_receive(region, cfg, live._now_ns(), cpu=core, capabilities=READY)
+    assert 1 <= len(readers) <= 2 and threading.main_thread() not in readers
+    assert masks == [{core}] * 16
 
 
 def test_sender_empty_payload(region_file):

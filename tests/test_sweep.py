@@ -400,6 +400,14 @@ def _wait_for(condition, timeout_s=5.0):
         time.sleep(0.01)
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_live_children_exit_when_the_parent_dies_before_the_epoch(
     monkeypatch, tmp_path
 ):
@@ -434,6 +442,9 @@ def test_live_children_exit_when_the_parent_dies_before_the_epoch(
         parent.kill()
         parent.join()
         _wait_for(lambda: len(list(tmp_path.glob("eof-*"))) == 2)
+        # an orphan still exiting could print its traceback after the test
+        children = [int(m.name.split("-")[1]) for m in tmp_path.glob("child-*")]
+        _wait_for(lambda: not any(map(_alive, children)))
     finally:
         parent.kill()
         parent.join()
