@@ -22,22 +22,26 @@ back to a page, nobody maps it and the advice works again. Kernel
 readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
 touch of one page cannot drag its partner into the cache.
 
-The receiver's two accessors are pooled workers, started once per receive
-on its core, and each reads one byte of a page through libc memcpy. That
-detour matters: a ctypes call releases the interpreter lock for its
-duration, so a worker stuck in a hard fault lets its sibling run, which is
-the scheduling behavior the channel measures. A plain index into the mmap
-object would hold the lock across the fault and serialize the workers.
+The receiver's two accessors are the workers of one two-thread pool,
+started once per receive on its core, and each reads one byte of a page
+through libc memcpy. That detour matters: a ctypes call releases the
+interpreter lock for its duration, so a worker stuck in a hard fault lets
+its sibling run, which is the scheduling behavior the channel measures. A
+plain index into the mmap object would hold the lock across the fault and
+serialize the workers. The pool's module is imported by the receiver
+only, so importing this module loads no executor.
 
-Decoding uses only the order in which the two reads finished. No clock is
-read anywhere on the decode path.
+Decoding uses only the order in which the two reads finished: each read
+appends its name, t1 for the read of p1 and t2 for that of p2, to the
+slot's finished list, and the last name decides the bit. No clock is read
+anywhere on the decode path.
 """
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
@@ -468,9 +472,28 @@ def trojan_send(
     return log
 
 
-def _probe_pair(
-    pool: ThreadPoolExecutor, region: SharedRegion, pair: PagePair
-) -> ObservedOrder:
+@contextmanager
+def _accessor_pool():
+    """The receiver's two accessor workers: a pool of two threads, both
+    started here and joined on leaving the block. The executor is imported
+    here, so only a receiver loads it.
+
+    The pool starts a worker for each submit that finds none idle, so two
+    tasks that wait for each other start both. Left to start lazily, the
+    second worker would start inside slot 0's probe; an interrupt that
+    landed in its start left it unknown to the pool, never joined, and
+    reading the region after the caller unmapped it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        both = threading.Barrier(2)
+        for started in [pool.submit(both.wait) for _ in range(2)]:
+            started.result()
+        yield pool
+
+
+def _probe_pair(pool, region: SharedRegion, pair: PagePair) -> ObservedOrder:
     """Read both pages on the pool's two workers and observe completion order.
 
     Each read touches its page and then appends the page's name to a shared
@@ -505,7 +528,10 @@ def spy_receive(
     The receiving thread is pinned to a single core before the first slot,
     and the two pooled accessor workers it starts once, inside the pin,
     inherit it, so they contend for that core; failure to pin is a startup
-    failure. Every way out joins both workers. Without the expected
+    failure. Per slot each worker reads one page of the pair and appends
+    its name to the slot's finished list; the last name decides the bit.
+    Every way out, an interrupt in mid-probe included, joins both workers,
+    and a read that raised aborts naming its slot. Without the expected
     payload the report's sent and ber are None. Bandwidth counts whole
     slots, as on the simulator, unless the receiver fell behind them. An
     empty expected payload is a ConfigError: there is nothing to report on.
@@ -519,7 +545,7 @@ def spy_receive(
     n_bits = cfg.payload_bits if expected is None else len(expected)
     core = cpu if cpu is not None else live_cpus()[0]
     decoded: list[int | None] = []
-    with _pinned(core, "receiver"), ThreadPoolExecutor(max_workers=2) as pool:
+    with _pinned(core, "receiver"), _accessor_pool() as pool:
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))

@@ -10,11 +10,14 @@ import ctypes
 import errno
 import inspect
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
@@ -254,25 +257,52 @@ def test_capabilities_state_three_observed_flags_and_need_each():
     assert "assumed" not in READY.summary()
 
 
-def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypatch):
-    # a thread that never finishes its read leaves no order to decode
+@pytest.mark.parametrize("failing", ["t1", "t2"])
+def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypatch, failing):
+    # a read that never finishes leaves no order to decode; its error comes
+    # back through the read's future, so the probe returns either way
+    bad_page = {"t1": 4, "t2": 8}[failing]
+
     def read_byte(self, page):
-        if page == 8:
+        if page == bad_page:
             raise OSError(14, "bad address")
         return 0
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
-    with open_region(region_file, small_cfg()) as region, ThreadPoolExecutor(2) as pool:
-        with pytest.raises(RunAbort, match="accessor thread died in slot 7"):
+    before = threading.enumerate()
+    with open_region(region_file, small_cfg()) as region, live._accessor_pool() as pool:
+        with pytest.raises(RunAbort, match="accessor thread died in slot 7") as raised:
             live._probe_pair(pool, region, PagePair(p1=4, p2=8, slot=7))
+        assert isinstance(raised.value.__cause__, OSError)
+        # the error is per slot: the next probe starts clean
+        monkeypatch.setattr(SharedRegion, "read_byte", lambda self, page: 0)
+        order = live._probe_pair(pool, region, PagePair(p1=4, p2=8, slot=8))
+        assert order in (ObservedOrder.T1_LAST, ObservedOrder.T2_LAST)
+    assert threading.enumerate() == before
 
 
 def test_decode_path_reads_no_clock():
     # The receiver decides bits from completion order alone. Hold the probe
-    # routine to that: no clock or timer call appears in its source.
+    # routine to that: no clock or timer call appears in its source, which
+    # holds the accessor body the workers run as well.
     source = inspect.getsource(live._probe_pair)
+    assert "def accessor(" in source
     for token in ("time.", "_now_ns", "clock_gettime", "perf_counter", "monotonic"):
         assert token not in source, token
+
+
+def test_importing_the_live_backend_loads_no_executor_or_logging():
+    # every importer of pfchan.live pays for what it imports, a process
+    # that never receives included; only spy_receive loads the executor
+    src = str(Path(live.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import pfchan.live; "
+        "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""
 
 
 class FakeClock:
@@ -466,20 +496,42 @@ def test_receiver_pins_to_the_given_core(region_file, monkeypatch, three_cores):
     assert len(seen) == 2  # a core that cannot be pinned probes no slot
 
 
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt in the main thread, as in a terminal,
+    even under a runner that started the tests with SIGINT ignored."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
+
+
 @pytest.mark.parametrize(
     "ending, raised",
-    [("normal", None), ("dead accessor", RunAbort), ("interrupted", KeyboardInterrupt)],
+    [
+        ("normal", None),
+        ("dead accessor", RunAbort),
+        ("interrupted", KeyboardInterrupt),  # between slots
+        ("interrupted mid-probe", KeyboardInterrupt),
+    ],
 )
-def test_no_accessor_worker_outlives_a_receive(region_file, monkeypatch, ending, raised):
+def test_no_accessor_worker_outlives_a_receive(
+    region_file, monkeypatch, sigint_raises, ending, raised
+):
     # the pool's workers are joined on every way out of the receive,
-    # including an interrupt that lands between two slots
+    # including an interrupt that lands between two slots and one that
+    # lands while both reads are in flight
     readers = set()
     real_read, real_wait = SharedRegion.read_byte, live._wait_until_ns
+    in_flight = threading.Barrier(2, timeout=5)
 
     def read_byte(self, page):
         readers.add(threading.current_thread())
         if ending == "dead accessor":
             raise OSError(14, "bad address")
+        if ending == "interrupted mid-probe":
+            if in_flight.wait() == 0:  # both reads of slot 0 have begun
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.05)  # still reading when the receiver is interrupted
         return real_read(self, page)
 
     def wait(deadline_ns):
@@ -499,13 +551,15 @@ def test_no_accessor_worker_outlives_a_receive(region_file, monkeypatch, ending,
 
 
 def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatch):
-    # a pool whose workers started outside the pin would read on any core
-    readers, masks = set(), []
+    # a pool whose workers started outside the pin would read on any core,
+    # and one that started a worker inside a probe could leave it unjoined
+    readers, masks, alive = set(), [], []
     real_read = SharedRegion.read_byte
 
     def read_byte(self, page):
         readers.add(threading.current_thread())
         masks.append(os.sched_getaffinity(0))
+        alive.append(set(threading.enumerate()))
         return real_read(self, page)
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
@@ -513,7 +567,8 @@ def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatc
     core = live_cpus()[0]
     with open_region(region_file, cfg) as region:
         spy_receive(region, cfg, live._now_ns(), cpu=core, capabilities=READY)
-    assert 1 <= len(readers) <= 2 and threading.main_thread() not in readers
+    assert len(readers) == 2 and threading.main_thread() not in readers
+    assert readers <= alive[0]  # both started before slot 0's first read
     assert masks == [{core}] * 16
 
 
