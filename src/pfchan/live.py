@@ -28,8 +28,10 @@ through libc memcpy. That detour matters: a ctypes call releases the
 interpreter lock for its duration, so a worker stuck in a hard fault lets
 its sibling run, which is the scheduling behavior the channel measures. A
 plain index into the mmap object would hold the lock across the fault and
-serialize the workers. The pool's module is imported by the receiver
-only, so importing this module loads no executor.
+serialize the workers. The pool's module is imported when a receive
+starts, not by importing this module, which loads no executor; a live
+sweep's parent imports it before forking, so its receivers find it loaded
+and the epoch's lead need not cover the import.
 
 Decoding uses only the order in which the two reads finished: each read
 appends its name, t1 for the read of p1 and t2 for that of p2, to the
@@ -476,7 +478,8 @@ def trojan_send(
 def _accessor_pool():
     """The receiver's two accessor workers: a pool of two threads, both
     started here and joined on leaving the block. The executor is imported
-    here, so only a receiver loads it.
+    here, so importing this module loads none; a receiver forked by a live
+    sweep inherits it already loaded from the sweep's parent.
 
     The pool starts a worker for each submit that finds none idle, so two
     tasks that wait for each other start both. Left to start lazily, the
@@ -509,7 +512,7 @@ def _probe_pair(pool, region: SharedRegion, pair: PagePair) -> ObservedOrder:
     reads = (pool.submit(accessor, "t1", pair.p1), pool.submit(accessor, "t2", pair.p2))
     for read in reads:
         if (error := read.exception()) is not None:
-            raise RunAbort(f"accessor thread died in slot {pair.slot}") from error
+            raise RunAbort(f"accessor read failed in slot {pair.slot}") from error
     return ObservedOrder.T1_LAST if finished[-1] == "t1" else ObservedOrder.T2_LAST
 
 

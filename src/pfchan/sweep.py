@@ -45,8 +45,10 @@ class SweepSpec:
     backend: str = "sim"
     seed: int = 0
     region_file: str | None = None  # live backend only
-    # margin from both live endpoints reporting ready to slot 0
-    live_lead_ns: int = 20_000_000
+    # margin from both live endpoints reporting ready to slot 0; within it
+    # each child only pins itself, and the receiver starts its two workers
+    # from the executor that _run_live_cell loaded before forking
+    live_lead_ns: int = 14_000_000
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -268,6 +270,11 @@ def _run_live_cell(
     or exits early aborts the cell, with its error text when it sent one,
     instead of leaving a row."""
     import multiprocessing
+
+    # the receiver imports its accessor pool's executor once the epoch is
+    # fixed, inside the lead; loaded here, every forked receiver inherits it
+    # and a sweep pays the import once rather than in every cell's lead
+    from concurrent.futures import ThreadPoolExecutor
 
     from . import live
 

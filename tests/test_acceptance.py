@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -237,7 +238,8 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
 )
 def test_live_round_trip(tmp_path):
     # Real page cache, real threads: 100 bits through a 32 MiB file-backed
-    # region at 50 bit/s with at most 10% errors.
+    # region at 50 bit/s with at most 10% errors, slot 0 coming the default
+    # live lead after both endpoints are ready, as in a live sweep.
     from pfchan import live
     from pfchan.sweep import _run_live_cell
 
@@ -246,7 +248,8 @@ def test_live_round_trip(tmp_path):
         _verdict("live round trip", False, "host lacks capabilities:\n" + caps.summary())
     cfg = ChannelConfig(page_gap=64, payload_bits=100, sync_period_ns=20_000_000)
     region = live.create_backing_file(str(tmp_path / "region.bin"), cfg.region_size)
-    report = _run_live_cell(cfg, 7, region, 500_000_000, caps)
+    lead_ns = next(f.default for f in fields(SweepSpec) if f.name == "live_lead_ns")
+    report = _run_live_cell(cfg, 7, region, lead_ns, caps)
     _verdict(
         "live round trip", report.ber <= 0.10,
         f"ber={report.ber:.3f} indeterminate={report.indeterminate_slots} "

@@ -271,7 +271,7 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypat
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     before = threading.enumerate()
     with open_region(region_file, small_cfg()) as region, live._accessor_pool() as pool:
-        with pytest.raises(RunAbort, match="accessor thread died in slot 7") as raised:
+        with pytest.raises(RunAbort, match="accessor read failed in slot 7") as raised:
             live._probe_pair(pool, region, PagePair(p1=4, p2=8, slot=7))
         assert isinstance(raised.value.__cause__, OSError)
         # the error is per slot: the next probe starts clean
@@ -293,7 +293,8 @@ def test_decode_path_reads_no_clock():
 
 def test_importing_the_live_backend_loads_no_executor_or_logging():
     # every importer of pfchan.live pays for what it imports, a process
-    # that never receives included; only spy_receive loads the executor
+    # that never receives included; spy_receive, or a live sweep's parent
+    # before it forks, loads the executor
     src = str(Path(live.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pfchan.live; "

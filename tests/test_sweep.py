@@ -4,7 +4,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +241,22 @@ def test_live_sweep_requires_region_file(monkeypatch):
         run_sweep(small_spec(backend="live"))
 
 
+def test_a_sim_sweep_loads_no_executor_or_logging():
+    # only a live sweep's parent loads the receiver's executor; a simulator
+    # sweep, set-up and cells alike, pays for neither it nor logging
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import pfchan as pf; "
+        "pf.run_sweep(pf.SweepSpec(variable='page_gap', values=(8,), repetitions=1, "
+        "cfg=pf.ChannelConfig(payload_bits=20), params=pf.SimParams())); "
+        "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""
+
+
 def test_summary_table_has_a_header_and_a_line_per_value():
     result = run_sweep(small_spec())
     lines = summary_table(result).splitlines()
@@ -391,6 +410,37 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
     _run_tiny_cell(tmp_path)
     cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
     assert cores == expected
+
+
+def test_live_children_start_with_the_receivers_executor_loaded(
+    monkeypatch, tmp_path
+):
+    # the receiver starts its accessor pool once the epoch is fixed; had it
+    # to import the executor then, the import would eat into the lead. The
+    # cell's parent loads it before forking, so both children inherit it.
+    # This process unloads it for the cell and gets its own modules back
+    def family():
+        return [m for m in sys.modules if m.split(".")[0] == "concurrent"]
+
+    def recording(name, entry):
+        def wrapped(*args):
+            loaded = "concurrent.futures.thread" in sys.modules
+            (tmp_path / name).write_text(str(loaded))
+            return entry(*args)
+
+        return wrapped
+
+    for name, entry in (("sender", _healthy_sender), ("receiver", _healthy_receiver)):
+        monkeypatch.setattr(sweep, f"_live_{name}_entry", recording(name, entry))
+    saved = {name: sys.modules.pop(name) for name in family()}
+    try:
+        _run_tiny_cell(tmp_path)
+    finally:
+        for name in family():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    loaded = [(tmp_path / name).read_text() for name in ("receiver", "sender")]
+    assert loaded == ["True", "True"]
 
 
 def _wait_for(condition, timeout_s=5.0):
