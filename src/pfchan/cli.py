@@ -219,9 +219,8 @@ def cmd_send(args) -> int:
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
-        log = live.trojan_send(
-            region, cfg, payload, epoch, live.probe_capabilities(), cpu=args.cpu
-        )
+        caps = live.check_host(args.region_file)
+        log = live.trojan_send(region, cfg, payload, epoch, caps, cpu=args.cpu)
     overruns = sum(1 for rec in log if rec.overrun)
     if any(rec.evict_confirmed is None for rec in log):
         evictions = "evictions not verified (mincore cannot report on this file)"
@@ -245,7 +244,7 @@ def cmd_receive(args) -> int:
     with live.open_region(args.region_file, cfg) as region:
         report = live.spy_receive(
             region, cfg, epoch, expected=expected, cpu=args.cpu,
-            capabilities=live.probe_capabilities(),
+            capabilities=live.check_host(args.region_file),
         )
     if expected is None:
         print(

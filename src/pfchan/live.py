@@ -29,9 +29,12 @@ interpreter lock for its duration, so a worker stuck in a hard fault lets
 its sibling run, which is the scheduling behavior the channel measures. A
 plain index into the mmap object would hold the lock across the fault and
 serialize the workers. The pool's module is imported when a receive
-starts, not by importing this module, which loads no executor; a live
-sweep's parent imports it before forking, so its receivers find it loaded
-and the epoch's lead need not cover the import.
+starts, not by importing this module, which loads no executor; run_pair
+imports it before forking, so its receivers find it loaded and the epoch's
+lead need not cover the import.
+
+Every transmission starts from check_host, which probes the filesystem the
+region file is on; run_pair runs one as a forked sender/receiver pair.
 
 Decoding uses only the order in which the two reads finished: each read
 appends its name, t1 for the read of p1 and t2 for that of p2, to the
@@ -373,6 +376,15 @@ def _require_ready(caps: BackendCapabilities) -> BackendCapabilities:
     return caps
 
 
+def check_host(region_file: str) -> BackendCapabilities:
+    """Probe the filesystem region_file is on, since eviction advice works
+    or not per filesystem, and return the capabilities, or raise SetupError
+    unless they are transmission_ready(). The probe writes its scratch file
+    next to the region, so that directory must be writable."""
+    region_dir = os.path.dirname(os.path.abspath(region_file))
+    return _require_ready(probe_capabilities(region_dir))
+
+
 def _now_ns() -> int:
     return time.clock_gettime_ns(time.CLOCK_REALTIME)
 
@@ -478,8 +490,9 @@ def trojan_send(
 def _accessor_pool():
     """The receiver's two accessor workers: a pool of two threads, both
     started here and joined on leaving the block. The executor is imported
-    here, so importing this module loads none; a receiver forked by a live
-    sweep inherits it already loaded from the sweep's parent.
+    here, so importing this module loads none; a receiver forked by
+    run_pair inherits it already loaded, since run_pair imports it before
+    its first fork.
 
     The pool starts a worker for each submit that finds none idle, so two
     tasks that wait for each other start both. Left to start lazily, the
@@ -563,3 +576,151 @@ def spy_receive(
     # the last probe comes half a slot before the channel's last slot ends
     elapsed_ns = max(end_ns - epoch_ns, n_bits * cfg.sync_period_ns)
     return TransmissionReport.build(expected, decoded, elapsed_ns)
+
+
+# -- forked sender/receiver pair ---------------------------------------------
+# Entry points are module level so forked children can run them directly.
+# Each child talks to the parent over its own pipe: ("ready", None) once its
+# region is open, then ("result", value) when it is done, or ("error", text)
+# from whatever step failed. The parent answers "ready" with the epoch. A
+# child that exits closes its end, so the parent sees the exit at once as
+# end of file on the pipe.
+
+
+def _ready(conn) -> int:
+    """Tell the parent this endpoint is set up; return the epoch it sends."""
+    conn.send(("ready", None))
+    return conn.recv()
+
+
+def _sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
+    with open_region(region_path, cfg) as region:
+        trojan_send(
+            region, cfg, payload, _ready(conn), capabilities=capabilities, cpu=cpu
+        )
+
+
+def _receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
+    with open_region(region_path, cfg) as region:
+        return spy_receive(
+            region, cfg, _ready(conn), expected=payload, cpu=cpu,
+            capabilities=capabilities,
+        )
+
+
+def _child_main(entry, conn, parent_ends, *args) -> None:
+    """Run one endpoint in a forked child and send its result, or the text
+    of the exception that stopped it before the child exits non-zero.
+
+    The fork copies the parent's ends of every pipe made so far. Closing
+    them first leaves the parent their only holder, so a parent that dies
+    shows here as end of file instead of a wait for an epoch that never
+    comes."""
+    for parent_end in parent_ends:
+        parent_end.close()
+    try:
+        result = entry(*args, conn)
+    except BaseException as exc:
+        try:
+            conn.send(("error", repr(exc)))
+        except OSError:
+            pass
+        raise
+    conn.send(("result", result))
+
+
+def _collect(children, kind: str, deadline: float) -> dict[str, object]:
+    """One message of this kind from every child, by name. A child that
+    sends an error, or closes its pipe by exiting, aborts the pair."""
+    from multiprocessing.connection import wait
+
+    waiting = {conn: (name, proc) for name, proc, conn in children}
+    got: dict[str, object] = {}
+    while waiting:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            names = " and ".join(name for name, _ in waiting.values())
+            raise RunAbort(f"live {names} sent no {kind} before the deadline")
+        for conn in wait(list(waiting), timeout=remaining):
+            name, proc = waiting.pop(conn)
+            try:
+                got_kind, value = conn.recv()
+            except EOFError:
+                got_kind, value = "exit", None
+            if got_kind == kind:
+                got[name] = value
+                continue
+            proc.join(timeout=10)
+            if proc.exitcode == 0:
+                missing = "reporting ready" if kind == "ready" else "a report"
+                raise RunAbort(f"live {name} child exited without {missing}")
+            detail = f": {value}" if got_kind == "error" else ""
+            raise RunAbort(f"live {name} child exited with code {proc.exitcode}{detail}")
+    return got
+
+
+def run_pair(
+    cfg: ChannelConfig,
+    payload: list[int],
+    region_file: str,
+    lead_ns: int,
+    capabilities: BackendCapabilities,
+) -> TransmissionReport:
+    """Send the payload from a forked sender to a forked receiver on
+    region_file, which must hold cfg.region_size bytes, and return the
+    receiver's report. Slot 0 starts lead_ns after both children have opened
+    the region and reported ready; both reuse capabilities, a check_host()
+    result. A child that fails or exits early raises RunAbort, with its error
+    text when it sent one."""
+    import multiprocessing
+
+    # the receiver imports its accessor pool's executor once the epoch is
+    # fixed, inside the lead (see _accessor_pool); loaded here, every forked
+    # receiver inherits it and a sweep pays the import once rather than in
+    # every cell's lead
+    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+    ctx = multiprocessing.get_context("fork")
+    receiver_cpu, sender_cpu = live_cpus()
+    budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
+    deadline = time.monotonic() + budget
+    children = []
+    try:
+        for name, entry, cpu in (
+            ("receiver", _receiver_entry, receiver_cpu),
+            ("sender", _sender_entry, sender_cpu),
+        ):
+            conn, child_conn = ctx.Pipe()
+            parent_ends = [c for _, _, c in children] + [conn]
+            proc = ctx.Process(
+                target=_child_main,
+                args=(
+                    entry, child_conn, parent_ends, region_file, cfg, payload,
+                    capabilities, cpu,
+                ),
+            )
+            proc.start()
+            # only the child may hold its end, or its exit would not read as
+            # end of file here; closing before the next fork keeps it so
+            child_conn.close()
+            children.append((name, proc, conn))
+        _collect(children, "ready", deadline)
+        epoch = _now_ns() + lead_ns
+        for _, _, conn in children:
+            try:
+                conn.send(epoch)
+            except OSError:
+                pass  # that child has exited; collecting its result says how
+        report = _collect(children, "result", deadline)["receiver"]
+        for _, proc, _ in children:
+            proc.join(timeout=10)
+    finally:
+        for _, proc, conn in children:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            conn.close()
+    for name, proc, _ in children:
+        if proc.exitcode not in (None, 0):
+            raise RunAbort(f"live {name} child exited with code {proc.exitcode}")
+    return report

@@ -3,22 +3,20 @@
 A sweep varies exactly one knob over a list of values, repeats each cell,
 and records error rate and bandwidth per cell. Cell seeds are derived from
 the sweep seed with a stable hash, so a sweep is reproducible byte for byte
-from its spec alone. Simulator cells are self-contained; a live cell runs
-one sender and one receiver process at the same time, and the cells run one
-after another.
+from its spec alone. Each cell's payload comes from its seed and goes to the
+simulator or, in a live sweep, to pfchan.live, which returns the cell's
+report.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
-import os
-import time
 from dataclasses import dataclass, fields, replace
 
 from .config import MIB, ChannelConfig
-from .errors import ConfigError, RunAbort
-from .report import TransmissionReport, random_payload
+from .errors import ConfigError
+from .report import random_payload
 from .sim import SimParams, run_channel_sim
 
 BACKENDS = ("sim", "live")
@@ -47,7 +45,7 @@ class SweepSpec:
     region_file: str | None = None  # live backend only
     # margin from both live endpoints reporting ready to slot 0; within it
     # each child only pins itself, and the receiver starts its two workers
-    # from the executor that _run_live_cell loaded before forking
+    # from the executor that live.run_pair loaded before forking
     live_lead_ns: int = 14_000_000
 
     def __post_init__(self) -> None:
@@ -163,169 +161,9 @@ def apply_variable(cfg: ChannelConfig, variable: str, value: int) -> ChannelConf
     return replace(cfg, sync_period_ns=max(1, 1_000_000_000 // value))
 
 
-def _run_sim_cell(
-    cfg: ChannelConfig, params: SimParams, seed: int
-) -> TransmissionReport:
-    payload = random_payload(seed, cfg.payload_bits)
-    return run_channel_sim(cfg, params, payload)
-
-
-# -- live orchestration ----------------------------------------------------
-# Entry points are module level so forked children can run them directly.
-# Each child talks to the parent over its own pipe: ("ready", None) once its
-# region is open, then ("result", value) when it is done, or ("error", text)
-# from whatever step failed. The parent answers "ready" with the epoch. A
-# child that exits closes its end, so the parent sees the exit at once as
-# end of file on the pipe.
-
-
-def _ready(conn) -> int:
-    """Tell the parent this endpoint is set up; return the epoch it sends."""
-    conn.send(("ready", None))
-    return conn.recv()
-
-
-def _live_sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
-    from . import live
-
-    with live.open_region(region_path, cfg) as region:
-        live.trojan_send(
-            region, cfg, payload, _ready(conn), capabilities=capabilities, cpu=cpu
-        )
-
-
-def _live_receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
-    from . import live
-
-    with live.open_region(region_path, cfg) as region:
-        return live.spy_receive(
-            region, cfg, _ready(conn), expected=payload, cpu=cpu,
-            capabilities=capabilities,
-        )
-
-
-def _child_main(entry, conn, parent_ends, *args) -> None:
-    """Run one endpoint in a forked child and send its result, or the text
-    of the exception that stopped it before the child exits non-zero.
-
-    The fork copies the parent's ends of every pipe made so far. Closing
-    them first leaves the parent their only holder, so a parent that dies
-    shows here as end of file instead of a wait for an epoch that never
-    comes."""
-    for parent_end in parent_ends:
-        parent_end.close()
-    try:
-        result = entry(*args, conn)
-    except BaseException as exc:
-        try:
-            conn.send(("error", repr(exc)))
-        except OSError:
-            pass
-        raise
-    conn.send(("result", result))
-
-
-def _abort_if_any_failed(children) -> None:
-    for name, proc, _ in children:
-        if proc.exitcode not in (None, 0):
-            raise RunAbort(f"live {name} child exited with code {proc.exitcode}")
-
-
-def _collect(children, kind: str, deadline: float) -> dict[str, object]:
-    """One message of this kind from every child, by name. A child that
-    sends an error, or closes its pipe by exiting, aborts the cell."""
-    from multiprocessing.connection import wait
-
-    waiting = {conn: (name, proc) for name, proc, conn in children}
-    got: dict[str, object] = {}
-    while waiting:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            names = " and ".join(name for name, _ in waiting.values())
-            raise RunAbort(f"live {names} sent no {kind} before the cell's deadline")
-        for conn in wait(list(waiting), timeout=remaining):
-            name, proc = waiting.pop(conn)
-            try:
-                got_kind, value = conn.recv()
-            except EOFError:
-                got_kind, value = "exit", None
-            if got_kind == kind:
-                got[name] = value
-                continue
-            proc.join(timeout=10)
-            if proc.exitcode == 0:
-                missing = "reporting ready" if kind == "ready" else "a report"
-                raise RunAbort(f"live {name} child exited without {missing}")
-            detail = f": {value}" if got_kind == "error" else ""
-            raise RunAbort(f"live {name} child exited with code {proc.exitcode}{detail}")
-    return got
-
-
-def _run_live_cell(
-    cfg: ChannelConfig, seed: int, region_file: str, lead_ns: int, capabilities
-) -> TransmissionReport:
-    """One sender/receiver process pair on region_file, which must already
-    hold cfg.region_size bytes. Slot 0 starts lead_ns after both children
-    have opened the region and reported ready. A child that fails
-    or exits early aborts the cell, with its error text when it sent one,
-    instead of leaving a row."""
-    import multiprocessing
-
-    # the receiver imports its accessor pool's executor once the epoch is
-    # fixed, inside the lead; loaded here, every forked receiver inherits it
-    # and a sweep pays the import once rather than in every cell's lead
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import live
-
-    payload = random_payload(seed, cfg.payload_bits)
-    ctx = multiprocessing.get_context("fork")
-    receiver_cpu, sender_cpu = live.live_cpus()
-    budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
-    deadline = time.monotonic() + budget
-    children = []
-    try:
-        for name, entry, cpu in (
-            ("receiver", _live_receiver_entry, receiver_cpu),
-            ("sender", _live_sender_entry, sender_cpu),
-        ):
-            conn, child_conn = ctx.Pipe()
-            parent_ends = [c for _, _, c in children] + [conn]
-            proc = ctx.Process(
-                target=_child_main,
-                args=(
-                    entry, child_conn, parent_ends, region_file, cfg, payload,
-                    capabilities, cpu,
-                ),
-            )
-            proc.start()
-            # only the child may hold its end, or its exit would not read as
-            # end of file here; closing before the next fork keeps it so
-            child_conn.close()
-            children.append((name, proc, conn))
-        _collect(children, "ready", deadline)
-        epoch = live._now_ns() + lead_ns
-        for _, _, conn in children:
-            try:
-                conn.send(epoch)
-            except OSError:
-                pass  # that child has exited; collecting its result says how
-        report = _collect(children, "result", deadline)["receiver"]
-        for _, proc, _ in children:
-            proc.join(timeout=10)
-    finally:
-        for _, proc, conn in children:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            conn.close()
-    _abort_if_any_failed(children)
-    return report
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute every cell of the sweep and collect rows in grid order."""
-    caps = None
+    """Execute every cell of the sweep and collect rows in grid order. Each
+    cell's payload is drawn from its seed here, whichever backend runs it."""
     if spec.backend == "live":
         from . import live
 
@@ -333,20 +171,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # region in the grid, so a path that cannot be written fails by name
         cfgs = [apply_variable(spec.cfg, spec.variable, v) for v in spec.values]
         live.create_backing_file(spec.region_file, max(c.region_size for c in cfgs))
-        # eviction advice works or not per filesystem: probe the region's
-        region_dir = os.path.dirname(os.path.abspath(spec.region_file))
-        caps = live._require_ready(live.probe_capabilities(region_dir))
+        caps = live.check_host(spec.region_file)
 
     rows: list[CellResult] = []
     for value in spec.values:
         cfg = apply_variable(spec.cfg, spec.variable, value)
         for rep in range(spec.repetitions):
             seed = cell_seed(spec.seed, spec.variable, value, rep)
+            payload = random_payload(seed, cfg.payload_bits)
             if spec.backend == "sim":
-                report = _run_sim_cell(cfg, spec.params, seed)
+                report = run_channel_sim(cfg, spec.params, payload)
             else:
-                report = _run_live_cell(
-                    cfg, seed, spec.region_file, spec.live_lead_ns, caps
+                report = live.run_pair(
+                    cfg, payload, spec.region_file, spec.live_lead_ns, caps
                 )
             rows.append(
                 CellResult.from_report(spec.variable, value, rep, seed, cfg, report)

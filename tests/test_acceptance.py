@@ -241,7 +241,6 @@ def test_live_round_trip(tmp_path):
     # region at 50 bit/s with at most 10% errors, slot 0 coming the default
     # live lead after both endpoints are ready, as in a live sweep.
     from pfchan import live
-    from pfchan.sweep import _run_live_cell
 
     caps = live.probe_capabilities()
     if not caps.transmission_ready():
@@ -249,7 +248,7 @@ def test_live_round_trip(tmp_path):
     cfg = ChannelConfig(page_gap=64, payload_bits=100, sync_period_ns=20_000_000)
     region = live.create_backing_file(str(tmp_path / "region.bin"), cfg.region_size)
     lead_ns = next(f.default for f in fields(SweepSpec) if f.name == "live_lead_ns")
-    report = _run_live_cell(cfg, 7, region, lead_ns, caps)
+    report = live.run_pair(cfg, random_payload(7, cfg.payload_bits), region, lead_ns, caps)
     _verdict(
         "live round trip", report.ber <= 0.10,
         f"ber={report.ber:.3f} indeterminate={report.indeterminate_slots} "

@@ -190,7 +190,7 @@ def test_malformed_bit_payload_exits_1(capsys):
 def test_an_empty_payload_or_grid_exits_1(monkeypatch, capsys, argv):
     # an empty flag must not fall back to a random payload or the default grid
     ran = []
-    monkeypatch.setattr(pfchan.sweep, "_run_sim_cell", lambda *a: ran.append(a))
+    monkeypatch.setattr(pfchan.sweep, "run_channel_sim", lambda *a: ran.append(a))
     assert run_cli(*argv, *SMALL) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
@@ -212,7 +212,7 @@ def test_an_unwritable_output_path_exits_2_before_the_run(
 ):
     ran = []
     monkeypatch.setattr(pfchan.cli, "run_channel_sim", lambda *a, **k: ran.append(a))
-    monkeypatch.setattr(pfchan.sweep, "_run_sim_cell", lambda *a: ran.append(a))
+    monkeypatch.setattr(pfchan.sweep, "run_channel_sim", lambda *a: ran.append(a))
     path = str(tmp_path / "absent" / "out.txt")
     assert run_cli(*argv, path, *SMALL) == 2
     err = capsys.readouterr().err
@@ -286,6 +286,7 @@ def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
     [
         ["sweep", "--variable", "page_gap", "--values", "8"],
         ["send", "--create-region", "--epoch", "+0", "--bits", "01"],
+        ["receive", "--epoch", "+0", "--bits", "01"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -545,7 +546,7 @@ def test_a_system_call_that_fails_during_a_run_exits_3(
     fake_live_setup(monkeypatch)
     monkeypatch.setattr(pfchan.live, "trojan_send", fail)
     monkeypatch.setattr(pfchan.live, "spy_receive", fail)
-    monkeypatch.setattr(pfchan.sweep, "_run_live_cell", fail)
+    monkeypatch.setattr(pfchan.live, "run_pair", fail)
     region = str(tmp_path / "r.bin")
     if command == "sweep":
         argv = ["sweep", "--variable", "page_gap", "--values", "8", *SMALL]

@@ -1,4 +1,5 @@
-"""OS backend: region mapping, capability probing, schedule discipline.
+"""OS backend: region mapping, capability probing, schedule discipline and
+the forked sender/receiver pair.
 
 Everything here runs on any Linux box without special privileges. Timing
 assertions are deliberately loose; correctness of the decode logic itself
@@ -9,6 +10,7 @@ from __future__ import annotations
 import ctypes
 import errno
 import inspect
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -38,6 +40,9 @@ from pfchan.live import (
     trojan_send,
 )
 from pfchan.protocol import ObservedOrder, PagePair, encode_target, page_pair_for_slot
+from pfchan.report import random_payload
+from pfchan.sim import SimParams, run_channel_sim
+from pfchan.sweep import SweepSpec, run_sweep
 
 READY = BackendCapabilities(
     shared_readonly_mapping=True,
@@ -293,8 +298,8 @@ def test_decode_path_reads_no_clock():
 
 def test_importing_the_live_backend_loads_no_executor_or_logging():
     # every importer of pfchan.live pays for what it imports, a process
-    # that never receives included; spy_receive, or a live sweep's parent
-    # before it forks, loads the executor
+    # that never receives included; spy_receive, or run_pair before it
+    # forks, loads the executor
     src = str(Path(live.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pfchan.live; "
@@ -402,8 +407,8 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
         "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
         "--sync-period-ns", "1000000",
     ]) == 0
-    # the default temp directory, as pfchan probe uses
-    probe.assert_called_once_with()
+    # the directory the region file is on, whose filesystem the run uses
+    probe.assert_called_once_with(os.path.dirname(region_file))
 
 
 def test_receive_zero_bits_is_a_config_error(region_file):
@@ -731,3 +736,239 @@ def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
     assert "evictions not verified (mincore cannot report on this file)" in out
     assert "unconfirmed" not in out
     assert mincore.call_count == 0
+
+
+# -- forked sender/receiver pair, with the child entry points replaced ------
+# The children are forked, so they run the monkeypatched entry points.
+
+TINY = ChannelConfig(
+    region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
+)
+
+
+def _healthy_sender(region_path, cfg, payload, capabilities, cpu, conn):
+    if capabilities is not READY:
+        os._exit(9)
+    live._ready(conn)
+
+
+def _healthy_receiver(region_path, cfg, payload, capabilities, cpu, conn):
+    if capabilities is not READY:
+        os._exit(9)
+    live._ready(conn)
+    return run_channel_sim(cfg, SimParams(), payload)
+
+
+def _run_tiny_cell(tmp_path):
+    payload = random_payload(7, TINY.payload_bits)
+    return live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000, READY)
+
+
+def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
+    monkeypatch.setattr(live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(live, "_sender_entry", _healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    spec = SweepSpec(
+        variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
+        params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
+        live_lead_ns=10_000_000,
+    )
+    (row,) = run_sweep(spec).rows
+    assert (row.payload_bits, row.ber) == (8, 0.0)
+
+
+def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp_path):
+    # the sender is slower to get ready; slot 0 must still come lead_ns
+    # after the later of the two, and both must get the same epoch
+    real_ready = live._ready
+
+    def recording_ready(conn):
+        ready_ns = time.clock_gettime_ns(time.CLOCK_REALTIME)
+        epoch_ns = real_ready(conn)
+        (tmp_path / f"ready-{os.getpid()}").write_text(f"{ready_ns} {epoch_ns}")
+        return epoch_ns
+
+    def slow_sender(*args):
+        time.sleep(0.3)
+        _healthy_sender(*args)
+
+    monkeypatch.setattr(live, "_ready", recording_ready)
+    monkeypatch.setattr(live, "_sender_entry", slow_sender)
+    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    _run_tiny_cell(tmp_path)
+    records = [tuple(map(int, p.read_text().split())) for p in tmp_path.glob("ready-*")]
+    assert len(records) == 2
+    (ready_a, epoch_a), (ready_b, epoch_b) = records
+    assert epoch_a == epoch_b >= max(ready_a, ready_b) + 10_000_000
+
+
+def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
+    # the sender dies after slot 0 has been fixed; the receiver still
+    # reports, as one decoding noise would
+    def dying_sender(*args):
+        live._ready(args[-1])
+        raise SetupError("region vanished")
+
+    monkeypatch.setattr(live, "_sender_entry", dying_sender)
+    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    message = r"sender child exited with code 1: SetupError\('region vanished'\)"
+    with pytest.raises(RunAbort, match=message):
+        _run_tiny_cell(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "exit_code,message",
+    [(5, "receiver child exited with code 5"), (0, "receiver child exited without a report")],
+)
+def test_live_cell_with_a_dead_receiver_aborts_fast(
+    monkeypatch, tmp_path, exit_code, message
+):
+    def dead_receiver(*args):
+        live._ready(args[-1])
+        os._exit(exit_code)
+
+    monkeypatch.setattr(live, "_sender_entry", _healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", dead_receiver)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match=message):
+        _run_tiny_cell(tmp_path)
+    # the report budget is over 30 s; a dead receiver must not wait it out
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize(
+    "failure,message",
+    [
+        ("raise", r"child exited with code 1: RunAbort\('no region for me'\)"),
+        ("exit 0", "child exited without reporting ready"),
+    ],
+)
+def test_live_cell_with_a_child_that_dies_before_ready_aborts_fast(
+    monkeypatch, tmp_path, role, failure, message
+):
+    def unready(*args):
+        if failure == "raise":
+            raise RunAbort("no region for me")
+        os._exit(0)
+
+    monkeypatch.setattr(live, "_sender_entry", _healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(live, f"_{role}_entry", unready)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match=f"live {role} {message}"):
+        _run_tiny_cell(tmp_path)
+    # the healthy partner is left waiting for an epoch and must not hold
+    # the cell open until the budget runs out
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("usable,expected", [({0, 1}, "0 1"), ({0}, "0 None")])
+def test_live_cell_pins_the_endpoints_to_distinct_cores(
+    monkeypatch, tmp_path, usable, expected
+):
+    def recording(name, entry):
+        def wrapped(region_path, cfg, payload, capabilities, cpu, conn):
+            (tmp_path / name).write_text(str(cpu))
+            return entry(region_path, cfg, payload, capabilities, cpu, conn)
+
+        return wrapped
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
+    for name, entry in (("sender", _healthy_sender), ("receiver", _healthy_receiver)):
+        monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
+    _run_tiny_cell(tmp_path)
+    cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
+    assert cores == expected
+
+
+def test_live_children_start_with_the_receivers_executor_loaded(
+    monkeypatch, tmp_path
+):
+    # the receiver starts its accessor pool once the epoch is fixed; had it
+    # to import the executor then, the import would eat into the lead. The
+    # cell's parent loads it before forking, so both children inherit it.
+    # This process unloads it for the cell and gets its own modules back
+    def family():
+        return [m for m in sys.modules if m.split(".")[0] == "concurrent"]
+
+    def recording(name, entry):
+        def wrapped(*args):
+            loaded = "concurrent.futures.thread" in sys.modules
+            (tmp_path / name).write_text(str(loaded))
+            return entry(*args)
+
+        return wrapped
+
+    for name, entry in (("sender", _healthy_sender), ("receiver", _healthy_receiver)):
+        monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
+    saved = {name: sys.modules.pop(name) for name in family()}
+    try:
+        _run_tiny_cell(tmp_path)
+    finally:
+        for name in family():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    loaded = [(tmp_path / name).read_text() for name in ("receiver", "sender")]
+    assert loaded == ["True", "True"]
+
+
+def _wait_for(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_live_children_exit_when_the_parent_dies_before_the_epoch(
+    monkeypatch, tmp_path
+):
+    # the cell's parent is killed after both children are ready but before
+    # it sends the epoch; each child must see end of file on its pipe rather
+    # than wait forever on an end that it or its partner also holds
+    def waiting_child(*args):
+        (tmp_path / f"child-{os.getpid()}").touch()
+        try:
+            live._ready(args[-1])
+        except EOFError:
+            (tmp_path / f"eof-{os.getpid()}").touch()
+            raise
+
+    real_collect = live._collect
+
+    def collect_then_hang(children, kind, deadline):
+        got = real_collect(children, kind, deadline)
+        (tmp_path / "all-ready").touch()
+        time.sleep(60)
+        return got
+
+    monkeypatch.setattr(live, "_sender_entry", waiting_child)
+    monkeypatch.setattr(live, "_receiver_entry", waiting_child)
+    monkeypatch.setattr(live, "_collect", collect_then_hang)
+    parent = multiprocessing.get_context("fork").Process(
+        target=_run_tiny_cell, args=(tmp_path,)
+    )
+    parent.start()
+    try:
+        _wait_for((tmp_path / "all-ready").exists)
+        parent.kill()
+        parent.join()
+        _wait_for(lambda: len(list(tmp_path.glob("eof-*"))) == 2)
+        # an orphan still exiting could print its traceback after the test
+        children = [int(m.name.split("-")[1]) for m in tmp_path.glob("child-*")]
+        _wait_for(lambda: not any(map(_alive, children)))
+    finally:
+        parent.kill()
+        parent.join()
+        for marker in tmp_path.glob("child-*"):
+            pid = int(marker.name.split("-")[1])
+            if not (tmp_path / f"eof-{pid}").exists():
+                os.kill(pid, signal.SIGKILL)
