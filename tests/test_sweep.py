@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,9 @@ import pfchan.live
 from pfchan import sweep
 from pfchan.cli import main
 from pfchan.config import ChannelConfig
-from pfchan.errors import ConfigError, SetupError
+from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
-from pfchan.sim import EvictionBehavior, SimParams
+from pfchan.sim import EvictionBehavior, SimParams, run_channel_sim
 from pfchan.sweep import (
     SweepSpec,
     apply_variable,
@@ -247,6 +248,88 @@ def test_live_sweep_requires_region_file(monkeypatch):
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
     with pytest.raises(ConfigError, match="region_file"):
         run_sweep(small_spec(backend="live"))
+
+
+# -- a one-cell live sweep, with the forked children's entry points replaced -
+# The children are forked, so they run the monkeypatched entry points.
+
+READY = BackendCapabilities(
+    shared_readonly_mapping=True,
+    cache_advice_eviction=True,
+    cpu_affinity=True,
+)
+TINY = ChannelConfig(
+    region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
+)
+
+
+def _healthy_sender(region_path, cfg, payload, capabilities, cpu, conn):
+    if capabilities is not READY:
+        os._exit(9)
+    pfchan.live._ready(conn)
+
+
+def _healthy_receiver(region_path, cfg, payload, capabilities, cpu, conn):
+    if capabilities is not READY:
+        os._exit(9)
+    pfchan.live._ready(conn)
+    return run_channel_sim(cfg, SimParams(), payload)
+
+
+def _run_tiny_live_sweep(monkeypatch, tmp_path):
+    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
+    return run_sweep(SweepSpec(
+        variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
+        params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
+        live_lead_ns=10_000_000,
+    ))
+
+
+@pytest.mark.parametrize(
+    "exit_code,message",
+    [(5, "receiver child exited with code 5"), (0, "receiver child exited without a report")],
+)
+def test_live_cell_with_a_dead_receiver_aborts_fast(
+    monkeypatch, tmp_path, exit_code, message
+):
+    def dead_receiver(*args):
+        pfchan.live._ready(args[-1])
+        os._exit(exit_code)
+
+    monkeypatch.setattr(pfchan.live, "_sender_entry", _healthy_sender)
+    monkeypatch.setattr(pfchan.live, "_receiver_entry", dead_receiver)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match=message):
+        _run_tiny_live_sweep(monkeypatch, tmp_path)
+    # the report budget is over 30 s; a dead receiver must not wait it out
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize(
+    "failure,message",
+    [
+        ("raise", r"child exited with code 1: RunAbort\('no region for me'\)"),
+        ("exit 0", "child exited without reporting ready"),
+    ],
+)
+def test_live_cell_with_a_child_that_dies_before_ready_aborts_fast(
+    monkeypatch, tmp_path, role, failure, message
+):
+    def unready(*args):
+        if failure == "raise":
+            raise RunAbort("no region for me")
+        os._exit(0)
+
+    monkeypatch.setattr(pfchan.live, "_sender_entry", _healthy_sender)
+    monkeypatch.setattr(pfchan.live, "_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(pfchan.live, f"_{role}_entry", unready)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match=f"live {role} {message}"):
+        _run_tiny_live_sweep(monkeypatch, tmp_path)
+    # the healthy partner is left waiting for an epoch and must not hold
+    # the cell open until the budget runs out
+    assert time.monotonic() - start < 5
 
 
 def test_a_sim_sweep_loads_no_executor_or_logging():
