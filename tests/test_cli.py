@@ -8,6 +8,7 @@ from contextlib import nullcontext
 from dataclasses import fields, replace
 
 import pytest
+from conftest import READY
 
 import pfchan.cli
 import pfchan.live
@@ -27,9 +28,6 @@ CSV_HEADER = (
 )
 
 SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
-READY = BackendCapabilities(
-    shared_readonly_mapping=True, cache_advice_eviction=True, cpu_affinity=True
-)
 
 
 def fake_live_setup(monkeypatch) -> None:
@@ -123,11 +121,15 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("base_page = 0\n", "bad.cfg:1: unknown config key 'base_page'"),
         ("guard_offset_ns = 5\n", "bad.cfg:1: unknown config key 'guard_offset_ns'"),
         ("page_size = 4096\n", "bad.cfg:1: unknown config key 'page_size'"),
+        (None, "cannot read config file"),  # bad.cfg is a directory
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(content)
+    if content is None:
+        cfg_file.mkdir()
+    else:
+        cfg_file.write_text(content)
     assert run_cli("simulate", "--config", str(cfg_file)) == 1
     assert fragment in capsys.readouterr().err
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
+from conftest import READY, TINY, healthy_receiver, healthy_sender
 
 from pfchan import live
 from pfchan.config import PAGE_SIZE, ChannelConfig
@@ -41,14 +42,9 @@ from pfchan.live import (
 )
 from pfchan.protocol import ObservedOrder, PagePair, encode_target, page_pair_for_slot
 from pfchan.report import random_payload
-from pfchan.sim import SimParams, run_channel_sim
+from pfchan.sim import SimParams
 from pfchan.sweep import SweepSpec, run_sweep
 
-READY = BackendCapabilities(
-    shared_readonly_mapping=True,
-    cache_advice_eviction=True,
-    cpu_affinity=True,
-)
 NOT_READY = BackendCapabilities(
     shared_readonly_mapping=True,
     cache_advice_eviction=False,
@@ -101,6 +97,13 @@ def test_create_backing_file_rejects_bad_size(tmp_path):
 def test_open_region_missing_file(tmp_path):
     with pytest.raises(SetupError, match="backing file"):
         open_region(str(tmp_path / "absent.bin"), small_cfg())
+
+
+def test_open_region_unreadable_file(region_file, monkeypatch):
+    # root reads any file, so the refusal is driven through os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: mode != os.R_OK)
+    with pytest.raises(SetupError, match="not readable by this process"):
+        open_region(region_file, small_cfg())
 
 
 def test_open_region_too_small(tmp_path, region_file):
@@ -741,24 +744,6 @@ def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
 # -- forked sender/receiver pair, with the child entry points replaced ------
 # The children are forked, so they run the monkeypatched entry points.
 
-TINY = ChannelConfig(
-    region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
-)
-
-
-def _healthy_sender(region_path, cfg, payload, capabilities, cpu, conn):
-    if capabilities is not READY:
-        os._exit(9)
-    live._ready(conn)
-
-
-def _healthy_receiver(region_path, cfg, payload, capabilities, cpu, conn):
-    if capabilities is not READY:
-        os._exit(9)
-    live._ready(conn)
-    return run_channel_sim(cfg, SimParams(), payload)
-
-
 def _run_tiny_cell(tmp_path):
     payload = random_payload(7, TINY.payload_bits)
     return live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000, READY)
@@ -766,8 +751,8 @@ def _run_tiny_cell(tmp_path):
 
 def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
     monkeypatch.setattr(live, "probe_capabilities", lambda *a, **k: READY)
-    monkeypatch.setattr(live, "_sender_entry", _healthy_sender)
-    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(live, "_sender_entry", healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
     spec = SweepSpec(
         variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
@@ -790,11 +775,11 @@ def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp
 
     def slow_sender(*args):
         time.sleep(0.3)
-        _healthy_sender(*args)
+        healthy_sender(*args)
 
     monkeypatch.setattr(live, "_ready", recording_ready)
     monkeypatch.setattr(live, "_sender_entry", slow_sender)
-    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
     _run_tiny_cell(tmp_path)
     records = [tuple(map(int, p.read_text().split())) for p in tmp_path.glob("ready-*")]
     assert len(records) == 2
@@ -810,10 +795,38 @@ def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
         raise SetupError("region vanished")
 
     monkeypatch.setattr(live, "_sender_entry", dying_sender)
-    monkeypatch.setattr(live, "_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
     message = r"sender child exited with code 1: SetupError\('region vanished'\)"
     with pytest.raises(RunAbort, match=message):
         _run_tiny_cell(tmp_path)
+
+
+def test_live_cell_whose_receiver_fails_after_its_report_aborts(monkeypatch, tmp_path):
+    # the report arrives, then the child exits 7: a thread it left behind
+    # outlives the entry and ends the process once the main thread is done
+    def failing_late(*args):
+        def exit_7():
+            threading.main_thread().join()
+            os._exit(7)
+
+        threading.Thread(target=exit_7).start()
+        return healthy_receiver(*args)
+
+    monkeypatch.setattr(live, "_sender_entry", healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", failing_late)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match="live receiver child exited with code 7$"):
+        _run_tiny_cell(tmp_path)
+    assert time.monotonic() - start < 1
+
+
+def test_collect_past_its_deadline_names_every_silent_child():
+    receiver, receiver_end = multiprocessing.Pipe()
+    sender, sender_end = multiprocessing.Pipe()
+    with receiver, receiver_end, sender, sender_end:
+        children = [("receiver", None, receiver), ("sender", None, sender)]
+        with pytest.raises(RunAbort, match="live receiver and sender sent no ready"):
+            live._collect(children, "ready", time.monotonic() - 1)
 
 
 @pytest.mark.parametrize("usable,expected", [({0, 1}, "0 1"), ({0}, "0 None")])
@@ -828,7 +841,7 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
         return wrapped
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
-    for name, entry in (("sender", _healthy_sender), ("receiver", _healthy_receiver)):
+    for name, entry in (("sender", healthy_sender), ("receiver", healthy_receiver)):
         monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
     _run_tiny_cell(tmp_path)
     cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
@@ -853,7 +866,7 @@ def test_live_children_start_with_the_receivers_executor_loaded(
 
         return wrapped
 
-    for name, entry in (("sender", _healthy_sender), ("receiver", _healthy_receiver)):
+    for name, entry in (("sender", healthy_sender), ("receiver", healthy_receiver)):
         monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
     saved = {name: sys.modules.pop(name) for name in family()}
     try:

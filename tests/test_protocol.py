@@ -52,6 +52,8 @@ def test_first_slot_pair():
     pair = page_pair_for_slot(cfg, 0)
     assert (pair.p1, pair.p2) == (0, 64)
     assert pair.slot == 0
+    with pytest.raises(ConfigError, match="non-negative, got -1"):
+        page_pair_for_slot(cfg, -1)
 
 
 def test_slot_two_pair_matches_oracle():
@@ -159,6 +161,8 @@ def test_config_rejects_gap_beyond_region():
 def test_config_rejects_bad_guard():
     with pytest.raises(ConfigError):
         ChannelConfig(sync_period_ns=0)
+    with pytest.raises(ConfigError, match="payload_bits must be at least 1, got 0"):
+        ChannelConfig(payload_bits=0)
     # the half-period guard of a 1 ns period is 0, so the probe would run
     # at the sender's deadline
     with pytest.raises(ConfigError, match=r"sync_period_ns \(1\) is too short"):

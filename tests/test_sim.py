@@ -61,6 +61,8 @@ def touch(sim, process, page):
 def test_params_validation():
     with pytest.raises(ConfigError):
         SimParams(disk_latency=1, mem_latency=1)
+    with pytest.raises(ConfigError, match="mem_latency must be at least 1, got 0"):
+        SimParams(mem_latency=0)
     with pytest.raises(ConfigError):
         SimParams(switch_cost=-1)
     with pytest.raises(ConfigError):
@@ -142,6 +144,9 @@ def test_spy_slot_rejects_a_pair_of_one_page():
     # page_pair_for_slot never builds one; a hand-built pair is a usage error
     with pytest.raises(ConfigError, match="got page 5 twice"):
         spy_slot(make_sim(), p1=5, p2=5)
+    # nor can a region of one page hold a pair
+    with pytest.raises(ConfigError, match="at least 2 pages, got 1"):
+        CacheSchedSim(SimParams(), 1)
 
 
 def test_spy_slot_p1_evicted_means_t1_last():

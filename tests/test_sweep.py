@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import READY, TINY, healthy_receiver, healthy_sender
 
 import pfchan.live
 from pfchan import sweep
@@ -15,7 +16,7 @@ from pfchan.cli import main
 from pfchan.config import ChannelConfig
 from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
-from pfchan.sim import EvictionBehavior, SimParams, run_channel_sim
+from pfchan.sim import EvictionBehavior, SimParams
 from pfchan.sweep import (
     SweepSpec,
     apply_variable,
@@ -253,29 +254,6 @@ def test_live_sweep_requires_region_file(monkeypatch):
 # -- a one-cell live sweep, with the forked children's entry points replaced -
 # The children are forked, so they run the monkeypatched entry points.
 
-READY = BackendCapabilities(
-    shared_readonly_mapping=True,
-    cache_advice_eviction=True,
-    cpu_affinity=True,
-)
-TINY = ChannelConfig(
-    region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
-)
-
-
-def _healthy_sender(region_path, cfg, payload, capabilities, cpu, conn):
-    if capabilities is not READY:
-        os._exit(9)
-    pfchan.live._ready(conn)
-
-
-def _healthy_receiver(region_path, cfg, payload, capabilities, cpu, conn):
-    if capabilities is not READY:
-        os._exit(9)
-    pfchan.live._ready(conn)
-    return run_channel_sim(cfg, SimParams(), payload)
-
-
 def _run_tiny_live_sweep(monkeypatch, tmp_path):
     monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
     return run_sweep(SweepSpec(
@@ -296,7 +274,7 @@ def test_live_cell_with_a_dead_receiver_aborts_fast(
         pfchan.live._ready(args[-1])
         os._exit(exit_code)
 
-    monkeypatch.setattr(pfchan.live, "_sender_entry", _healthy_sender)
+    monkeypatch.setattr(pfchan.live, "_sender_entry", healthy_sender)
     monkeypatch.setattr(pfchan.live, "_receiver_entry", dead_receiver)
     start = time.monotonic()
     with pytest.raises(RunAbort, match=message):
@@ -321,8 +299,8 @@ def test_live_cell_with_a_child_that_dies_before_ready_aborts_fast(
             raise RunAbort("no region for me")
         os._exit(0)
 
-    monkeypatch.setattr(pfchan.live, "_sender_entry", _healthy_sender)
-    monkeypatch.setattr(pfchan.live, "_receiver_entry", _healthy_receiver)
+    monkeypatch.setattr(pfchan.live, "_sender_entry", healthy_sender)
+    monkeypatch.setattr(pfchan.live, "_receiver_entry", healthy_receiver)
     monkeypatch.setattr(pfchan.live, f"_{role}_entry", unready)
     start = time.monotonic()
     with pytest.raises(RunAbort, match=f"live {role} {message}"):
