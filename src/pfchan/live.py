@@ -7,10 +7,11 @@ not PAGE_SIZE bytes, with a SetupError. No call falls back to a quieter
 channel that would still print an error rate.
 
 The sender and receiver share a read-only file mapped MAP_PRIVATE. Eviction
-uses posix_fadvise(DONTNEED), which is advisory: probe_capabilities checks
-at startup that advice really evicts, and the sender reports per-slot
-confirmation from mincore as a diagnostic, or None on a file mincore cannot
-report on. The channel itself never depends on that confirmation.
+uses posix_fadvise(DONTNEED), which is advisory: the host check confirms at
+startup that advice really evicts, by counting the major fault a mapped read
+takes right after it, and the sender reports per-slot confirmation from
+mincore as a diagnostic, or None on a file mincore cannot report on. The
+channel itself never depends on that confirmation.
 
 DONTNEED refuses to drop a page that any process still has in its page
 tables, so both endpoints are careful about what they map. The sender
@@ -33,8 +34,11 @@ starts, not by importing this module, which loads no executor; run_pair
 imports it before forking, so its receivers find it loaded and the epoch's
 lead need not cover the import.
 
-Every transmission starts from check_host, which probes the filesystem the
-region file is on; run_pair runs one as a forked sender/receiver pair.
+Every transmission starts from check_host, which probes the region file
+itself, in place; run_pair runs one as a forked sender/receiver pair whose
+children open the region and pin their cores before they report ready, so
+once the epoch is fixed each has only its wait left, and the receiver its
+two workers to start.
 
 Decoding uses only the order in which the two reads finished: each read
 appends its name, t1 for the read of p1 and t2 for that of p2, to the
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import resource
 import threading
 import time
 from contextlib import contextmanager
@@ -307,51 +312,58 @@ def evict_pair(region: SharedRegion, pair: PagePair) -> bool | None:
     return None if residency is None else not any(residency)
 
 
-def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
-    """Run small experiments against a scratch file and report what worked.
+def _major_faults() -> int:
+    """Major faults the calling thread has taken so far."""
+    return resource.getrusage(resource.RUSAGE_THREAD).ru_majflt
 
-    Never raises; a failed or unavailable probe turns its flag off and adds
-    a note.
+
+# the first two pages of a file, the smallest region a config describes
+_PROBE_CFG = ChannelConfig(region_size=2 * PAGE_SIZE, page_gap=2)
+
+
+def _probe_file(path: str | None, *notes: str) -> BackendCapabilities:
+    """The host probe: map, evict and re-read page 0 of the file at path, in
+    place, then pin to one core. With no file, the two flags that need one
+    are off and notes say why. Never raises; a failed step turns its flag
+    off and adds a note.
+
+    Eviction is confirmed by its effect, one major fault on the mapped read
+    right after the advice, which unlike mincore works on a file the caller
+    neither owns nor can write. The page is cached and unmapped before the
+    advice, as the sender leaves its target, and advised out at the end, as
+    open_region leaves every page.
     """
-    notes: list[str] = []
+    notes = list(notes)
     mapping_ok = False
     eviction_ok = False
     affinity_ok = False
 
-    import tempfile
-
-    try:
-        with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
-            scratch = os.path.join(tmp, "probe.bin")
-            cfg = ChannelConfig(region_size=16 * PAGE_SIZE, page_gap=4)
-            create_backing_file(scratch, cfg.region_size)
-            try:
-                with open_region(scratch, cfg) as region:
+    if path is not None:
+        try:
+            with open_region(path, _PROBE_CFG) as region:
+                region.read_byte(0)
+                region.drop_mapping(0)
+                mapping_ok = True
+                try:
+                    region.advise_dontneed(0)
+                    before = _major_faults()
                     region.read_byte(0)
+                    faults = _major_faults() - before
                     region.drop_mapping(0)
-                    mapping_ok = True
-                    # mirror the sender: cache-populate without mapping,
-                    # since advice cannot drop a page anyone still maps
-                    region.load_byte(2)
-                    region.load_byte(3)
-                    # the probe owns its scratch file, so mincore reports
-                    try:
-                        confirmed = evict_pair(region, PagePair(p1=2, p2=3, slot=0))
-                    except OSError as exc:
-                        notes.append(f"eviction advice or its check failed: {exc}")
-                    else:
-                        eviction_ok = confirmed is True
-                        if not eviction_ok:
-                            notes.append(
-                                "eviction advice accepted but mincore did not "
-                                "see the pages leave"
-                            )
-            except SetupError as exc:
-                notes.append(str(exc))
-            except (OSError, ValueError) as exc:
-                notes.append(f"private mapping failed: {exc}")
-    except (OSError, SetupError) as exc:
-        notes.append(f"scratch file setup failed: {exc}")
+                    region.advise_dontneed(0)
+                except OSError as exc:
+                    notes.append(f"eviction advice or its check failed: {exc}")
+                else:
+                    eviction_ok = faults == 1
+                    if not eviction_ok:
+                        notes.append(
+                            f"a read after eviction advice took {faults} major "
+                            f"faults, not 1"
+                        )
+        except SetupError as exc:
+            notes.append(str(exc))
+        except (OSError, ValueError) as exc:
+            notes.append(f"private mapping failed: {exc}")
 
     try:
         with _pinned(live_cpus()[0], "probe"):
@@ -367,6 +379,20 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
     )
 
 
+def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
+    """Run the host probe on a scratch file that it writes in scratch_dir,
+    the temp directory by default, and report what worked. Never raises."""
+    import tempfile
+
+    try:
+        with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
+            scratch = os.path.join(tmp, "probe.bin")
+            create_backing_file(scratch, _PROBE_CFG.region_size)
+            return _probe_file(scratch)
+    except (OSError, SetupError) as exc:
+        return _probe_file(None, f"scratch file setup failed: {exc}")
+
+
 def _require_ready(caps: BackendCapabilities) -> BackendCapabilities:
     """Check, never probe: whoever starts a transmission probes."""
     if not caps.transmission_ready():
@@ -377,12 +403,14 @@ def _require_ready(caps: BackendCapabilities) -> BackendCapabilities:
 
 
 def check_host(region_file: str) -> BackendCapabilities:
-    """Probe the filesystem region_file is on, since eviction advice works
-    or not per filesystem, and return the capabilities, or raise SetupError
-    unless they are transmission_ready(). The probe writes its scratch file
-    next to the region, so that directory must be writable."""
-    region_dir = os.path.dirname(os.path.abspath(region_file))
-    return _require_ready(probe_capabilities(region_dir))
+    """Run the host probe on region_file itself, in place, and return the
+    capabilities, or raise SetupError unless they are transmission_ready().
+
+    Eviction advice works or not per filesystem, and the region's own pages
+    show it. The check writes no file, so the region's directory need not
+    be writable, and it confirms advice on a file the caller neither owns
+    nor can write as well as on its own."""
+    return _require_ready(_probe_file(region_file))
 
 
 def _now_ns() -> int:
@@ -593,15 +621,19 @@ def _ready(conn) -> int:
     return conn.recv()
 
 
+# Each entry opens the region and pins its core before it reports ready, so
+# that once the epoch comes the sender has only its wait left, and the
+# receiver its two workers to start. trojan_send is handed no core, since it
+# already runs on one; spy_receive always pins, here to the core it is on.
+
+
 def _sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
-    with open_region(region_path, cfg) as region:
-        trojan_send(
-            region, cfg, payload, _ready(conn), capabilities=capabilities, cpu=cpu
-        )
+    with open_region(region_path, cfg) as region, _pinned(cpu, "sender"):
+        trojan_send(region, cfg, payload, _ready(conn), capabilities=capabilities)
 
 
 def _receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
-    with open_region(region_path, cfg) as region:
+    with open_region(region_path, cfg) as region, _pinned(cpu, "receiver"):
         return spy_receive(
             region, cfg, _ready(conn), expected=payload, cpu=cpu,
             capabilities=capabilities,
@@ -669,9 +701,9 @@ def run_pair(
     """Send the payload from a forked sender to a forked receiver on
     region_file, which must hold cfg.region_size bytes, and return the
     receiver's report. Slot 0 starts lead_ns after both children have opened
-    the region and reported ready; both reuse capabilities, a check_host()
-    result. A child that fails or exits early raises RunAbort, with its error
-    text when it sent one."""
+    the region, pinned their cores and reported ready; both reuse
+    capabilities, a check_host() result. A child that fails or exits early
+    raises RunAbort, with its error text when it sent one."""
     import multiprocessing
 
     # the receiver imports its accessor pool's executor once the epoch is
@@ -706,7 +738,10 @@ def run_pair(
             children.append((name, proc, conn))
         _collect(children, "ready", deadline)
         epoch = _now_ns() + lead_ns
-        for _, _, conn in children:
+        # the sender first: woken, it only starts its wait, while the woken
+        # receiver starts its workers, and on a shared core would hold this
+        # process off the second send until they had started
+        for _, _, conn in reversed(children):
             try:
                 conn.send(epoch)
             except OSError:

@@ -43,10 +43,12 @@ class SweepSpec:
     backend: str = "sim"
     seed: int = 0
     region_file: str | None = None  # live backend only
-    # margin from both live endpoints reporting ready to slot 0; within it
-    # each child only pins itself, and the receiver starts its two workers
-    # from the executor that live.run_pair loaded before forking
-    live_lead_ns: int = 14_000_000
+    # margin from both live endpoints reporting ready, each with its region
+    # open and its core pinned, to slot 0. It covers the epoch's hand-off and
+    # the receiver starting its two workers: twice the p99 of that set-up on
+    # a host under 1% CPU steal, rounded up to whole ms, plus 1 ms for the
+    # per-rate BER check (BENCH_cellcost.json)
+    live_lead_ns: int = 7_000_000
 
     def __post_init__(self) -> None:
         if not self.values:

@@ -32,9 +32,9 @@ SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
 
 def fake_live_setup(monkeypatch) -> None:
     """Stand in for the region and the probe: send and receive probe first,
-    and a real probe maps a scratch file through open_region."""
+    and a real probe maps the region file itself through open_region."""
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
 
 
 def run_cli(*argv) -> int:
@@ -274,7 +274,7 @@ def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
         cpu_affinity=False,
         notes=("scratch mapping failed",),
     )
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: broken)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: broken)
     code = run_cli(
         "sweep", "--variable", "page_gap", "--values", "8",
         "--region-file", str(tmp_path / "r.bin"), *SMALL,
@@ -311,7 +311,7 @@ def test_a_live_sweep_refuses_simulator_flags(
     def no_probe(*args, **kwargs):
         raise AssertionError("probed before refusing the flag")
 
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", no_probe)
+    monkeypatch.setattr(pfchan.live, "_probe_file", no_probe)
     argv = [command, "--variable", "page_gap", "--values", "8", "--repetitions", "1"]
     code = run_cli(*argv, flag, value, *SMALL, "--region-file", str(tmp_path / "r.bin"))
     assert code == 1
@@ -387,7 +387,7 @@ def test_report_csv_reflects_actual_payload(tmp_path):
 
 
 def test_send_creates_region_on_request(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
     region = tmp_path / "region.bin"
     code = run_cli(
         "send", *SMALL, "--page-gap", "8",
@@ -441,7 +441,7 @@ def test_an_epoch_further_than_the_platform_can_wait_exits_1(
     # with an OverflowError traceback and exit code 1
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: pytest.fail("opened"))
     monkeypatch.setattr(
-        pfchan.live, "probe_capabilities", lambda *a, **k: pytest.fail("probed")
+        pfchan.live, "_probe_file", lambda *a, **k: pytest.fail("probed")
     )
     region = tmp_path / "r.bin"
     argv = [command, "--region-file", str(region), "--epoch", epoch, "--bits", "01"]

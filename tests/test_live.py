@@ -11,15 +11,19 @@ import ctypes
 import errno
 import inspect
 import multiprocessing
+import multiprocessing.connection
 import os
+import resource
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import Mock
 
 import pytest
@@ -42,7 +46,7 @@ from pfchan.live import (
 )
 from pfchan.protocol import ObservedOrder, PagePair, encode_target, page_pair_for_slot
 from pfchan.report import random_payload
-from pfchan.sim import SimParams
+from pfchan.sim import SimParams, run_channel_sim
 from pfchan.sweep import SweepSpec, run_sweep
 
 NOT_READY = BackendCapabilities(
@@ -389,7 +393,7 @@ def test_receive_requires_capabilities(region_file):
 def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
     region_file, monkeypatch
 ):
-    monkeypatch.setattr(live, "probe_capabilities", Mock(side_effect=AssertionError))
+    monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
     monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T1_LAST)
     cfg = small_cfg(payload_bits=2, sync_period_ns=1_000_000)
     with open_region(region_file, cfg) as region:
@@ -403,15 +407,15 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     region_file, monkeypatch, command
 ):
     probe = Mock(return_value=READY)
-    monkeypatch.setattr(live, "probe_capabilities", probe)
+    monkeypatch.setattr(live, "_probe_file", probe)
     monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T2_LAST)
     assert main([
         command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
         "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
         "--sync-period-ns", "1000000",
     ]) == 0
-    # the directory the region file is on, whose filesystem the run uses
-    probe.assert_called_once_with(os.path.dirname(region_file))
+    # the region file itself, in place
+    probe.assert_called_once_with(region_file)
 
 
 def test_receive_zero_bits_is_a_config_error(region_file):
@@ -628,38 +632,82 @@ def test_a_host_whose_pages_are_not_4_kib_is_refused_and_not_ready(
     assert any("4096" in note and "16384" in note for note in caps.notes)
 
 
+def major_fault_counts(monkeypatch, delta: int, events: list | None = None) -> None:
+    """Stand in for getrusage: the probe's two readings of this thread's
+    major faults differ by delta. Each reading must ask about the calling
+    thread, and is logged in events as "count"."""
+    counts = iter([40, 40 + delta])
+
+    def getrusage(who):
+        assert who == resource.RUSAGE_THREAD
+        if events is not None:
+            events.append("count")
+        return SimpleNamespace(ru_majflt=next(counts))
+
+    monkeypatch.setattr(live.resource, "getrusage", getrusage)
+
+
 @pytest.mark.parametrize(
-    "outcome, eviction_ok, note",
+    "delta, eviction_ok, note",
     [
-        (Mock(return_value=True), True, None),
-        (
-            Mock(return_value=None),
-            False,
-            "eviction advice accepted but mincore did not see the pages leave",
-        ),
-        (
-            Mock(return_value=False),
-            False,
-            "eviction advice accepted but mincore did not see the pages leave",
-        ),
-        (
-            Mock(side_effect=OSError(22, "bad")),
-            False,
-            "eviction advice or its check failed: [Errno 22] bad",
-        ),
+        (1, True, None),
+        (0, False, "a read after eviction advice took 0 major faults, not 1"),
+        (2, False, "a read after eviction advice took 2 major faults, not 1"),
+        (None, False, "eviction advice or its check failed: [Errno 22] bad"),
     ],
+    ids=["one-fault", "no-fault", "two-faults", "advice-fails"],
 )
-def test_probe_takes_its_eviction_verdict_from_evict_pair(
-    tmp_path, monkeypatch, outcome, eviction_ok, note
+def test_probe_takes_its_eviction_verdict_from_a_major_fault(
+    tmp_path, monkeypatch, delta, eviction_ok, note
 ):
-    monkeypatch.setattr(live, "evict_pair", outcome)
+    # the mapped read right after advice must take exactly one major fault;
+    # mincore, which sees only files the caller owns or can write, has no say
+    events = []
+
+    def recording(name, method):
+        def wrapped(region, page):
+            events.append(f"{name} {page}")
+            if name == "advise" and delta is None:
+                raise OSError(22, "bad")
+            return method(region, page)
+
+        return wrapped
+
+    for name, method in (
+        ("read", "read_byte"), ("drop", "drop_mapping"), ("advise", "advise_dontneed")
+    ):
+        monkeypatch.setattr(
+            SharedRegion, method, recording(name, getattr(SharedRegion, method))
+        )
+    major_fault_counts(monkeypatch, delta or 0, events)
+    monkeypatch.setattr(live, "evict_pair", lambda *a: pytest.fail("evict_pair"))
+    monkeypatch.setattr(live._libc, "mincore", lambda *a: pytest.fail("mincore"))
     caps = probe_capabilities(scratch_dir=str(tmp_path))
-    assert [call.args[1] for call in outcome.call_args_list] == [
-        PagePair(p1=2, p2=3, slot=0)
-    ]
+    checked = ["count", "read 0", "count", "drop 0", "advise 0"]
+    assert events == ["read 0", "drop 0", "advise 0", *([] if delta is None else checked)]
     assert caps.shared_readonly_mapping is True
     assert caps.cache_advice_eviction is eviction_ok
     assert [n for n in caps.notes if "eviction" in n] == ([note] if note else [])
+
+
+def test_check_host_probes_the_region_in_place_and_writes_nothing(
+    region_file, monkeypatch
+):
+    # a region whose directory the caller cannot write is checked where it
+    # is: no temp directory, no scratch file, no fsync
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
+    monkeypatch.setattr(live, "create_backing_file", refuse)
+    monkeypatch.setattr(os, "fsync", refuse)
+    major_fault_counts(monkeypatch, 1)
+    region_dir = os.path.dirname(region_file)
+    listing = sorted(os.listdir(region_dir))
+    assert live.check_host(region_file).transmission_ready() is True
+    assert sorted(os.listdir(region_dir)) == listing
+    # the scratch probe is the one that needs a writable directory
+    assert probe_capabilities(scratch_dir=region_dir).transmission_ready() is False
 
 
 def advice_evicts_after_a_flush(tmp_path) -> bool:
@@ -706,10 +754,12 @@ def test_a_failing_mincore_raises_and_ends_the_transmission(
         with pytest.raises(OSError, match="mincore"):
             trojan_send(region, small_cfg(), [1, 0], live._now_ns(), READY)
         assert loaded == []
+    # the probe's verdict is a major fault, not mincore's word, so a mincore
+    # that fails ends a transmission but not the host check
+    major_fault_counts(monkeypatch, 1)
     caps = probe_capabilities(scratch_dir=str(tmp_path))
-    assert caps.cache_advice_eviction is False
-    assert caps.transmission_ready() is False
-    assert any(n.startswith("eviction advice or its check failed:") for n in caps.notes)
+    assert caps.cache_advice_eviction is True
+    assert not any("mincore" in n for n in caps.notes)
 
 
 def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
@@ -722,7 +772,7 @@ def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
     monkeypatch.setattr(os, "access", lambda path, mode, **kw: mode != os.W_OK)
     mincore = Mock()
     monkeypatch.setattr(live._libc, "mincore", mincore)
-    monkeypatch.setattr(live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
     cfg = small_cfg()
     with open_region(region_file, cfg) as region:
         assert region.residency(2, 3) is None
@@ -750,7 +800,7 @@ def _run_tiny_cell(tmp_path):
 
 
 def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
-    monkeypatch.setattr(live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
     monkeypatch.setattr(live, "_sender_entry", healthy_sender)
     monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
     spec = SweepSpec(
@@ -785,6 +835,30 @@ def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp
     assert len(records) == 2
     (ready_a, epoch_a), (ready_b, epoch_b) = records
     assert epoch_a == epoch_b >= max(ready_a, ready_b) + 10_000_000
+
+
+def test_the_sender_gets_the_epoch_before_the_receiver(monkeypatch, tmp_path):
+    # woken first, the receiver starts its workers, and on a core it shares
+    # with the parent would hold off the send to the sender until they run
+    names, sent = {}, []
+    real_collect = live._collect
+    real_send = multiprocessing.connection.Connection.send
+
+    def collect(children, kind, deadline):
+        names.update({id(conn): name for name, _, conn in children})
+        return real_collect(children, kind, deadline)
+
+    def send(conn, obj):
+        if isinstance(obj, int):  # only the parent sends a bare number
+            sent.append(names[id(conn)])
+        return real_send(conn, obj)
+
+    monkeypatch.setattr(live, "_collect", collect)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
+    monkeypatch.setattr(live, "_sender_entry", healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
+    _run_tiny_cell(tmp_path)
+    assert sent == ["sender", "receiver"]
 
 
 def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
@@ -846,6 +920,39 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
     _run_tiny_cell(tmp_path)
     cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
     assert cores == expected
+
+
+def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_path):
+    # each endpoint opens its region and pins its core before it reports
+    # ready, so the epoch finds it with only its wait left. The real entries
+    # run; their slot loops are stood in for, and each records the epoch
+    real_ready = live._ready
+
+    def recording_ready(conn):
+        mask = " ".join(map(str, sorted(os.sched_getaffinity(0))))
+        (tmp_path / f"mask-{os.getpid()}").write_text(mask)
+        return real_ready(conn)
+
+    def fake_send(region, cfg, payload, epoch_ns, **kwargs):
+        (tmp_path / "sender-epoch").write_text(repr(epoch_ns))
+        return []
+
+    def fake_receive(region, cfg, epoch_ns, expected=None, **kwargs):
+        (tmp_path / "receiver-epoch").write_text(repr(epoch_ns))
+        return run_channel_sim(cfg, SimParams(), expected)
+
+    monkeypatch.setattr(live, "_ready", recording_ready)
+    monkeypatch.setattr(live, "trojan_send", fake_send)
+    monkeypatch.setattr(live, "spy_receive", fake_receive)
+    create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    receiver_cpu, sender_cpu = live_cpus()
+    unpinned = " ".join(map(str, sorted(os.sched_getaffinity(0))))
+    _run_tiny_cell(tmp_path)
+    masks = sorted(p.read_text() for p in tmp_path.glob("mask-*"))
+    expected = [str(receiver_cpu), unpinned if sender_cpu is None else str(sender_cpu)]
+    assert masks == sorted(expected)
+    epochs = {(tmp_path / f"{name}-epoch").read_text() for name in ("sender", "receiver")}
+    assert len(epochs) == 1 and epochs.pop().isdigit()
 
 
 def test_live_children_start_with_the_receivers_executor_loaded(

@@ -203,7 +203,7 @@ def test_live_sweep_refuses_without_capabilities(monkeypatch, tmp_path):
         cpu_affinity=True,
         notes=("advice probe failed",),
     )
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: broken)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: broken)
     spec = small_spec(backend="live", region_file=str(tmp_path / "r.bin"))
     with pytest.raises(SetupError, match="lacks required"):
         run_sweep(spec)
@@ -215,14 +215,14 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
 ):
     # a region on tmpfs with a disk-backed temp dir would otherwise pass a
     # probe of the wrong filesystem and then read noise as a plausible BER;
-    # a live sweep and either endpoint's command probe the same directory
-    scratch_dirs = []
+    # a live sweep and either endpoint's command probe the region file itself
+    probed = []
 
-    def probe(scratch_dir=None):
-        scratch_dirs.append(scratch_dir)
+    def probe(path, *notes):
+        probed.append(path)
         return BackendCapabilities(False, False, True)
 
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", probe)
+    monkeypatch.setattr(pfchan.live, "_probe_file", probe)
     monkeypatch.chdir(tmp_path)
     os.mkdir("regions")
     region = os.path.join("regions", "r.bin")
@@ -237,7 +237,7 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
             pfchan.live.create_backing_file(region, MIB)
         assert main([*argv, "--epoch", "+1", "--bits", "01"]) == 2
         assert "lacks required capabilities" in capsys.readouterr().err
-    assert scratch_dirs == [os.path.join(os.getcwd(), "regions")]
+    assert probed == [region]
 
 
 def test_live_sweep_requires_region_file(monkeypatch):
@@ -246,7 +246,7 @@ def test_live_sweep_requires_region_file(monkeypatch):
         cache_advice_eviction=True,
         cpu_affinity=True,
     )
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: ready)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: ready)
     with pytest.raises(ConfigError, match="region_file"):
         run_sweep(small_spec(backend="live"))
 
@@ -255,7 +255,7 @@ def test_live_sweep_requires_region_file(monkeypatch):
 # The children are forked, so they run the monkeypatched entry points.
 
 def _run_tiny_live_sweep(monkeypatch, tmp_path):
-    monkeypatch.setattr(pfchan.live, "probe_capabilities", lambda *a, **k: READY)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
     return run_sweep(SweepSpec(
         variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
