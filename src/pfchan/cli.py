@@ -220,7 +220,8 @@ def cmd_send(args) -> int:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
         caps = live.check_host(args.region_file)
-        log = live.trojan_send(region, cfg, payload, epoch, caps, cpu=args.cpu)
+        with live._pinned(args.cpu, "sender"):
+            log = live.trojan_send(region, cfg, payload, epoch, caps)
     overruns = sum(1 for rec in log if rec.overrun)
     if any(rec.evict_confirmed is None for rec in log):
         evictions = "evictions not verified (mincore cannot report on this file)"
@@ -242,10 +243,10 @@ def cmd_receive(args) -> int:
     epoch = _parse_epoch(args.epoch)
     _check_writable(args.out)
     with live.open_region(args.region_file, cfg) as region:
-        report = live.spy_receive(
-            region, cfg, epoch, expected=expected, cpu=args.cpu,
-            capabilities=live.check_host(args.region_file),
-        )
+        caps = live.check_host(args.region_file)
+        cpu = live.live_cpus()[0] if args.cpu is None else args.cpu
+        with live._pinned(cpu, "receiver"):
+            report = live.spy_receive(region, cfg, epoch, expected, capabilities=caps)
     if expected is None:
         print(
             f"received {report.payload_bits} bits blind "

@@ -24,7 +24,8 @@ readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
 touch of one page cannot drag its partner into the cache.
 
 The receiver's two accessors are the workers of one two-thread pool,
-started once per receive on its core, and each reads one byte of a page
+started once per receive inside its caller's one-core pin, which both
+inherit, and each reads one byte of a page
 through libc memcpy. That detour matters: a ctypes call releases the
 interpreter lock for its duration, so a worker stuck in a hard fault lets
 its sibling run, which is the scheduling behavior the channel measures. A
@@ -35,8 +36,8 @@ imports it before forking, so its receivers find it loaded and the epoch's
 lead need not cover the import.
 
 Every transmission starts from check_host, which probes the region file
-itself, in place; run_pair runs one as a forked sender/receiver pair whose
-children open the region and pin their cores before they report ready, so
+itself, in place. Callers pin the endpoints: run_pair's forked sender and
+receiver open the region and pin their cores before they report ready, so
 once the epoch is fixed each has only its wait left, and the receiver its
 two workers to start.
 
@@ -469,15 +470,10 @@ def trojan_send(
     payload: list[int],
     epoch_ns: int,
     capabilities: BackendCapabilities,
-    cpu: int | None = None,
 ) -> list[SenderSlotLog]:
     """Transmit the payload: per slot, evict the pair then touch the encode
-    target at the sender deadline.
+    target at the sender deadline, on whatever cores the caller allows.
 
-    With cpu given, the sending thread is pinned to that core before the
-    first slot, which keeps the sender's waits and syscalls off the receiver's
-    core; failure to pin is a startup failure. Without it the sender runs
-    unpinned, since only the receiver's thread pair needs to share a core.
     A missed deadline is logged and the slot still runs, since skipping
     would desynchronize every later slot. A failed eviction advice or
     mincore call raises its OSError and ends the transmission; a non-bit
@@ -487,40 +483,40 @@ def trojan_send(
     check_bits(payload)
     _require_ready(capabilities)
     log: list[SenderSlotLog] = []
-    with _pinned(cpu, "sender"):
-        for k, bit in enumerate(payload):
-            pair = page_pair_for_slot(cfg, k)
-            target = encode_target(bit, pair)
-            deadline = slot_deadline(cfg, epoch_ns, k, "sender")
-            arrived = _now_ns()
-            start = _wait_until_ns(deadline)
-            confirmed = evict_pair(region, pair)
-            # pread, not a mapped touch: a page table entry would pin the
-            # target against the next wrap's eviction advice
-            region.load_byte(target)
-            log.append(
-                SenderSlotLog(
-                    slot=k,
-                    p1=pair.p1,
-                    p2=pair.p2,
-                    target=target,
-                    deadline_ns=deadline,
-                    start_ns=start,
-                    end_ns=_now_ns(),
-                    evict_confirmed=confirmed,
-                    overrun=arrived > deadline,
-                )
+    for k, bit in enumerate(payload):
+        pair = page_pair_for_slot(cfg, k)
+        target = encode_target(bit, pair)
+        deadline = slot_deadline(cfg, epoch_ns, k, "sender")
+        arrived = _now_ns()
+        start = _wait_until_ns(deadline)
+        confirmed = evict_pair(region, pair)
+        # pread, not a mapped touch: a page table entry would pin the
+        # target against the next wrap's eviction advice
+        region.load_byte(target)
+        log.append(
+            SenderSlotLog(
+                slot=k,
+                p1=pair.p1,
+                p2=pair.p2,
+                target=target,
+                deadline_ns=deadline,
+                start_ns=start,
+                end_ns=_now_ns(),
+                evict_confirmed=confirmed,
+                overrun=arrived > deadline,
             )
+        )
     return log
 
 
 @contextmanager
 def _accessor_pool():
     """The receiver's two accessor workers: a pool of two threads, both
-    started here and joined on leaving the block. The executor is imported
-    here, so importing this module loads none; a receiver forked by
-    run_pair inherits it already loaded, since run_pair imports it before
-    its first fork.
+    started here, inside the caller's pin, so each inherits its one core,
+    and joined on leaving the block. The executor is imported here, so
+    importing this module loads none; a receiver forked by run_pair
+    inherits it already loaded, since run_pair imports it before its first
+    fork.
 
     The pool starts a worker for each submit that finds none idle, so two
     tasks that wait for each other start both. Left to start lazily, the
@@ -562,34 +558,38 @@ def spy_receive(
     cfg: ChannelConfig,
     epoch_ns: int,
     expected: list[int] | None = None,
-    cpu: int | None = None,
     *,
     capabilities: BackendCapabilities,
 ) -> TransmissionReport:
     """Receive one bit per slot, probing each slot at its guard deadline:
     len(expected) bits, or cfg.payload_bits without the expected payload.
 
-    The receiving thread is pinned to a single core before the first slot,
-    and the two pooled accessor workers it starts once, inside the pin,
-    inherit it, so they contend for that core; failure to pin is a startup
-    failure. Per slot each worker reads one page of the pair and appends
-    its name to the slot's finished list; the last name decides the bit.
-    Every way out, an interrupt in mid-probe included, joins both workers,
+    The caller pins the receiving thread to a single core first; a thread
+    allowed more than one is a SetupError. The two pooled accessor workers
+    it starts once inherit that core, so they contend for it. Per slot each
+    worker reads one page of the pair and appends its name to the slot's
+    finished list; the last name decides the bit. Every way out, an interrupt in mid-probe included, joins both workers,
     and a read that raised aborts naming its slot. Without the expected
     payload the report's sent and ber are None. Bandwidth counts whole
     slots, as on the simulator, unless the receiver fell behind them. An
-    empty expected payload is a ConfigError: there is nothing to report on.
-    So is one that holds anything but bits, before the first slot.
-    Capabilities that are not transmission_ready() fail before it too; the
+    expected payload that is empty, or holds anything but bits, is a
+    ConfigError before any worker starts: there is nothing to report on.
+    Capabilities that are not transmission_ready() fail there too; the
     caller probes them, this only checks.
     """
     if expected is not None:
+        if not expected:
+            raise ConfigError("cannot receive an empty payload: expected holds no bits")
         check_bits(expected)
     _require_ready(capabilities)
+    if len(mask := os.sched_getaffinity(0)) > 1:
+        raise SetupError(
+            f"the receiver may run on cores {sorted(mask)}; its caller must "
+            f"pin it to one core, which both accessor workers share"
+        )
     n_bits = cfg.payload_bits if expected is None else len(expected)
-    core = cpu if cpu is not None else live_cpus()[0]
     decoded: list[int | None] = []
-    with _pinned(core, "receiver"), _accessor_pool() as pool:
+    with _accessor_pool() as pool:
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
@@ -621,12 +621,6 @@ def _ready(conn) -> int:
     return conn.recv()
 
 
-# Each entry opens the region and pins its core before it reports ready, so
-# that once the epoch comes the sender has only its wait left, and the
-# receiver its two workers to start. trojan_send is handed no core, since it
-# already runs on one; spy_receive always pins, here to the core it is on.
-
-
 def _sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
     with open_region(region_path, cfg) as region, _pinned(cpu, "sender"):
         trojan_send(region, cfg, payload, _ready(conn), capabilities=capabilities)
@@ -635,8 +629,7 @@ def _sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
 def _receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
     with open_region(region_path, cfg) as region, _pinned(cpu, "receiver"):
         return spy_receive(
-            region, cfg, _ready(conn), expected=payload, cpu=cpu,
-            capabilities=capabilities,
+            region, cfg, _ready(conn), expected=payload, capabilities=capabilities
         )
 
 

@@ -158,9 +158,9 @@ def apply_variable(cfg: ChannelConfig, variable: str, value: int) -> ChannelConf
         )
     if variable != "bit_rate":
         return replace(cfg, **{variable: value})
-    if value <= 0:
-        raise ConfigError(f"bit_rate must be positive, got {value}")
-    return replace(cfg, sync_period_ns=max(1, 1_000_000_000 // value))
+    if not 1 <= value <= 500_000_000:
+        raise ConfigError(f"bit_rate must lie in [1, 500000000] bit/s, got {value}")
+    return replace(cfg, sync_period_ns=1_000_000_000 // value)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

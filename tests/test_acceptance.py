@@ -230,6 +230,14 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
     )
 
 
+def _cpu_ticks() -> tuple[int, int]:
+    """Steal and total ticks of /proc/stat's cpu line, read only."""
+    with open("/proc/stat") as fh:
+        ticks = [int(t) for t in fh.readline().split()[1:]]
+    # user nice system idle iowait irq softirq steal; guest time is in user
+    return ticks[7], sum(ticks[:8])
+
+
 @pytest.mark.live
 @pytest.mark.skipif(
     os.environ.get("PFCHAN_LIVE") != "1",
@@ -239,18 +247,25 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
 def test_live_round_trip(tmp_path):
     # Real page cache, real threads: 100 bits through a 32 MiB file-backed
     # region at 50 bit/s with at most 10% errors, slot 0 coming the default
-    # live lead after both endpoints are ready, as in a live sweep.
+    # live lead after both endpoints are ready, as in a live sweep. The
+    # host's CPU steal over the run is in the verdict, since a busy host
+    # explains an error rate the channel alone would not.
     from pfchan import live
+    from pfchan.errors import SetupError
 
-    caps = live.probe_capabilities()
-    if not caps.transmission_ready():
-        _verdict("live round trip", False, "host lacks capabilities:\n" + caps.summary())
     cfg = ChannelConfig(page_gap=64, payload_bits=100, sync_period_ns=20_000_000)
     region = live.create_backing_file(str(tmp_path / "region.bin"), cfg.region_size)
+    try:
+        caps = live.check_host(region)
+    except SetupError as exc:
+        _verdict("live round trip", False, str(exc))
     lead_ns = next(f.default for f in fields(SweepSpec) if f.name == "live_lead_ns")
+    steal_before, total_before = _cpu_ticks()
     report = live.run_pair(cfg, random_payload(7, cfg.payload_bits), region, lead_ns, caps)
+    steal_after, total_after = _cpu_ticks()
+    steal = (steal_after - steal_before) / max(1, total_after - total_before)
     _verdict(
         "live round trip", report.ber <= 0.10,
         f"ber={report.ber:.3f} indeterminate={report.indeterminate_slots} "
-        f"bandwidth={report.bandwidth_bps:.1f} bit/s",
+        f"bandwidth={report.bandwidth_bps:.1f} bit/s steal={steal:.1%}",
     )

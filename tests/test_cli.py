@@ -15,7 +15,7 @@ import pfchan.live
 import pfchan.sweep
 from pfchan.cli import build_parser, main, parse_setting
 from pfchan.config import ChannelConfig
-from pfchan.errors import ConfigError
+from pfchan.errors import ConfigError, RunAbort
 from pfchan.live import BackendCapabilities, SenderSlotLog
 from pfchan.report import TransmissionReport
 from pfchan.sim import SimParams
@@ -623,17 +623,67 @@ def test_send_counts_unconfirmed_evictions_only_where_mincore_reports(
     assert capsys.readouterr().out == f"sent 3 bits: 1 deadline overruns, {evictions}\n"
 
 
-def test_send_cpu_flag_pins_the_sender(monkeypatch):
-    calls = []
+def _endpoint_masks(monkeypatch, command, *runs) -> list[set[int]]:
+    """The affinity mask the endpoint found in each run of the command, one
+    run per list of extra flags."""
+    masks = []
+
+    def endpoint(*args, **kwargs):
+        masks.append(os.sched_getaffinity(0))
+        return [] if command == "send" else TransmissionReport.build([0, 1], [0, 1], 1)
+
     fake_live_setup(monkeypatch)
-    monkeypatch.setattr(
-        pfchan.live, "trojan_send", lambda *a, **kw: calls.append(kw) or []
-    )
-    assert run_cli("send", "--region-file", "unused", "--epoch", "+0", "--bits", "01") == 0
-    assert run_cli(
-        "send", "--region-file", "unused", "--epoch", "+0", "--bits", "01", "--cpu", "1"
-    ) == 0
-    assert [kw["cpu"] for kw in calls] == [None, 1]
+    endpoint_name = "trojan_send" if command == "send" else "spy_receive"
+    monkeypatch.setattr(pfchan.live, endpoint_name, endpoint)
+    argv = [command, "--region-file", "unused", "--epoch", "+0", "--bits", "01"]
+    for flags in runs:
+        assert run_cli(*argv, *flags) == 0
+    return masks
+
+
+def test_send_cpu_flag_pins_the_sender(monkeypatch, three_cores):
+    mask, _ = three_cores
+    masks = _endpoint_masks(monkeypatch, "send", [], ["--cpu", "1"])
+    assert masks == [{0, 1, 2}, {1}]
+    assert mask == {0, 1, 2}
+
+
+def test_receive_pins_to_its_cpu_flag_or_the_lowest_usable_core(
+    monkeypatch, three_cores
+):
+    mask, _ = three_cores
+    masks = _endpoint_masks(monkeypatch, "receive", [], ["--cpu", "2"])
+    assert masks == [{pfchan.live.live_cpus()[0]}, {2}]
+    assert mask == {0, 1, 2}
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_an_endpoint_that_aborts_leaves_the_mask_as_it_found_it(
+    monkeypatch, capsys, three_cores, command
+):
+    mask, pins = three_cores
+
+    def abort(*args, **kwargs):
+        raise RunAbort("stopped in slot 3")
+
+    fake_live_setup(monkeypatch)
+    monkeypatch.setattr(pfchan.live, "trojan_send", abort)
+    monkeypatch.setattr(pfchan.live, "spy_receive", abort)
+    argv = [command, "--region-file", "unused", "--epoch", "+0", "--bits", "01"]
+    assert run_cli(*argv, "--cpu", "1") == 3
+    assert capsys.readouterr().err == "aborted: stopped in slot 3\n"
+    assert pins == [{1}, {0, 1, 2}] and mask == {0, 1, 2}
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_a_cpu_flag_naming_no_core_exits_2(monkeypatch, capsys, three_cores, command):
+    fake_live_setup(monkeypatch)
+    monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: pytest.fail("sent"))
+    monkeypatch.setattr(pfchan.live, "spy_receive", lambda *a, **kw: pytest.fail("ran"))
+    argv = [command, "--region-file", "unused", "--epoch", "+0", "--bits", "01"]
+    assert run_cli(*argv, "--cpu", "4095") == 2
+    who = "sender" if command == "send" else "receiver"
+    assert capsys.readouterr().err.startswith(f"setup error: cannot pin {who} to one core")
 
 
 def receive_csv(tmp_path, monkeypatch, report, *argv) -> list[str]:

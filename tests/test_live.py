@@ -72,6 +72,13 @@ def region_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def one_core():
+    """The test's thread pinned to one core, as spy_receive's caller must be."""
+    with live._pinned(live_cpus()[0], "test"):
+        yield
+
+
 def test_create_backing_file_size_and_pattern(tmp_path):
     path = str(tmp_path / "r.bin")
     create_backing_file(path, 10 * PAGE_SIZE)
@@ -214,30 +221,6 @@ def test_probe_capabilities_survives_a_scratch_file_it_cannot_write(
     caps = probe_capabilities(scratch_dir=str(tmp_path))
     assert caps.transmission_ready() is False
     assert any(n.startswith("scratch file setup failed: cannot write") for n in caps.notes)
-
-
-@pytest.fixture
-def three_cores(monkeypatch):
-    """A stand-in affinity mask of cores 0-2, and the masks set on it. The
-    process's real mask may already be one core, after an earlier test
-    pinned it, and then a one-core pin that was never undone would not show.
-    Like the real call, it refuses a negative core with ValueError and a
-    core outside the machine with OSError."""
-    mask = {0, 1, 2}
-    pins = []
-
-    def set_mask(pid, cpus):
-        if min(cpus) < 0:
-            raise ValueError("negative CPU number")
-        if not set(cpus) <= {0, 1, 2}:
-            raise OSError(errno.EINVAL, "Invalid argument")
-        pins.append(set(cpus))
-        mask.clear()
-        mask.update(cpus)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
-    monkeypatch.setattr(os, "sched_setaffinity", set_mask)
-    return mask, pins
 
 
 def test_the_probe_leaves_affinity_as_it_found_it(tmp_path, three_cores):
@@ -391,7 +374,7 @@ def test_receive_requires_capabilities(region_file):
 
 
 def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
-    region_file, monkeypatch
+    region_file, monkeypatch, one_core
 ):
     monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
     monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T1_LAST)
@@ -418,16 +401,18 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     probe.assert_called_once_with(region_file)
 
 
-def test_receive_zero_bits_is_a_config_error(region_file):
-    # a report over no bits would claim an error rate it never measured
+def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
+    # a report over no bits would claim an error rate it never measured; the
+    # receive refuses it with the other input checks, before any worker starts
+    monkeypatch.setattr(live, "_accessor_pool", lambda: pytest.fail("pool entered"))
     with open_region(region_file, small_cfg()) as region:
-        with pytest.raises(ConfigError, match="empty payload"):
+        with pytest.raises(ConfigError, match="cannot receive an empty payload"):
             spy_receive(
                 region, small_cfg(), live._now_ns(), expected=[], capabilities=READY
             )
 
 
-def test_blind_receive_reports_no_ber(region_file, monkeypatch):
+def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
     monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
@@ -473,23 +458,9 @@ def test_failed_eviction_advice_ends_the_transmission(region_file, monkeypatch):
     assert loaded == []
 
 
-def test_sender_pins_only_when_asked(region_file, three_cores):
-    mask, pins = three_cores
-    with open_region(region_file, small_cfg()) as region:
-        trojan_send(region, small_cfg(), [1], live._now_ns(), READY)
-        assert pins == []
-        trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=1)
-        assert pins == [{1}, {0, 1, 2}]
-        assert mask == {0, 1, 2}
-        for cpu in (4095, -1):
-            with pytest.raises(SetupError, match="cannot pin sender"):
-                trojan_send(region, small_cfg(), [1], live._now_ns(), READY, cpu=cpu)
-    assert mask == {0, 1, 2}
-
-
-def test_receiver_pins_to_the_given_core(region_file, monkeypatch, three_cores):
-    mask, _ = three_cores
-    cpu = 1
+def test_a_receiver_allowed_two_cores_is_refused(region_file, monkeypatch, three_cores):
+    # the caller pins; a receive whose workers could spread over two cores
+    # would report a BER of a channel it never ran, so it starts none
     seen = []
 
     def probe(pool, region, pair):
@@ -498,15 +469,15 @@ def test_receiver_pins_to_the_given_core(region_file, monkeypatch, three_cores):
 
     monkeypatch.setattr(live, "_probe_pair", probe)
     cfg = small_cfg(payload_bits=2)
+    os.sched_setaffinity(0, {1, 2})
+    before = threading.enumerate()
     with open_region(region_file, cfg) as region:
-        spy_receive(region, cfg, live._now_ns(), cpu=cpu, capabilities=READY)
-        assert seen == [{cpu}, {cpu}]
-        assert mask == {0, 1, 2}
-        for bad in (4095, -1):
-            with pytest.raises(SetupError, match="cannot pin receiver"):
-                spy_receive(region, cfg, live._now_ns(), cpu=bad, capabilities=READY)
-            assert mask == {0, 1, 2}
-    assert len(seen) == 2  # a core that cannot be pinned probes no slot
+        with pytest.raises(SetupError, match=r"cores \[1, 2\]; its caller must pin"):
+            spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+        assert threading.enumerate() == before and seen == []
+        os.sched_setaffinity(0, {1})
+        spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+    assert seen == [{1}, {1}]
 
 
 @pytest.fixture
@@ -528,7 +499,7 @@ def sigint_raises():
     ],
 )
 def test_no_accessor_worker_outlives_a_receive(
-    region_file, monkeypatch, sigint_raises, ending, raised
+    region_file, monkeypatch, sigint_raises, one_core, ending, raised
 ):
     # the pool's workers are joined on every way out of the receive,
     # including an interrupt that lands between two slots and one that
@@ -578,8 +549,8 @@ def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatc
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     cfg = small_cfg(payload_bits=8, sync_period_ns=1_000_000)
     core = live_cpus()[0]
-    with open_region(region_file, cfg) as region:
-        spy_receive(region, cfg, live._now_ns(), cpu=core, capabilities=READY)
+    with open_region(region_file, cfg) as region, live._pinned(core, "receiver"):
+        spy_receive(region, cfg, live._now_ns(), capabilities=READY)
     assert len(readers) == 2 and threading.main_thread() not in readers
     assert readers <= alive[0]  # both started before slot 0's first read
     assert masks == [{core}] * 16
@@ -591,19 +562,18 @@ def test_sender_empty_payload(region_file):
 
 
 def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch):
-    # both endpoints refuse it before pinning (core 4095 would fail to pin)
-    # or the first wait, so no slot evicts, touches or probes a pair
+    # both endpoints refuse it before the first wait, and the receiver
+    # before it checks its pin, so no slot evicts, touches or probes a pair
     monkeypatch.setattr(live, "_wait_until_ns", lambda *a: pytest.fail("waited"))
     monkeypatch.setattr(live, "evict_pair", lambda *a: pytest.fail("evicted"))
     monkeypatch.setattr(live, "_probe_pair", lambda *a: pytest.fail("probed"))
     cfg = small_cfg()
     with open_region(region_file, cfg) as region:
         with pytest.raises(ConfigError, match="only bits, got 2"):
-            trojan_send(region, cfg, [0, 1, 2], live._now_ns(), READY, cpu=4095)
+            trojan_send(region, cfg, [0, 1, 2], live._now_ns(), READY)
         with pytest.raises(ConfigError, match="only bits, got 2"):
             spy_receive(
-                region, cfg, live._now_ns(), expected=[0, 2, 0], cpu=4095,
-                capabilities=READY,
+                region, cfg, live._now_ns(), expected=[0, 2, 0], capabilities=READY
             )
 
 
@@ -953,6 +923,37 @@ def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_pa
     assert masks == sorted(expected)
     epochs = {(tmp_path / f"{name}-epoch").read_text() for name in ("sender", "receiver")}
     assert len(epochs) == 1 and epochs.pop().isdigit()
+
+
+def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
+    monkeypatch, tmp_path
+):
+    # the entry pins before it reports ready; after the epoch the receiver
+    # has only its workers to start and its slots to run, and the one
+    # affinity call left is the entry's restore on the way out
+    events = []
+    real_set = os.sched_setaffinity
+
+    def recording_set(pid, cpus):
+        events.append(("set", set(cpus)))
+        real_set(pid, cpus)
+
+    class Parent:
+        def send(self, message):
+            events.append(message)
+
+        def recv(self):
+            events.append("epoch")
+            return live._now_ns()
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording_set)
+    region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    original = os.sched_getaffinity(0)
+    core = live_cpus()[0]
+    payload = random_payload(0, TINY.payload_bits)
+    report = live._receiver_entry(region, TINY, payload, READY, core, Parent())
+    assert report.payload_bits == TINY.payload_bits
+    assert events == [("set", {core}), ("ready", None), "epoch", ("set", original)]
 
 
 def test_live_children_start_with_the_receivers_executor_loaded(

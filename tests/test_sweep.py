@@ -82,6 +82,11 @@ def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch, capsys):
         run_sweep(small_spec(values=(64, 1), cfg=cfg))
     assert main(["sweep", "--variable", "page_gap", "--values", "64,1"]) == 1
     assert "page_gap" in capsys.readouterr().err
+    # a rate too fast for any period names the rate, not the period it sets
+    assert main(["sweep", "--variable", "bit_rate", "--values", "50,600000000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bit_rate must lie in [1, 500000000] bit/s, got 600000000\n"
+    )
     assert ran == []
 
 
@@ -104,7 +109,8 @@ def test_apply_variable_rewrites_one_knob():
     # the probe moves with the period: no guard is carried over by the copy
     assert cfg.guard_ns == 10_000_000
     assert apply_variable(cfg, "bit_rate", 1000).guard_ns == 500_000
-    with pytest.raises(ConfigError, match=r"sync_period_ns \(1\) is too short"):
+    assert apply_variable(cfg, "bit_rate", 500_000_000).sync_period_ns == 2
+    with pytest.raises(ConfigError, match=r"bit_rate must lie in \[1, 500000000\]"):
         apply_variable(cfg, "bit_rate", 500_000_001)
     with pytest.raises(ConfigError):
         apply_variable(cfg, "bit_rate", 0)
