@@ -23,17 +23,13 @@ back to a page, nobody maps it and the advice works again. Kernel
 readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
 touch of one page cannot drag its partner into the cache.
 
-The receiver's two accessors are the workers of one two-thread pool,
-started once per receive inside its caller's one-core pin, which both
-inherit, and each reads one byte of a page
-through libc memcpy. That detour matters: a ctypes call releases the
-interpreter lock for its duration, so a worker stuck in a hard fault lets
-its sibling run, which is the scheduling behavior the channel measures. A
-plain index into the mmap object would hold the lock across the fault and
-serialize the workers. The pool's module is imported when a receive
-starts, not by importing this module, which loads no executor; run_pair
-imports it before forking, so its receivers find it loaded and the epoch's
-lead need not cover the import.
+The receiver's two accessors are two plain threads, started once per
+receive inside its caller's one-core pin, which both inherit. They take
+reads from one queue, and each reads one byte of a page through libc
+memcpy. That detour matters: a ctypes call releases the interpreter lock
+for its duration, so a worker stuck in a hard fault lets its sibling run,
+which is the scheduling behavior the channel measures. A plain index into
+the mmap object would hold the lock across the fault and serialize them.
 
 Every transmission starts from check_host, which probes the region file
 itself, in place. Callers pin the endpoints: run_pair's forked sender and
@@ -42,13 +38,14 @@ once the epoch is fixed each has only its wait left, and the receiver its
 two workers to start.
 
 Decoding uses only the order in which the two reads finished: each read
-appends its name, t1 for the read of p1 and t2 for that of p2, to the
-slot's finished list, and the last name decides the bit. No clock is read
+reports its name, t1 for the read of p1 and t2 for that of p2, once its
+page is in, and the last name reported decides the bit. No clock is read
 anywhere on the decode path.
 """
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import os
 import resource
 import threading
@@ -57,6 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
 from mmap import mmap as _mmap
+from queue import SimpleQueue
 
 from .config import PAGE_SIZE, ChannelConfig
 from .errors import ConfigError, RunAbort, SetupError
@@ -223,8 +221,7 @@ class SharedRegion:
         return resident
 
     def close(self) -> None:
-        if getattr(self, "_view", None) is not None:
-            self._view = None
+        self._view = None
         if getattr(self, "_mm", None) is not None:
             self._mm.close()
             self._mm = None
@@ -332,7 +329,9 @@ def _probe_file(path: str | None, *notes: str) -> BackendCapabilities:
     right after the advice, which unlike mincore works on a file the caller
     neither owns nor can write. The page is cached and unmapped before the
     advice, as the sender leaves its target, and advised out at the end, as
-    open_region leaves every page.
+    open_region leaves every page. An exclusive flock, held until the region
+    closes, keeps a second probe of the file, as the other endpoint's, from
+    reading page 0 back between this probe's advice and its read.
     """
     notes = list(notes)
     mapping_ok = False
@@ -342,6 +341,10 @@ def _probe_file(path: str | None, *notes: str) -> BackendCapabilities:
     if path is not None:
         try:
             with open_region(path, _PROBE_CFG) as region:
+                try:
+                    fcntl.flock(region._fd, fcntl.LOCK_EX)
+                except OSError as exc:
+                    notes.append(f"cannot lock the file against another probe: {exc}")
                 region.read_byte(0)
                 region.drop_mapping(0)
                 mapping_ok = True
@@ -509,47 +512,50 @@ def trojan_send(
     return log
 
 
+def _accessor(reads: SimpleQueue, done: SimpleQueue) -> None:
+    """One accessor worker: for each (region, name, page) read taken from
+    reads, touch the page, then put the name on done, or the exception the
+    read raised. A None ends the worker. Nothing here reads a clock."""
+    while (read := reads.get()) is not None:
+        region, name, page = read
+        try:
+            region.read_byte(page)
+        except BaseException as exc:  # unreported, it would hang the receiver
+            name = exc
+        done.put(name)
+
+
 @contextmanager
-def _accessor_pool():
-    """The receiver's two accessor workers: a pool of two threads, both
-    started here, inside the caller's pin, so each inherits its one core,
-    and joined on leaving the block. The executor is imported here, so
-    importing this module loads none; a receiver forked by run_pair
-    inherits it already loaded, since run_pair imports it before its first
-    fork.
-
-    The pool starts a worker for each submit that finds none idle, so two
-    tasks that wait for each other start both. Left to start lazily, the
-    second worker would start inside slot 0's probe; an interrupt that
-    landed in its start left it unknown to the pool, never joined, and
-    reading the region after the caller unmapped it.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        both = threading.Barrier(2)
-        for started in [pool.submit(both.wait) for _ in range(2)]:
-            started.result()
-        yield pool
+def _accessors():
+    """The (reads, done) queues of two accessor workers started here, inside
+    the caller's pin, which both inherit. Leaving the block ends and joins
+    every running worker; one caught starting finds only ends queued."""
+    reads, done = SimpleQueue(), SimpleQueue()
+    workers = [threading.Thread(target=_accessor, args=(reads, done)) for _ in range(2)]
+    try:
+        for worker in workers:
+            worker.start()
+        yield reads, done
+    finally:
+        for worker in workers:
+            reads.put(None)
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
 
 
-def _probe_pair(pool, region: SharedRegion, pair: PagePair) -> ObservedOrder:
-    """Read both pages on the pool's two workers and observe completion order.
-
-    Each read touches its page and then appends the page's name to a shared
-    list; an append is atomic, so the last name marks the page that came
-    from disk, whichever worker read it. Nothing here reads a clock.
-    """
-    finished: list[str] = []
-
-    def accessor(name: str, page: int) -> None:
-        region.read_byte(page)
-        finished.append(name)
-
-    reads = (pool.submit(accessor, "t1", pair.p1), pool.submit(accessor, "t2", pair.p2))
-    for read in reads:
-        if (error := read.exception()) is not None:
-            raise RunAbort(f"accessor read failed in slot {pair.slot}") from error
+def _probe_pair(accessors, region: SharedRegion, pair: PagePair) -> ObservedOrder:
+    """Read both pages on the two workers and observe completion order:
+    either worker may take either read, and each reports the read's name
+    once its page is in, so the last name marks the page that came from
+    disk. Nothing here reads a clock."""
+    reads, done = accessors
+    reads.put((region, "t1", pair.p1))
+    reads.put((region, "t2", pair.p2))
+    finished = (done.get(), done.get())
+    for name in finished:
+        if isinstance(name, BaseException):
+            raise RunAbort(f"accessor read failed in slot {pair.slot}") from name
     return ObservedOrder.T1_LAST if finished[-1] == "t1" else ObservedOrder.T2_LAST
 
 
@@ -565,17 +571,17 @@ def spy_receive(
     len(expected) bits, or cfg.payload_bits without the expected payload.
 
     The caller pins the receiving thread to a single core first; a thread
-    allowed more than one is a SetupError. The two pooled accessor workers
-    it starts once inherit that core, so they contend for it. Per slot each
-    worker reads one page of the pair and appends its name to the slot's
-    finished list; the last name decides the bit. Every way out, an interrupt in mid-probe included, joins both workers,
-    and a read that raised aborts naming its slot. Without the expected
-    payload the report's sent and ber are None. Bandwidth counts whole
-    slots, as on the simulator, unless the receiver fell behind them. An
-    expected payload that is empty, or holds anything but bits, is a
-    ConfigError before any worker starts: there is nothing to report on.
-    Capabilities that are not transmission_ready() fail there too; the
-    caller probes them, this only checks.
+    allowed more than one is a SetupError. The two accessor workers it
+    starts once inherit that core, so they contend for it. Per slot each
+    worker reads one page of the pair and reports its name; the last name
+    decides the bit. Every way out, an interrupt in mid-probe included,
+    joins both workers, and a read that raised aborts naming its slot.
+    Without the expected payload the report's sent and ber are None.
+    Bandwidth counts whole slots, as on the simulator, unless the receiver
+    fell behind them. An expected payload that is empty, or holds anything
+    but bits, is a ConfigError before any worker starts: there is nothing
+    to report on. Capabilities that are not transmission_ready() fail there
+    too; the caller probes them, this only checks.
     """
     if expected is not None:
         if not expected:
@@ -589,11 +595,11 @@ def spy_receive(
         )
     n_bits = cfg.payload_bits if expected is None else len(expected)
     decoded: list[int | None] = []
-    with _accessor_pool() as pool:
+    with _accessors() as accessors:
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
-            order = _probe_pair(pool, region, pair)
+            order = _probe_pair(accessors, region, pair)
             # release our page table entries so the pair stays evictable
             # when the schedule wraps back to it
             region.drop_mapping(pair.p1)
@@ -698,12 +704,6 @@ def run_pair(
     capabilities, a check_host() result. A child that fails or exits early
     raises RunAbort, with its error text when it sent one."""
     import multiprocessing
-
-    # the receiver imports its accessor pool's executor once the epoch is
-    # fixed, inside the lead (see _accessor_pool); loaded here, every forked
-    # receiver inherits it and a sweep pays the import once rather than in
-    # every cell's lead
-    from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
     ctx = multiprocessing.get_context("fork")
     receiver_cpu, sender_cpu = live_cpus()

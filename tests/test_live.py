@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import errno
+import fcntl
 import inspect
 import multiprocessing
 import multiprocessing.connection
@@ -18,6 +19,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 from contextlib import nullcontext
@@ -241,6 +243,47 @@ def test_a_probe_that_cannot_pin_reports_it_and_does_not_raise(tmp_path, monkeyp
     assert any(n.startswith("cpu affinity control failed:") for n in caps.notes)
 
 
+def test_the_probe_locks_the_file_between_its_advice_and_its_read(
+    region_file, monkeypatch
+):
+    # a second probe of the same file, a sender's and a receiver's started
+    # together, must not read page 0 back between this probe's advice and
+    # its read; it waits on the lock instead
+    other = os.open(region_file, os.O_RDONLY)
+
+    def try_lock():
+        fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        fcntl.flock(other, fcntl.LOCK_UN)
+
+    def faults():
+        with pytest.raises(BlockingIOError):
+            try_lock()
+        blocked.append(True)
+        return 0
+
+    blocked = []
+    monkeypatch.setattr(live, "_major_faults", faults)
+    try:
+        live._probe_file(region_file)
+        assert blocked == [True, True]
+        try_lock()
+    finally:
+        os.close(other)
+
+
+def test_a_probe_that_cannot_lock_the_file_notes_it_and_goes_on(
+    region_file, monkeypatch
+):
+    def refuse(fd, op):
+        raise OSError(errno.ENOLCK, "No locks available")
+
+    monkeypatch.setattr(fcntl, "flock", refuse)
+    monkeypatch.setattr(live, "_major_faults", Mock(side_effect=[0, 1]))
+    caps = live._probe_file(region_file)
+    assert caps.shared_readonly_mapping and caps.cache_advice_eviction
+    assert any(n.startswith("cannot lock the file against another probe:") for n in caps.notes)
+
+
 def test_capabilities_state_three_observed_flags_and_need_each():
     flags = ("shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity")
     assert tuple(f.name for f in fields(BackendCapabilities)) == (*flags, "notes")
@@ -254,8 +297,8 @@ def test_capabilities_state_three_observed_flags_and_need_each():
 
 @pytest.mark.parametrize("failing", ["t1", "t2"])
 def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypatch, failing):
-    # a read that never finishes leaves no order to decode; its error comes
-    # back through the read's future, so the probe returns either way
+    # a read that never finishes leaves no order to decode; its worker
+    # reports the error in its place, so the probe returns either way
     bad_page = {"t1": 4, "t2": 8}[failing]
 
     def read_byte(self, page):
@@ -265,40 +308,54 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypat
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     before = threading.enumerate()
-    with open_region(region_file, small_cfg()) as region, live._accessor_pool() as pool:
+    with open_region(region_file, small_cfg()) as region, live._accessors() as accessors:
         with pytest.raises(RunAbort, match="accessor read failed in slot 7") as raised:
-            live._probe_pair(pool, region, PagePair(p1=4, p2=8, slot=7))
+            live._probe_pair(accessors, region, PagePair(p1=4, p2=8, slot=7))
         assert isinstance(raised.value.__cause__, OSError)
         # the error is per slot: the next probe starts clean
         monkeypatch.setattr(SharedRegion, "read_byte", lambda self, page: 0)
-        order = live._probe_pair(pool, region, PagePair(p1=4, p2=8, slot=8))
+        order = live._probe_pair(accessors, region, PagePair(p1=4, p2=8, slot=8))
         assert order in (ObservedOrder.T1_LAST, ObservedOrder.T2_LAST)
     assert threading.enumerate() == before
 
 
 def test_decode_path_reads_no_clock():
     # The receiver decides bits from completion order alone. Hold the probe
-    # routine to that: no clock or timer call appears in its source, which
-    # holds the accessor body the workers run as well.
-    source = inspect.getsource(live._probe_pair)
-    assert "def accessor(" in source
+    # routine and the worker that serves its reads to that: no clock or
+    # timer call appears in either's source.
+    source = inspect.getsource(live._probe_pair) + inspect.getsource(live._accessor)
+    assert "read_byte(page)" in source
     for token in ("time.", "_now_ns", "clock_gettime", "perf_counter", "monotonic"):
         assert token not in source, token
 
 
-def test_importing_the_live_backend_loads_no_executor_or_logging():
+def test_importing_the_live_backend_loads_no_executor_or_logging(tmp_path):
     # every importer of pfchan.live pays for what it imports, a process
-    # that never receives included; spy_receive, or run_pair before it
-    # forks, loads the executor
+    # that never receives included, and a receive imports nothing once its
+    # epoch is fixed: its workers are plain threads. One line each, after
+    # the import and after a two-slot receive
     src = str(Path(live.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import pfchan.live; "
-        "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
-    )
+    loaded = "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        import pfchan.live as live
+        {loaded}
+        from pfchan.config import ChannelConfig
+        cfg = ChannelConfig(
+            region_size=65536, page_gap=4, payload_bits=2, sync_period_ns=1_000_000
+        )
+        ready = live.BackendCapabilities(True, True, True)
+        path = live.create_backing_file({str(tmp_path / "r.bin")!r}, cfg.region_size)
+        with live.open_region(path, cfg) as region, live._pinned(live.live_cpus()[0], "t"):
+            report = live.spy_receive(region, cfg, live._now_ns(), capabilities=ready)
+        assert report.payload_bits == 2
+        {loaded}
+    """)
     result = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == ""
+    assert result.stdout.splitlines() == ["", ""]
 
 
 class FakeClock:
@@ -377,7 +434,7 @@ def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
     region_file, monkeypatch, one_core
 ):
     monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
-    monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T1_LAST)
+    monkeypatch.setattr(live, "_probe_pair", lambda accessors, region, pair: ObservedOrder.T1_LAST)
     cfg = small_cfg(payload_bits=2, sync_period_ns=1_000_000)
     with open_region(region_file, cfg) as region:
         assert len(trojan_send(region, cfg, [1, 0], live._now_ns(), READY)) == 2
@@ -391,7 +448,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
 ):
     probe = Mock(return_value=READY)
     monkeypatch.setattr(live, "_probe_file", probe)
-    monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: ObservedOrder.T2_LAST)
+    monkeypatch.setattr(live, "_probe_pair", lambda accessors, region, pair: ObservedOrder.T2_LAST)
     assert main([
         command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
         "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
@@ -404,7 +461,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
 def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
     # a report over no bits would claim an error rate it never measured; the
     # receive refuses it with the other input checks, before any worker starts
-    monkeypatch.setattr(live, "_accessor_pool", lambda: pytest.fail("pool entered"))
+    monkeypatch.setattr(live, "_accessors", lambda: pytest.fail("workers started"))
     with open_region(region_file, small_cfg()) as region:
         with pytest.raises(ConfigError, match="cannot receive an empty payload"):
             spy_receive(
@@ -414,7 +471,7 @@ def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
 
 def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
-    monkeypatch.setattr(live, "_probe_pair", lambda pool, region, pair: next(orders))
+    monkeypatch.setattr(live, "_probe_pair", lambda accessors, region, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
     with open_region(region_file, cfg) as region:
         report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
@@ -463,7 +520,7 @@ def test_a_receiver_allowed_two_cores_is_refused(region_file, monkeypatch, three
     # would report a BER of a channel it never ran, so it starts none
     seen = []
 
-    def probe(pool, region, pair):
+    def probe(accessors, region, pair):
         seen.append(os.sched_getaffinity(0))
         return ObservedOrder.T1_LAST
 
@@ -501,7 +558,7 @@ def sigint_raises():
 def test_no_accessor_worker_outlives_a_receive(
     region_file, monkeypatch, sigint_raises, one_core, ending, raised
 ):
-    # the pool's workers are joined on every way out of the receive,
+    # the workers are joined on every way out of the receive,
     # including an interrupt that lands between two slots and one that
     # lands while both reads are in flight
     readers = set()
@@ -534,9 +591,37 @@ def test_no_accessor_worker_outlives_a_receive(
     assert readers and threading.main_thread() not in readers
 
 
+def test_an_interrupt_in_a_workers_start_leaves_no_worker_running(
+    region_file, monkeypatch, one_core
+):
+    # an interrupt can land in Thread.start once the thread exists, before
+    # the receive knows it started; that worker too must end, and read
+    # nothing, by the time the receive has raised
+    reads, started = [], []
+    real_start = threading.Thread.start
+
+    def start(self):
+        real_start(self)
+        started.append(self)
+        if len(started) == 2:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(SharedRegion, "read_byte", lambda self, page: reads.append(page))
+    cfg = small_cfg(payload_bits=3, sync_period_ns=1_000_000)
+    before = threading.enumerate()
+    with open_region(region_file, cfg) as region:
+        with pytest.raises(KeyboardInterrupt):
+            spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+    assert len(started) == 2 and not any(w.is_alive() for w in started)
+    assert threading.enumerate() == before
+    time.sleep(0.02)
+    assert reads == []
+
+
 def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatch):
-    # a pool whose workers started outside the pin would read on any core,
-    # and one that started a worker inside a probe could leave it unjoined
+    # workers started outside the pin would read on any core, and a worker
+    # started inside a probe could be left unjoined
     readers, masks, alive = set(), [], []
     real_read = SharedRegion.read_byte
 
@@ -954,37 +1039,6 @@ def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
     report = live._receiver_entry(region, TINY, payload, READY, core, Parent())
     assert report.payload_bits == TINY.payload_bits
     assert events == [("set", {core}), ("ready", None), "epoch", ("set", original)]
-
-
-def test_live_children_start_with_the_receivers_executor_loaded(
-    monkeypatch, tmp_path
-):
-    # the receiver starts its accessor pool once the epoch is fixed; had it
-    # to import the executor then, the import would eat into the lead. The
-    # cell's parent loads it before forking, so both children inherit it.
-    # This process unloads it for the cell and gets its own modules back
-    def family():
-        return [m for m in sys.modules if m.split(".")[0] == "concurrent"]
-
-    def recording(name, entry):
-        def wrapped(*args):
-            loaded = "concurrent.futures.thread" in sys.modules
-            (tmp_path / name).write_text(str(loaded))
-            return entry(*args)
-
-        return wrapped
-
-    for name, entry in (("sender", healthy_sender), ("receiver", healthy_receiver)):
-        monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
-    saved = {name: sys.modules.pop(name) for name in family()}
-    try:
-        _run_tiny_cell(tmp_path)
-    finally:
-        for name in family():
-            del sys.modules[name]
-        sys.modules.update(saved)
-    loaded = [(tmp_path / name).read_text() for name in ("receiver", "sender")]
-    assert loaded == ["True", "True"]
 
 
 def _wait_for(condition, timeout_s=5.0):

@@ -317,8 +317,8 @@ def test_live_cell_with_a_child_that_dies_before_ready_aborts_fast(
 
 
 def test_a_sim_sweep_loads_no_executor_or_logging():
-    # only a live sweep's parent loads the receiver's executor; a simulator
-    # sweep, set-up and cells alike, pays for neither it nor logging
+    # a simulator sweep, set-up and cells alike, pays for neither an
+    # executor nor logging
     src = str(Path(sweep.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pfchan as pf; "
