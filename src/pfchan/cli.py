@@ -24,6 +24,7 @@ from .errors import ConfigError, RunAbort, SetupError
 from .report import bits_from_hex, bits_from_string, random_payload
 from .sim import SimParams, render_trace, run_channel_sim
 from .sweep import (
+    BER_LIMIT,
     DEFAULT_GRIDS,
     CellResult,
     SweepSpec,
@@ -274,6 +275,21 @@ def _note_unpinned_sender(spec: SweepSpec) -> None:
         print("note: one usable core, so the live sender shared the receiver's core")
 
 
+def _print_rate_headline(headline) -> None:
+    def rate(bps):
+        return "none" if bps is None else f"{bps} bit/s"
+
+    print(f"highest rate with mean BER <= {BER_LIMIT}: {rate(headline.reliable_bps)}")
+    line = f"highest rate with no failing rate below it: {rate(headline.unbroken_bps)}"
+    if headline.unbroken_bps is not None:
+        within = "within" if headline.unbroken_in_full else "not within"
+        line += (
+            f", carrying {headline.unbroken_carried_bps:.1f} bit/s"
+            f" ({within} 1% of nominal)"
+        )
+    print(line)
+
+
 def cmd_sweep(args) -> int:
     """Run a sweep; a page_gap sweep also names the gap with the lowest mean
     error rate, which is how the gap is calibrated."""
@@ -303,6 +319,8 @@ def cmd_sweep(args) -> int:
     print(summary_table(result))
     if args.variable == "page_gap":
         print(f"best page_gap: {result.best_value()}")
+    if args.variable == "bit_rate":
+        _print_rate_headline(result.rate_headline())
     if args.out:
         _write_csv(args.out, CellResult, result.rows)
         print(f"wrote {args.out}")

@@ -105,6 +105,18 @@ class BackendCapabilities:
 
 @dataclass(frozen=True)
 class SenderSlotLog:
+    """What the sender did in one slot; its fields are the CSV columns of
+    `pfchan send --out`.
+
+    slot is the slot index, p1 and p2 the pair's page indices and target the
+    page touched for the bit. deadline_ns, start_ns and end_ns are
+    CLOCK_REALTIME readings in ns: the slot's sender deadline, the end of
+    the wait for it, and the end of the slot's work. evict_confirmed is
+    whether mincore saw both pages leave the cache, or None when it cannot
+    report on the file. overrun is whether the sender reached the slot
+    only after its deadline had passed.
+    """
+
     slot: int
     p1: int
     p2: int

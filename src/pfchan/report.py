@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-import string
 from dataclasses import dataclass, field
 from operator import ne
 
@@ -37,7 +36,7 @@ def bits_from_hex(text: str) -> list[int]:
         raise ConfigError("empty hex payload")
     # int(text, 16) alone would also take a 0x prefix, a sign, underscores
     # and surrounding whitespace, and the width below would count them.
-    if any(c not in string.hexdigits for c in text):
+    if any(c not in "0123456789abcdefABCDEF" for c in text):
         raise ConfigError(f"invalid hex payload {text!r}")
     value = int(text, 16)
     width = 4 * len(text)

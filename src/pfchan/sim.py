@@ -73,6 +73,15 @@ class EvictionBehavior(Enum):
 
 @dataclass(frozen=True)
 class SimParams:
+    """The modeled host, in integer ticks of tick_ns nanoseconds each.
+
+    disk_latency is the ticks a hard fault waits for its page; mem_latency
+    the ticks a hit or soft fault takes, and it must be below disk_latency.
+    switch_cost is the ticks a yield takes to hand the core to the other
+    thread. tick_ns maps the config's nanosecond deadlines onto ticks.
+    eviction_behavior says how faithfully eviction advice is honored.
+    """
+
     disk_latency: int = 1000
     mem_latency: int = 1
     switch_cost: int = 10

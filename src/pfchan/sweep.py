@@ -9,10 +9,9 @@ report.
 """
 from __future__ import annotations
 
-import csv
-import hashlib
 import io
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .config import MIB, ChannelConfig
 from .errors import ConfigError
@@ -32,9 +31,41 @@ DEFAULT_GRIDS: dict[str, tuple[int, ...]] = {
 }
 VARIABLES = tuple(DEFAULT_GRIDS)
 
+# the north star's reliability rule: a rate passes when its mean BER is at
+# most this
+BER_LIMIT = 0.05
+
+
+class RateHeadline(NamedTuple):
+    """A bit_rate sweep's headline, in bit/s; a rate field is None when no
+    rate qualifies, and so are the two fields that describe it.
+
+    reliable_bps is the highest rate whose mean BER is at most BER_LIMIT.
+    unbroken_bps is the highest rate that passes with every lower rate in
+    the grid passing too, so a failure below it cannot hide. Its mean
+    carried bandwidth is unbroken_carried_bps, and unbroken_in_full says
+    whether that lies within 1% of the rate: a receiver that carries less
+    is falling behind, and a longer cell at that rate would fail.
+    """
+
+    reliable_bps: int | None
+    unbroken_bps: int | None
+    unbroken_carried_bps: float | None
+    unbroken_in_full: bool | None
+
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep: vary `variable` over `values`, each cell `repetitions` times.
+
+    values are in the variable's own unit: bit/s for bit_rate, bytes for
+    region_size, bits for payload_bits and pages for page_gap. cfg and
+    params hold every other setting; params is read only by the simulator.
+    backend is "sim" or "live", and a live sweep maps region_file. seed is
+    the master seed every cell seed derives from. live_lead_ns is the
+    margin, in ns, from both live endpoints reporting ready to slot 0.
+    """
+
     variable: str
     values: tuple[int, ...]
     repetitions: int
@@ -112,6 +143,9 @@ class CellResult:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A finished sweep: its spec and one row per cell, in grid order, each
+    value's repetitions together."""
+
     spec: SweepSpec
     rows: tuple[CellResult, ...]
 
@@ -142,9 +176,29 @@ class SweepResult:
         best, _, _ = min(self.aggregates(), key=lambda agg: (agg[1], -agg[0]))
         return best
 
+    def rate_headline(self) -> RateHeadline:
+        """The headline of a bit_rate sweep, whatever order its grid was
+        given in."""
+        if self.spec.variable != "bit_rate":
+            raise ConfigError(
+                f"a rate headline needs a bit_rate sweep, not {self.spec.variable}"
+            )
+        by_rate = sorted(self.aggregates())
+        passing = [rate for rate, ber, _ in by_rate if ber <= BER_LIMIT]
+        unbroken = carried = in_full = None
+        for rate, ber, bw in by_rate:
+            if ber > BER_LIMIT:
+                break
+            unbroken, carried = rate, bw
+        if unbroken is not None:
+            in_full = abs(carried - unbroken) <= unbroken / 100
+        return RateHeadline(max(passing, default=None), unbroken, carried, in_full)
+
 
 def cell_seed(master_seed: int, variable: str, value: int, repetition: int) -> int:
     """Stable per-cell seed so any cell can be replayed in isolation."""
+    import hashlib
+
     key = f"{master_seed}:{variable}:{value}:{repetition}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
@@ -197,6 +251,8 @@ def write_csv(fh, row_type, rows) -> None:
     """Write a header of the dataclass row_type's field names, then one line
     per row. Floats keep the csv module's repr, bools are written as 0/1 and
     None as an empty cell."""
+    import csv
+
     names = [f.name for f in fields(row_type)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(names)

@@ -17,6 +17,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 LIVE_ONLY_MODULES = (
     "pfchan.live", "ctypes", "mmap", "multiprocessing", "multiprocessing.connection"
 )
+# Loaded only by the one function that uses each: cell_seed (hashlib, which
+# brings OpenSSL's _hashlib: about 4 ms and 3.8 MiB of RSS on Python 3.11)
+# and write_csv (csv, about 0.8 ms); string went for a literal of hex digits
+# (about 1 ms). Together they were about a fifth of a cold `import pfchan`.
+ONE_CALLER_MODULES = ("hashlib", "_hashlib", "csv", "_csv", "string")
 
 
 def test_every_public_name_resolves():
@@ -34,16 +39,22 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_import_leaves_the_live_backend_unloaded():
+    # and the one-caller modules; each import runs in a fresh interpreter and
+    # is compared against what that interpreter held before it, since a
+    # host's site may load one of these itself
     src = Path(pfchan.__file__).resolve().parent.parent
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import pfchan; "
-        f"print(*[m for m in {LIVE_ONLY_MODULES!r} if m in sys.modules])"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(src)],
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.split() == []
+    for module in ("pfchan", "pfchan.cli"):
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            f"import {module}; "
+            f"print(*[m for m in {LIVE_ONLY_MODULES + ONE_CALLER_MODULES!r} "
+            "if m in sys.modules and m not in before])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(src)],
+            capture_output=True, text=True, check=True,
+        )
+        assert (module, proc.stdout.split()) == (module, [])
 
 
 def test_readme_names_only_flags_the_cli_accepts():

@@ -18,6 +18,9 @@ from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
 from pfchan.sim import EvictionBehavior, SimParams
 from pfchan.sweep import (
+    CellResult,
+    RateHeadline,
+    SweepResult,
     SweepSpec,
     apply_variable,
     cell_seed,
@@ -337,3 +340,103 @@ def test_summary_table_has_a_header_and_a_line_per_value():
     lines = summary_table(result).splitlines()
     assert "page_gap" in lines[0] and "sim" in lines[0]
     assert len(lines) == 2 + len(result.spec.values)
+
+
+def rate_result(cells: dict[int, list[tuple[float, float]]]) -> SweepResult:
+    """A bit_rate sweep built by hand: per rate, in the order given, each
+    repetition's (ber, bandwidth_bps)."""
+    spec = SweepSpec(
+        variable="bit_rate", values=tuple(cells), repetitions=1,
+        cfg=ChannelConfig(), params=SimParams(),
+    )
+    rows = tuple(
+        CellResult(
+            variable="bit_rate", value=rate, repetition=rep, seed=0,
+            payload_bits=1000, page_gap=64, region_bytes=32 * MIB,
+            sync_period_ns=1_000_000_000 // rate, ber=ber, bandwidth_bps=bw,
+            indeterminate_slots=0,
+        )
+        for rate, reps in cells.items()
+        for rep, (ber, bw) in enumerate(reps)
+    )
+    return SweepResult(spec=spec, rows=rows)
+
+
+# table E's sweep 3 in the roadmap: 12000 bit/s fails and 15000 passes again
+NON_MONOTONE = {
+    8000: [(0.0304, 8000.0)],
+    10000: [(0.0278, 10000.0)],
+    12000: [(0.0968, 12000.0)],
+    15000: [(0.0098, 13888.0)],
+}
+
+
+def test_rate_headline_stops_the_unbroken_rate_at_the_first_failure():
+    assert rate_result(NON_MONOTONE).rate_headline() == RateHeadline(
+        reliable_bps=15000,
+        unbroken_bps=10000,
+        unbroken_carried_bps=10000.0,
+        unbroken_in_full=True,
+    )
+
+
+def test_rate_headline_reads_a_descending_grid_as_an_ascending_one():
+    descending = dict(sorted(NON_MONOTONE.items(), reverse=True))
+    assert tuple(descending) == (15000, 12000, 10000, 8000)
+    assert (
+        rate_result(descending).rate_headline()
+        == rate_result(NON_MONOTONE).rate_headline()
+    )
+
+
+def test_rate_headline_flags_a_passing_rate_that_carries_short():
+    # both rates pass on BER; 12000 bit/s carries a mean of 11850 bit/s,
+    # under 99% of nominal (11880), though one of its cells reached 11900
+    result = rate_result({
+        10000: [(0.0, 9990.0), (0.01, 10050.0)],
+        12000: [(0.0, 11900.0), (0.02, 11800.0)],
+    })
+    assert result.rate_headline() == RateHeadline(12000, 12000, 11850.0, False)
+    # within 1% either way of nominal counts as carried in full
+    assert rate_result({10000: [(0.0, 9990.0), (0.01, 10050.0)]}).rate_headline() == (
+        RateHeadline(10000, 10000, 10020.0, True)
+    )
+
+
+def test_rate_headline_of_a_grid_where_no_rate_passes():
+    failing = rate_result({1000: [(0.06, 1000.0)], 2000: [(0.5, 2000.0)]})
+    assert failing.rate_headline() == RateHeadline(None, None, None, None)
+    # a pass above a failing lowest rate is the north star's figure only
+    assert rate_result({1000: [(0.06, 1000.0)], 2000: [(0.05, 2000.0)]}).rate_headline() == (
+        RateHeadline(2000, None, None, None)
+    )
+
+
+def test_rate_headline_needs_a_bit_rate_sweep():
+    with pytest.raises(ConfigError, match="needs a bit_rate sweep, not page_gap"):
+        run_sweep(small_spec(repetitions=1)).rate_headline()
+
+
+def test_only_a_bit_rate_sweep_prints_the_headline(capsys):
+    small = ["--region-size", str(MIB), "--payload-bits", "20", "--repetitions", "1"]
+    assert main(["sweep", "--variable", "bit_rate", "--values", "200,100", *small]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "highest rate with mean BER <= 0.05: 200 bit/s",
+        "highest rate with no failing rate below it: 200 bit/s, carrying 200.0 "
+        "bit/s (within 1% of nominal)",
+    ]
+    assert main(["sweep", "--variable", "page_gap", "--values", "8,16", *small]) == 0
+    assert "highest rate" not in capsys.readouterr().out
+
+
+def test_sweep_prints_a_short_carrying_or_missing_headline(monkeypatch, capsys):
+    cases = [
+        (NON_MONOTONE, "10000 bit/s, carrying 10000.0 bit/s (within 1% of nominal)"),
+        ({12000: [(0.0, 11800.0)]}, "12000 bit/s, carrying 11800.0 bit/s (not within"),
+        ({1000: [(0.5, 1000.0)]}, "none"),
+    ]
+    for cells, unbroken in cases:
+        monkeypatch.setattr("pfchan.cli.run_sweep", lambda spec: rate_result(cells))
+        assert main(["sweep", "--variable", "bit_rate", "--values", "1000"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith(f"highest rate with no failing rate below it: {unbroken}")
