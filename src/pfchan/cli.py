@@ -157,10 +157,21 @@ def _payload_from_args(args, cfg: ChannelConfig) -> list[int]:
     return bits_from_string(args.bits)
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Fail before the run, naming the path, when an output file cannot be
-    written; a file the check creates is removed again."""
-    for path in paths:
+def _check_writable(args, *outputs: str) -> None:
+    """Fail before any set-up when an output file, given as the dest of its
+    flag, names a file the command reads (--config, --region-file) or
+    another output, compared by realpath, or cannot be written; a file the
+    check creates is removed again."""
+    claimed: dict[str, str] = {}
+    for dest in ("config", "region_file", *outputs):
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        flag, real = "--" + dest.replace("_", "-"), os.path.realpath(path)
+        if dest in outputs and real in claimed:
+            raise ConfigError(f"{claimed[real]} and {flag} name the same file {path!r}")
+        claimed.setdefault(real, flag)
+    for path in [getattr(args, dest) for dest in outputs]:
         if path is None:
             continue
         existed = os.path.lexists(path)
@@ -189,10 +200,7 @@ def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
 def cmd_simulate(args) -> int:
     cfg, params = resolve_settings(args)
     payload = _payload_from_args(args, cfg)
-    if args.out and args.trace:  # the trace would overwrite the CSV
-        if os.path.realpath(args.out) == os.path.realpath(args.trace):
-            raise ConfigError(f"--out and --trace name the same file {args.out!r}")
-    _check_writable(args.out, args.trace)
+    _check_writable(args, "out", "trace")
     trace = [] if args.trace else None
     report = run_channel_sim(cfg, params, payload, trace_out=trace)
     print(
@@ -216,7 +224,7 @@ def cmd_send(args) -> int:
     cfg, _ = resolve_settings(args)
     payload = _payload_from_args(args, cfg)
     epoch = _parse_epoch(args.epoch)
-    _check_writable(args.out)
+    _check_writable(args, "out")
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
@@ -242,7 +250,7 @@ def cmd_receive(args) -> int:
     cfg, _ = resolve_settings(args)
     expected = None if args.blind else _payload_from_args(args, cfg)
     epoch = _parse_epoch(args.epoch)
-    _check_writable(args.out)
+    _check_writable(args, "out")
     with live.open_region(args.region_file, cfg) as region:
         caps = live.check_host(args.region_file)
         cpu = live.live_cpus()[0] if args.cpu is None else args.cpu
@@ -314,7 +322,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         region_file=args.region_file,
     )
-    _check_writable(args.out)
+    _check_writable(args, "out")
     result = run_sweep(spec)
     print(summary_table(result))
     if args.variable == "page_gap":

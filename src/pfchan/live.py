@@ -32,10 +32,10 @@ which is the scheduling behavior the channel measures. A plain index into
 the mmap object would hold the lock across the fault and serialize them.
 
 Every transmission starts from check_host, which probes the region file
-itself, in place. Callers pin the endpoints: run_pair's forked sender and
-receiver open the region and pin their cores before they report ready, so
-once the epoch is fixed each has only its wait left, and the receiver its
-two workers to start.
+itself, in place; run_pair runs it before it forks. Callers pin the
+endpoints: run_pair's forked sender and receiver open the region and pin
+their cores before they report ready, so once the epoch is fixed each has
+only its wait left, and the receiver its two workers to start.
 
 Decoding uses only the order in which the two reads finished: each read
 reports its name, t1 for the read of p1 and t2 for that of p2, once its
@@ -524,12 +524,12 @@ def trojan_send(
     return log
 
 
-def _accessor(reads: SimpleQueue, done: SimpleQueue) -> None:
-    """One accessor worker: for each (region, name, page) read taken from
+def _accessor(region: SharedRegion, reads: SimpleQueue, done: SimpleQueue) -> None:
+    """One accessor worker on region: for each (name, page) read taken from
     reads, touch the page, then put the name on done, or the exception the
     read raised. A None ends the worker. Nothing here reads a clock."""
     while (read := reads.get()) is not None:
-        region, name, page = read
+        name, page = read
         try:
             region.read_byte(page)
         except BaseException as exc:  # unreported, it would hang the receiver
@@ -538,12 +538,13 @@ def _accessor(reads: SimpleQueue, done: SimpleQueue) -> None:
 
 
 @contextmanager
-def _accessors():
-    """The (reads, done) queues of two accessor workers started here, inside
-    the caller's pin, which both inherit. Leaving the block ends and joins
-    every running worker; one caught starting finds only ends queued."""
+def _accessors(region: SharedRegion):
+    """The (reads, done) queues of two workers started here to read region,
+    inside the caller's pin, which both inherit. Leaving the block ends and
+    joins every running worker; one caught starting finds only ends queued."""
     reads, done = SimpleQueue(), SimpleQueue()
-    workers = [threading.Thread(target=_accessor, args=(reads, done)) for _ in range(2)]
+    args = (region, reads, done)
+    workers = [threading.Thread(target=_accessor, args=args) for _ in range(2)]
     try:
         for worker in workers:
             worker.start()
@@ -556,14 +557,14 @@ def _accessors():
                 worker.join()
 
 
-def _probe_pair(accessors, region: SharedRegion, pair: PagePair) -> ObservedOrder:
+def _probe_pair(accessors, pair: PagePair) -> ObservedOrder:
     """Read both pages on the two workers and observe completion order:
     either worker may take either read, and each reports the read's name
     once its page is in, so the last name marks the page that came from
     disk. Nothing here reads a clock."""
     reads, done = accessors
-    reads.put((region, "t1", pair.p1))
-    reads.put((region, "t2", pair.p2))
+    reads.put(("t1", pair.p1))
+    reads.put(("t2", pair.p2))
     finished = (done.get(), done.get())
     for name in finished:
         if isinstance(name, BaseException):
@@ -607,11 +608,11 @@ def spy_receive(
         )
     n_bits = cfg.payload_bits if expected is None else len(expected)
     decoded: list[int | None] = []
-    with _accessors() as accessors:
+    with _accessors(region) as accessors:
         for k in range(n_bits):
             pair = page_pair_for_slot(cfg, k)
             _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
-            order = _probe_pair(accessors, region, pair)
+            order = _probe_pair(accessors, pair)
             # release our page table entries so the pair stays evictable
             # when the schedule wraps back to it
             region.drop_mapping(pair.p1)
@@ -703,20 +704,22 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
 
 
 def run_pair(
-    cfg: ChannelConfig,
-    payload: list[int],
-    region_file: str,
-    lead_ns: int,
-    capabilities: BackendCapabilities,
+    cfg: ChannelConfig, payload: list[int], region_file: str, lead_ns: int
 ) -> TransmissionReport:
     """Send the payload from a forked sender to a forked receiver on
     region_file, which must hold cfg.region_size bytes, and return the
-    receiver's report. Slot 0 starts lead_ns after both children have opened
-    the region, pinned their cores and reported ready; both reuse
-    capabilities, a check_host() result. A child that fails or exits early
-    raises RunAbort, with its error text when it sent one."""
+    receiver's report. An empty or non-bit payload is a ConfigError, and
+    then check_host(region_file) runs, both before any fork; both children
+    reuse its capabilities. Slot 0 starts lead_ns after both children have
+    opened the region, pinned their cores and reported ready. A child that
+    fails or exits early raises RunAbort, with its error text when it sent
+    one."""
     import multiprocessing
 
+    if not payload:
+        raise ConfigError("cannot send an empty payload: it holds no bits")
+    check_bits(payload)
+    capabilities = check_host(region_file)
     ctx = multiprocessing.get_context("fork")
     receiver_cpu, sender_cpu = live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0

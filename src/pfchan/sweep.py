@@ -227,7 +227,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # region in the grid, so a path that cannot be written fails by name
         cfgs = [apply_variable(spec.cfg, spec.variable, v) for v in spec.values]
         live.create_backing_file(spec.region_file, max(c.region_size for c in cfgs))
-        caps = live.check_host(spec.region_file)
 
     rows: list[CellResult] = []
     for value in spec.values:
@@ -238,9 +237,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.backend == "sim":
                 report = run_channel_sim(cfg, spec.params, payload)
             else:
-                report = live.run_pair(
-                    cfg, payload, spec.region_file, spec.live_lead_ns, caps
-                )
+                report = live.run_pair(cfg, payload, spec.region_file, spec.live_lead_ns)
             rows.append(
                 CellResult.from_report(spec.variable, value, rep, seed, cfg, report)
             )

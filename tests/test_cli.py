@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process, checking exit codes and artifacts."""
 from __future__ import annotations
 
+import argparse
 import errno
 import os
 import threading
@@ -74,6 +75,41 @@ def test_simulate_refuses_one_file_for_out_and_trace(tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert captured.err.startswith("error: --out and --trace name the same file")
     assert not out.exists()
+
+
+def test_simulate_refuses_an_out_that_names_its_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pfchan.cli, "run_channel_sim", lambda *a, **k: pytest.fail("ran"))
+    cfg_file = tmp_path / "chan.cfg"
+    cfg_file.write_text("page_gap = 8\n")
+    link = tmp_path / "link.cfg"  # a second name for the same file
+    link.symlink_to(cfg_file)
+    argv = ["simulate", "--bits", "01", "--config", str(cfg_file), "--out", str(link)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config and --out name the same file")
+    assert cfg_file.read_text() == "page_gap = 8\n"
+
+
+@pytest.mark.parametrize("command", ["send", "receive", "sweep"])
+def test_an_out_that_names_the_region_file_exits_1_before_any_set_up(
+    tmp_path, monkeypatch, capsys, command
+):
+    # send once replaced its region with its CSV log, and the next receive
+    # on that file exited 2 for a region too short
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: pytest.fail("probed"))
+    monkeypatch.chdir(tmp_path)
+    region = tmp_path / "r.bin"
+    region.write_bytes(b"short")  # --create-region and a live sweep would rewrite it
+    if command == "sweep":
+        argv = ["sweep", "--variable", "page_gap", "--values", "8"]
+    else:
+        argv = [command, "--epoch", "+0.2", "--bits", "01"]
+    if command == "send":
+        argv.append("--create-region")
+    assert run_cli(*argv, *SMALL, "--region-file", "r.bin", "--out", "./r.bin") == 1
+    err = capsys.readouterr().err
+    assert err == "error: --region-file and --out name the same file './r.bin'\n"
+    assert region.read_bytes() == b"short"
 
 
 def test_config_file_feeds_settings(tmp_path):
@@ -226,7 +262,8 @@ def test_an_unwritable_output_path_exits_2_before_the_run(
 def test_the_output_check_leaves_files_as_it_found_them(tmp_path):
     fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
     kept.write_text("old\n")
-    pfchan.cli._check_writable(str(fresh), None, str(kept))
+    args = argparse.Namespace(config=None, out=str(fresh), trace=str(kept))
+    pfchan.cli._check_writable(args, "out", "trace")
     assert not fresh.exists()
     assert kept.read_text() == "old\n"
 

@@ -13,6 +13,7 @@ import fcntl
 import inspect
 import multiprocessing
 import multiprocessing.connection
+import multiprocessing.process
 import os
 import resource
 import signal
@@ -308,14 +309,15 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypat
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     before = threading.enumerate()
-    with open_region(region_file, small_cfg()) as region, live._accessors() as accessors:
-        with pytest.raises(RunAbort, match="accessor read failed in slot 7") as raised:
-            live._probe_pair(accessors, region, PagePair(p1=4, p2=8, slot=7))
-        assert isinstance(raised.value.__cause__, OSError)
-        # the error is per slot: the next probe starts clean
-        monkeypatch.setattr(SharedRegion, "read_byte", lambda self, page: 0)
-        order = live._probe_pair(accessors, region, PagePair(p1=4, p2=8, slot=8))
-        assert order in (ObservedOrder.T1_LAST, ObservedOrder.T2_LAST)
+    with open_region(region_file, small_cfg()) as region:
+        with live._accessors(region) as accessors:
+            with pytest.raises(RunAbort, match="accessor read failed in slot 7") as raised:
+                live._probe_pair(accessors, PagePair(p1=4, p2=8, slot=7))
+            assert isinstance(raised.value.__cause__, OSError)
+            # the error is per slot: the next probe starts clean
+            monkeypatch.setattr(SharedRegion, "read_byte", lambda self, page: 0)
+            order = live._probe_pair(accessors, PagePair(p1=4, p2=8, slot=8))
+            assert order in (ObservedOrder.T1_LAST, ObservedOrder.T2_LAST)
     assert threading.enumerate() == before
 
 
@@ -434,7 +436,7 @@ def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
     region_file, monkeypatch, one_core
 ):
     monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
-    monkeypatch.setattr(live, "_probe_pair", lambda accessors, region, pair: ObservedOrder.T1_LAST)
+    monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: ObservedOrder.T1_LAST)
     cfg = small_cfg(payload_bits=2, sync_period_ns=1_000_000)
     with open_region(region_file, cfg) as region:
         assert len(trojan_send(region, cfg, [1, 0], live._now_ns(), READY)) == 2
@@ -448,7 +450,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
 ):
     probe = Mock(return_value=READY)
     monkeypatch.setattr(live, "_probe_file", probe)
-    monkeypatch.setattr(live, "_probe_pair", lambda accessors, region, pair: ObservedOrder.T2_LAST)
+    monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: ObservedOrder.T2_LAST)
     assert main([
         command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
         "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
@@ -461,7 +463,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
 def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
     # a report over no bits would claim an error rate it never measured; the
     # receive refuses it with the other input checks, before any worker starts
-    monkeypatch.setattr(live, "_accessors", lambda: pytest.fail("workers started"))
+    monkeypatch.setattr(live, "_accessors", lambda region: pytest.fail("workers started"))
     with open_region(region_file, small_cfg()) as region:
         with pytest.raises(ConfigError, match="cannot receive an empty payload"):
             spy_receive(
@@ -471,7 +473,7 @@ def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
 
 def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
-    monkeypatch.setattr(live, "_probe_pair", lambda accessors, region, pair: next(orders))
+    monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
     with open_region(region_file, cfg) as region:
         report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
@@ -520,7 +522,7 @@ def test_a_receiver_allowed_two_cores_is_refused(region_file, monkeypatch, three
     # would report a BER of a channel it never ran, so it starts none
     seen = []
 
-    def probe(accessors, region, pair):
+    def probe(accessors, pair):
         seen.append(os.sched_getaffinity(0))
         return ObservedOrder.T1_LAST
 
@@ -849,9 +851,10 @@ def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
 # -- forked sender/receiver pair, with the child entry points replaced ------
 # The children are forked, so they run the monkeypatched entry points.
 
-def _run_tiny_cell(tmp_path):
+def _run_tiny_cell(monkeypatch, tmp_path):
+    monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
     payload = random_payload(7, TINY.payload_bits)
-    return live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000, READY)
+    return live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000)
 
 
 def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
@@ -865,6 +868,24 @@ def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
     )
     (row,) = run_sweep(spec).rows
     assert (row.payload_bits, row.ber) == (8, 0.0)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [([], "cannot send an empty payload"), ([2, 0], "only bits, got 2")],
+    ids=["empty", "non-bit"],
+)
+def test_a_live_pair_refuses_a_payload_of_no_bits_before_it_probes_or_forks(
+    monkeypatch, tmp_path, payload, message
+):
+    # both children once started and printed tracebacks, and the parent
+    # raised RunAbort with the receiver's ConfigError as its text
+    monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
+    )
+    with pytest.raises(ConfigError, match=message):
+        live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000)
 
 
 def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp_path):
@@ -885,7 +906,7 @@ def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp
     monkeypatch.setattr(live, "_ready", recording_ready)
     monkeypatch.setattr(live, "_sender_entry", slow_sender)
     monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
-    _run_tiny_cell(tmp_path)
+    _run_tiny_cell(monkeypatch, tmp_path)
     records = [tuple(map(int, p.read_text().split())) for p in tmp_path.glob("ready-*")]
     assert len(records) == 2
     (ready_a, epoch_a), (ready_b, epoch_b) = records
@@ -912,7 +933,7 @@ def test_the_sender_gets_the_epoch_before_the_receiver(monkeypatch, tmp_path):
     monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
     monkeypatch.setattr(live, "_sender_entry", healthy_sender)
     monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
-    _run_tiny_cell(tmp_path)
+    _run_tiny_cell(monkeypatch, tmp_path)
     assert sent == ["sender", "receiver"]
 
 
@@ -927,7 +948,7 @@ def test_live_cell_with_a_dead_sender_aborts(monkeypatch, tmp_path):
     monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
     message = r"sender child exited with code 1: SetupError\('region vanished'\)"
     with pytest.raises(RunAbort, match=message):
-        _run_tiny_cell(tmp_path)
+        _run_tiny_cell(monkeypatch, tmp_path)
 
 
 def test_live_cell_whose_receiver_fails_after_its_report_aborts(monkeypatch, tmp_path):
@@ -945,7 +966,7 @@ def test_live_cell_whose_receiver_fails_after_its_report_aborts(monkeypatch, tmp
     monkeypatch.setattr(live, "_receiver_entry", failing_late)
     start = time.monotonic()
     with pytest.raises(RunAbort, match="live receiver child exited with code 7$"):
-        _run_tiny_cell(tmp_path)
+        _run_tiny_cell(monkeypatch, tmp_path)
     assert time.monotonic() - start < 1
 
 
@@ -972,7 +993,7 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
     for name, entry in (("sender", healthy_sender), ("receiver", healthy_receiver)):
         monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
-    _run_tiny_cell(tmp_path)
+    _run_tiny_cell(monkeypatch, tmp_path)
     cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
     assert cores == expected
 
@@ -1002,7 +1023,7 @@ def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_pa
     create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
     receiver_cpu, sender_cpu = live_cpus()
     unpinned = " ".join(map(str, sorted(os.sched_getaffinity(0))))
-    _run_tiny_cell(tmp_path)
+    _run_tiny_cell(monkeypatch, tmp_path)
     masks = sorted(p.read_text() for p in tmp_path.glob("mask-*"))
     expected = [str(receiver_cpu), unpinned if sender_cpu is None else str(sender_cpu)]
     assert masks == sorted(expected)
@@ -1082,7 +1103,7 @@ def test_live_children_exit_when_the_parent_dies_before_the_epoch(
     monkeypatch.setattr(live, "_receiver_entry", waiting_child)
     monkeypatch.setattr(live, "_collect", collect_then_hang)
     parent = multiprocessing.get_context("fork").Process(
-        target=_run_tiny_cell, args=(tmp_path,)
+        target=_run_tiny_cell, args=(monkeypatch, tmp_path)
     )
     parent.start()
     try:

@@ -1,10 +1,12 @@
 """Harness checks: reproducibility, grid mechanics, best-value choice."""
 from __future__ import annotations
 
+import multiprocessing.process
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -270,6 +272,49 @@ def _run_tiny_live_sweep(monkeypatch, tmp_path):
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
         live_lead_ns=10_000_000,
     ))
+
+
+def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
+    # the sweep only writes the region file; each cell's run_pair probes it
+    # once, before that cell forks, and hands its own result to both children
+    started_before = []  # the children already started at each probe
+
+    def probe(path, *notes):
+        started_before.append(sorted(p.name for p in tmp_path.glob("*-cell*")))
+        return replace(READY, notes=(f"cell{len(started_before)}",))
+
+    def recording(role, healthy):
+        def entry(region_path, cfg, payload, capabilities, cpu, conn):
+            (tmp_path / f"{role}-{capabilities.notes[0]}").touch()
+            return healthy(region_path, cfg, payload, READY, cpu, conn)
+
+        return entry
+
+    monkeypatch.setattr(pfchan.live, "_probe_file", probe)
+    monkeypatch.setattr(pfchan.live, "_sender_entry", recording("sender", healthy_sender))
+    monkeypatch.setattr(
+        pfchan.live, "_receiver_entry", recording("receiver", healthy_receiver)
+    )
+    spec = SweepSpec(
+        variable="payload_bits", values=(8, 16), repetitions=1, cfg=TINY,
+        params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
+        live_lead_ns=10_000_000,
+    )
+    rows = run_sweep(spec).rows
+    assert [(row.payload_bits, row.ber) for row in rows] == [(8, 0.0), (16, 0.0)]
+    assert started_before == [[], ["receiver-cell1", "sender-cell1"]]
+    assert sorted(p.name for p in tmp_path.glob("*-cell*")) == [
+        "receiver-cell1", "receiver-cell2", "sender-cell1", "sender-cell2",
+    ]
+
+    # a failing check stops the cell before it starts any child
+    broken = replace(READY, cache_advice_eviction=False)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: broken)
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
+    )
+    with pytest.raises(SetupError, match="lacks required capabilities"):
+        run_sweep(spec)
 
 
 @pytest.mark.parametrize(
