@@ -159,29 +159,40 @@ def _payload_from_args(args, cfg: ChannelConfig) -> list[int]:
 
 def _check_writable(args, *outputs: str) -> None:
     """Fail before any set-up when an output file, given as the dest of its
-    flag, names a file the command reads (--config, --region-file) or
-    another output, compared by realpath, or cannot be written; a file the
-    check creates is removed again."""
-    claimed: dict[str, str] = {}
-    for dest in ("config", "region_file", *outputs):
-        path = getattr(args, dest, None)
-        if path is None:
-            continue
-        flag, real = "--" + dest.replace("_", "-"), os.path.realpath(path)
-        if dest in outputs and real in claimed:
-            raise ConfigError(f"{claimed[real]} and {flag} name the same file {path!r}")
-        claimed.setdefault(real, flag)
-    for path in [getattr(args, dest) for dest in outputs]:
-        if path is None:
-            continue
-        existed = os.path.lexists(path)
-        try:
-            with open(path, "a"):
-                pass
-        except OSError as exc:
-            raise SetupError(f"cannot write output file {path!r}: {exc.strerror}") from None
-        if not existed:
-            os.remove(path)
+    flag, cannot be written, or is the same file, by device and inode, as
+    one the command reads (--config, --region-file) or as another output.
+    Each output is opened for append first, which creates an absent one
+    where the kernel would, through any symlink; a file created here is
+    removed again by the path it was created at."""
+    opened: dict[str, os.stat_result] = {}
+    created: list[str] = []
+    try:
+        for dest in outputs:
+            path = getattr(args, dest)
+            if path is None:
+                continue
+            target = os.path.realpath(path)
+            existed = os.path.exists(target)
+            try:
+                with open(target, "a") as fh:
+                    opened[dest] = os.fstat(fh.fileno())
+            except OSError as exc:
+                raise SetupError(f"cannot write output file {path!r}: {exc.strerror}") from None
+            if not existed:
+                created.append(target)
+        claimed: dict[tuple[int, int], str] = {}
+        for dest in ("config", "region_file", *opened):
+            path = getattr(args, dest, None)
+            if dest not in opened and (path is None or not os.path.exists(path)):
+                continue  # an input not given, or not written yet
+            st = opened[dest] if dest in opened else os.stat(path)
+            flag, key = "--" + dest.replace("_", "-"), (st.st_dev, st.st_ino)
+            if dest in opened and key in claimed:
+                raise ConfigError(f"{claimed[key]} and {flag} name the same file {path!r}")
+            claimed.setdefault(key, flag)
+    finally:
+        for target in created:
+            os.remove(target)
 
 
 def _write_csv(path: str, row_type, rows) -> None:
@@ -228,7 +239,7 @@ def cmd_send(args) -> int:
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
-        caps = live.check_host(args.region_file)
+        caps = live.check_host(region)
         with live._pinned(args.cpu, "sender"):
             log = live.trojan_send(region, cfg, payload, epoch, caps)
     overruns = sum(1 for rec in log if rec.overrun)
@@ -252,7 +263,7 @@ def cmd_receive(args) -> int:
     epoch = _parse_epoch(args.epoch)
     _check_writable(args, "out")
     with live.open_region(args.region_file, cfg) as region:
-        caps = live.check_host(args.region_file)
+        caps = live.check_host(region)
         cpu = live.live_cpus()[0] if args.cpu is None else args.cpu
         with live._pinned(cpu, "receiver"):
             report = live.spy_receive(region, cfg, epoch, expected, capabilities=caps)

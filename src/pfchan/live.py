@@ -31,11 +31,11 @@ for its duration, so a worker stuck in a hard fault lets its sibling run,
 which is the scheduling behavior the channel measures. A plain index into
 the mmap object would hold the lock across the fault and serialize them.
 
-Every transmission starts from check_host, which probes the region file
-itself, in place; run_pair runs it before it forks. Callers pin the
-endpoints: run_pair's forked sender and receiver open the region and pin
-their cores before they report ready, so once the epoch is fixed each has
-only its wait left, and the receiver its two workers to start.
+A live process opens its region once, then checks, pins and runs:
+check_host probes the caller's open region in place. run_pair opens and
+checks before it forks; its sender and receiver inherit that region and
+only pin their cores before they report ready, so once the epoch is fixed
+each has only its wait left, and the receiver its two workers to start.
 
 Decoding uses only the order in which the two reads finished: each read
 reports its name, t1 for the read of p1 and t2 for that of p2, once its
@@ -136,7 +136,6 @@ class SharedRegion:
     """
 
     def __init__(self, path: str, length: int) -> None:
-        self.path = path
         self.length = length
         self._fd = os.open(path, os.O_RDONLY)
         # a failure past this point releases whatever was set up, since
@@ -149,9 +148,10 @@ class SharedRegion:
             # PROT_WRITE is needed only so ctypes can take the buffer's
             # address; MAP_PRIVATE makes any write a private copy and no
             # code path writes.
-            self._mm = _mmap(
-                self._fd, length, flags=MAP_PRIVATE, prot=PROT_READ | PROT_WRITE
-            )
+            try:
+                self._mm = _mmap(self._fd, length, MAP_PRIVATE, PROT_READ | PROT_WRITE)
+            except (OSError, ValueError) as exc:
+                raise SetupError(f"cannot map backing file {path!r}: {exc}") from exc
             self._view = (ctypes.c_char * length).from_buffer(self._mm)
             self._addr = ctypes.addressof(self._view)
             # readahead off on both access paths, or touching one page of a
@@ -331,55 +331,50 @@ def _major_faults() -> int:
 _PROBE_CFG = ChannelConfig(region_size=2 * PAGE_SIZE, page_gap=2)
 
 
-def _probe_file(path: str | None, *notes: str) -> BackendCapabilities:
-    """The host probe: map, evict and re-read page 0 of the file at path, in
-    place, then pin to one core. With no file, the two flags that need one
-    are off and notes say why. Never raises; a failed step turns its flag
-    off and adds a note.
+def _probe_file(region: SharedRegion | None, *notes: str) -> BackendCapabilities:
+    """The host probe: evict and re-read page 0 of the open region, whose
+    mapping open_region made, then pin to one core. With no region, the two
+    flags that need one are off and notes say why. Never raises; a failed
+    step turns its flag off and adds a note.
 
     Eviction is confirmed by its effect, one major fault on the mapped read
     right after the advice, which unlike mincore works on a file the caller
     neither owns nor can write. The page is cached and unmapped before the
     advice, as the sender leaves its target, and advised out at the end, as
-    open_region leaves every page. An exclusive flock, held until the region
-    closes, keeps a second probe of the file, as the other endpoint's, from
-    reading page 0 back between this probe's advice and its read.
+    open_region leaves every page. An exclusive flock over that span, then
+    released, as the region stays open, keeps a second probe of the file,
+    the other endpoint's, from reading page 0 back in between.
     """
     notes = list(notes)
-    mapping_ok = False
     eviction_ok = False
     affinity_ok = False
 
-    if path is not None:
+    if region is not None:
+        locked = True
         try:
-            with open_region(path, _PROBE_CFG) as region:
-                try:
-                    fcntl.flock(region._fd, fcntl.LOCK_EX)
-                except OSError as exc:
-                    notes.append(f"cannot lock the file against another probe: {exc}")
-                region.read_byte(0)
-                region.drop_mapping(0)
-                mapping_ok = True
-                try:
-                    region.advise_dontneed(0)
-                    before = _major_faults()
-                    region.read_byte(0)
-                    faults = _major_faults() - before
-                    region.drop_mapping(0)
-                    region.advise_dontneed(0)
-                except OSError as exc:
-                    notes.append(f"eviction advice or its check failed: {exc}")
-                else:
-                    eviction_ok = faults == 1
-                    if not eviction_ok:
-                        notes.append(
-                            f"a read after eviction advice took {faults} major "
-                            f"faults, not 1"
-                        )
-        except SetupError as exc:
-            notes.append(str(exc))
-        except (OSError, ValueError) as exc:
-            notes.append(f"private mapping failed: {exc}")
+            fcntl.flock(region._fd, fcntl.LOCK_EX)
+        except OSError as exc:
+            locked = False
+            notes.append(f"cannot lock the file against another probe: {exc}")
+        try:
+            region.read_byte(0)
+            region.drop_mapping(0)
+            region.advise_dontneed(0)
+            before = _major_faults()
+            region.read_byte(0)
+            faults = _major_faults() - before
+            region.drop_mapping(0)
+            region.advise_dontneed(0)
+        except OSError as exc:
+            notes.append(f"eviction advice or its check failed: {exc}")
+        else:
+            eviction_ok = faults == 1
+            if not eviction_ok:
+                notes.append(
+                    f"a read after eviction advice took {faults} major faults, not 1"
+                )
+        if locked:
+            fcntl.flock(region._fd, fcntl.LOCK_UN)
 
     try:
         with _pinned(live_cpus()[0], "probe"):
@@ -388,7 +383,7 @@ def _probe_file(path: str | None, *notes: str) -> BackendCapabilities:
         notes.append(f"cpu affinity control failed: {exc}")
 
     return BackendCapabilities(
-        shared_readonly_mapping=mapping_ok,
+        shared_readonly_mapping=region is not None,
         cache_advice_eviction=eviction_ok,
         cpu_affinity=affinity_ok,
         notes=tuple(notes),
@@ -397,14 +392,16 @@ def _probe_file(path: str | None, *notes: str) -> BackendCapabilities:
 
 def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
     """Run the host probe on a scratch file that it writes in scratch_dir,
-    the temp directory by default, and report what worked. Never raises."""
+    the temp directory by default, and opens, and report what worked. Never
+    raises: a scratch file it cannot write, open or map is a note."""
     import tempfile
 
     try:
         with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
             scratch = os.path.join(tmp, "probe.bin")
             create_backing_file(scratch, _PROBE_CFG.region_size)
-            return _probe_file(scratch)
+            with open_region(scratch, _PROBE_CFG) as region:
+                return _probe_file(region)
     except (OSError, SetupError) as exc:
         return _probe_file(None, f"scratch file setup failed: {exc}")
 
@@ -418,15 +415,15 @@ def _require_ready(caps: BackendCapabilities) -> BackendCapabilities:
     return caps
 
 
-def check_host(region_file: str) -> BackendCapabilities:
-    """Run the host probe on region_file itself, in place, and return the
-    capabilities, or raise SetupError unless they are transmission_ready().
+def check_host(region: SharedRegion) -> BackendCapabilities:
+    """Run the host probe on the caller's open region, in place, and return
+    its capabilities, or raise SetupError unless they are transmission_ready().
 
     Eviction advice works or not per filesystem, and the region's own pages
-    show it. The check writes no file, so the region's directory need not
-    be writable, and it confirms advice on a file the caller neither owns
-    nor can write as well as on its own."""
-    return _require_ready(_probe_file(region_file))
+    show it. The check opens and writes no file, so the region's directory
+    need not be writable, and it confirms advice on a file the caller
+    neither owns nor can write as well as on its own."""
+    return _require_ready(_probe_file(region))
 
 
 def _now_ns() -> int:
@@ -628,7 +625,7 @@ def spy_receive(
 # -- forked sender/receiver pair ---------------------------------------------
 # Entry points are module level so forked children can run them directly.
 # Each child talks to the parent over its own pipe: ("ready", None) once its
-# region is open, then ("result", value) when it is done, or ("error", text)
+# core is pinned, then ("result", value) when it is done, or ("error", text)
 # from whatever step failed. The parent answers "ready" with the epoch. A
 # child that exits closes its end, so the parent sees the exit at once as
 # end of file on the pipe.
@@ -640,13 +637,13 @@ def _ready(conn) -> int:
     return conn.recv()
 
 
-def _sender_entry(region_path, cfg, payload, capabilities, cpu, conn):
-    with open_region(region_path, cfg) as region, _pinned(cpu, "sender"):
+def _sender_entry(region, cfg, payload, capabilities, cpu, conn):
+    with _pinned(cpu, "sender"):
         trojan_send(region, cfg, payload, _ready(conn), capabilities=capabilities)
 
 
-def _receiver_entry(region_path, cfg, payload, capabilities, cpu, conn):
-    with open_region(region_path, cfg) as region, _pinned(cpu, "receiver"):
+def _receiver_entry(region, cfg, payload, capabilities, cpu, conn):
+    with _pinned(cpu, "receiver"):
         return spy_receive(
             region, cfg, _ready(conn), expected=payload, capabilities=capabilities
         )
@@ -708,61 +705,67 @@ def run_pair(
 ) -> TransmissionReport:
     """Send the payload from a forked sender to a forked receiver on
     region_file, which must hold cfg.region_size bytes, and return the
-    receiver's report. An empty or non-bit payload is a ConfigError, and
-    then check_host(region_file) runs, both before any fork; both children
-    reuse its capabilities. Slot 0 starts lead_ns after both children have
-    opened the region, pinned their cores and reported ready. A child that
-    fails or exits early raises RunAbort, with its error text when it sent
-    one."""
+    receiver's report. An empty or non-bit payload, or a negative lead_ns,
+    is a ConfigError; then the region is opened and check_host(region)
+    runs, all before any fork. Both children inherit the region and its
+    capabilities, and slot 0 starts lead_ns after both have pinned their
+    cores and reported ready. A child that fails or exits early raises
+    RunAbort, with its error text when it sent one."""
     import multiprocessing
 
     if not payload:
         raise ConfigError("cannot send an empty payload: it holds no bits")
     check_bits(payload)
-    capabilities = check_host(region_file)
+    if lead_ns < 0:
+        raise ConfigError(
+            f"lead_ns must be >= 0, got {lead_ns}: a negative lead puts slot 0 "
+            f"in the past, so every slot overruns"
+        )
     ctx = multiprocessing.get_context("fork")
     receiver_cpu, sender_cpu = live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
-    deadline = time.monotonic() + budget
-    children = []
-    try:
-        for name, entry, cpu in (
-            ("receiver", _receiver_entry, receiver_cpu),
-            ("sender", _sender_entry, sender_cpu),
-        ):
-            conn, child_conn = ctx.Pipe()
-            parent_ends = [c for _, _, c in children] + [conn]
-            proc = ctx.Process(
-                target=_child_main,
-                args=(
-                    entry, child_conn, parent_ends, region_file, cfg, payload,
-                    capabilities, cpu,
-                ),
-            )
-            proc.start()
-            # only the child may hold its end, or its exit would not read as
-            # end of file here; closing before the next fork keeps it so
-            child_conn.close()
-            children.append((name, proc, conn))
-        _collect(children, "ready", deadline)
-        epoch = _now_ns() + lead_ns
-        # the sender first: woken, it only starts its wait, while the woken
-        # receiver starts its workers, and on a shared core would hold this
-        # process off the second send until they had started
-        for _, _, conn in reversed(children):
-            try:
-                conn.send(epoch)
-            except OSError:
-                pass  # that child has exited; collecting its result says how
-        report = _collect(children, "result", deadline)["receiver"]
-        for _, proc, _ in children:
-            proc.join(timeout=10)
-    finally:
-        for _, proc, conn in children:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            conn.close()
+    with open_region(region_file, cfg) as region:
+        capabilities = check_host(region)
+        deadline = time.monotonic() + budget
+        children = []
+        try:
+            for name, entry, cpu in (
+                ("receiver", _receiver_entry, receiver_cpu),
+                ("sender", _sender_entry, sender_cpu),
+            ):
+                conn, child_conn = ctx.Pipe()
+                parent_ends = [c for _, _, c in children] + [conn]
+                proc = ctx.Process(
+                    target=_child_main,
+                    args=(
+                        entry, child_conn, parent_ends, region, cfg, payload,
+                        capabilities, cpu,
+                    ),
+                )
+                proc.start()
+                # only the child may hold its end, or its exit would not read
+                # as end of file here; closing before the next fork keeps it so
+                child_conn.close()
+                children.append((name, proc, conn))
+            _collect(children, "ready", deadline)
+            epoch = _now_ns() + lead_ns
+            # the sender first: woken, it only starts its wait, while the
+            # woken receiver starts its workers, and on a shared core would
+            # hold this process off the second send until they had started
+            for _, _, conn in reversed(children):
+                try:
+                    conn.send(epoch)
+                except OSError:
+                    pass  # that child has exited; collecting its result says how
+            report = _collect(children, "result", deadline)["receiver"]
+            for _, proc, _ in children:
+                proc.join(timeout=10)
+        finally:
+            for _, proc, conn in children:
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join()
+                conn.close()
     for name, proc, _ in children:
         if proc.exitcode not in (None, 0):
             raise RunAbort(f"live {name} child exited with code {proc.exitcode}")

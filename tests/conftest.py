@@ -24,13 +24,13 @@ TINY = ChannelConfig(
 )
 
 
-def healthy_sender(region_path, cfg, payload, capabilities, cpu, conn):
+def healthy_sender(region, cfg, payload, capabilities, cpu, conn):
     if capabilities is not READY:
         os._exit(9)
     live._ready(conn)
 
 
-def healthy_receiver(region_path, cfg, payload, capabilities, cpu, conn):
+def healthy_receiver(region, cfg, payload, capabilities, cpu, conn):
     if capabilities is not READY:
         os._exit(9)
     live._ready(conn)

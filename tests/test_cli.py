@@ -32,8 +32,8 @@ SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
 
 
 def fake_live_setup(monkeypatch) -> None:
-    """Stand in for the region and the probe: send and receive probe first,
-    and a real probe maps the region file itself through open_region."""
+    """Stand in for the region and the probe: send and receive open the
+    region, then probe that open region, here the stand-in's None."""
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
     monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
 
@@ -88,6 +88,51 @@ def test_simulate_refuses_an_out_that_names_its_config(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error: --config and --out name the same file")
     assert cfg_file.read_text() == "page_gap = 8\n"
+
+
+def test_simulate_refuses_an_out_hard_linked_to_its_config(tmp_path, monkeypatch, capsys):
+    # a hard link shares no path with the config, only its inode; simulate
+    # once exited 0 and replaced the config with its CSV
+    monkeypatch.setattr(pfchan.cli, "run_channel_sim", lambda *a, **k: pytest.fail("ran"))
+    cfg_file = tmp_path / "chan.cfg"
+    cfg_file.write_text("page_gap = 8\n")
+    link = tmp_path / "out.csv"
+    os.link(cfg_file, link)
+    argv = ["simulate", "--bits", "01", "--config", str(cfg_file), "--out", str(link)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --config and --out name the same file {str(link)!r}\n"
+    assert cfg_file.read_text() == "page_gap = 8\n"
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_an_out_hard_linked_to_the_region_file_exits_1_before_any_set_up(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: pytest.fail("opened"))
+    region = tmp_path / "r.bin"
+    region.write_bytes(b"short")
+    os.link(region, tmp_path / "out.csv")
+    argv = [command, "--epoch", "+0.2", "--bits", "01", *SMALL]
+    if command == "send":
+        argv.append("--create-region")
+    argv += ["--region-file", str(region), "--out", str(tmp_path / "out.csv")]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: --region-file and --out name the same file")
+    assert region.read_bytes() == b"short"
+
+
+def test_an_out_through_a_dangling_symlink_is_left_as_it_was(tmp_path, monkeypatch, capsys):
+    # the output check creates the link's target to see that it can write
+    # there; a send that then fails must not leave that empty file behind
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("missing")
+    os.symlink(os.path.join("missing", "target.csv"), "dang.csv")
+    argv = ["send", "--region-file", "nope/r.bin", "--epoch", "+1", "--bits", "01"]
+    assert run_cli(*argv, "--out", "dang.csv") == 2
+    assert "backing file 'nope/r.bin' does not exist" in capsys.readouterr().err
+    assert os.readlink("dang.csv") == os.path.join("missing", "target.csv")
+    assert os.listdir("missing") == []
 
 
 @pytest.mark.parametrize("command", ["send", "receive", "sweep"])

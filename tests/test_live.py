@@ -265,9 +265,13 @@ def test_the_probe_locks_the_file_between_its_advice_and_its_read(
     blocked = []
     monkeypatch.setattr(live, "_major_faults", faults)
     try:
-        live._probe_file(region_file)
-        assert blocked == [True, True]
-        try_lock()
+        with open_region(region_file, small_cfg()) as region:
+            live._probe_file(region)
+            assert blocked == [True, True]
+            # the region stays open for the transmission, but the lock is
+            # released: a kept lock would hold the other endpoint's probe
+            # off until this process exits
+            try_lock()
     finally:
         os.close(other)
 
@@ -280,7 +284,8 @@ def test_a_probe_that_cannot_lock_the_file_notes_it_and_goes_on(
 
     monkeypatch.setattr(fcntl, "flock", refuse)
     monkeypatch.setattr(live, "_major_faults", Mock(side_effect=[0, 1]))
-    caps = live._probe_file(region_file)
+    with open_region(region_file, small_cfg()) as region:
+        caps = live._probe_file(region)
     assert caps.shared_readonly_mapping and caps.cache_advice_eviction
     assert any(n.startswith("cannot lock the file against another probe:") for n in caps.notes)
 
@@ -451,13 +456,32 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     probe = Mock(return_value=READY)
     monkeypatch.setattr(live, "_probe_file", probe)
     monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: ObservedOrder.T2_LAST)
+    opened = []
+    real_open = live.open_region
+
+    def counting_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(live, "open_region", counting_open)
+    endpoint = "trojan_send" if command == "send" else "spy_receive"
+    real_endpoint = getattr(live, endpoint)
+    ran_on = []
+
+    def recording(region, *args, **kwargs):
+        ran_on.append(region)
+        return real_endpoint(region, *args, **kwargs)
+
+    monkeypatch.setattr(live, endpoint, recording)
     assert main([
         command, "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
         "--region-size", str(64 * PAGE_SIZE), "--page-gap", "8",
         "--sync-period-ns", "1000000",
     ]) == 0
-    # the region file itself, in place
-    probe.assert_called_once_with(region_file)
+    # the region file is opened once; the check probes that open region in
+    # place, and the endpoint runs on it
+    assert len(opened) == 1 and ran_on == opened
+    probe.assert_called_once_with(opened[0])
 
 
 def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
@@ -482,6 +506,40 @@ def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
     assert report.received == [1, 0, 0]
     # whole slots: the last probe, half a slot before the end, does not count
     assert 0 < report.bandwidth_bps <= 1e9 / cfg.sync_period_ns
+
+
+@pytest.mark.parametrize("late_periods", [0, 3], ids=["on-time", "behind"])
+def test_the_receiver_carries_whole_slots_unless_it_falls_behind_them(
+    region_file, monkeypatch, fake_clock, one_core, late_periods
+):
+    # on time, the last probe ends half a slot before the channel does and the
+    # bandwidth is exactly nominal; a receiver whose last probe ends past the
+    # last slot carried its bits over the time it really took
+    cfg = small_cfg(payload_bits=4)
+    epoch = 1_000_000_000
+    clock = fake_clock(epoch)
+    probes = []
+
+    def probe_pair(accessors, pair):
+        probes.append(pair.slot)
+        if pair.slot == cfg.payload_bits - 1:
+            clock.now_ns += late_periods * cfg.sync_period_ns
+        return ObservedOrder.T1_LAST
+
+    monkeypatch.setattr(live, "_probe_pair", probe_pair)
+    with open_region(region_file, cfg) as region:
+        report = spy_receive(region, cfg, epoch, capabilities=READY)
+    assert probes == [0, 1, 2, 3]
+    end = clock.now_ns  # the receive's last clock reading
+    n = cfg.payload_bits
+    if late_periods:
+        assert end - epoch > n * cfg.sync_period_ns
+        assert report.elapsed_ns == end - epoch
+        assert report.bandwidth_bps == n * 1e9 / (end - epoch)
+    else:
+        assert end - epoch < n * cfg.sync_period_ns
+        assert report.elapsed_ns == n * cfg.sync_period_ns
+        assert report.bandwidth_bps == 1e9 / cfg.sync_period_ns
 
 
 def test_sender_follows_shared_schedule(region_file):
@@ -761,7 +819,9 @@ def test_check_host_probes_the_region_in_place_and_writes_nothing(
     major_fault_counts(monkeypatch, 1)
     region_dir = os.path.dirname(region_file)
     listing = sorted(os.listdir(region_dir))
-    assert live.check_host(region_file).transmission_ready() is True
+    with open_region(region_file, small_cfg()) as region:
+        monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
+        assert live.check_host(region).transmission_ready() is True
     assert sorted(os.listdir(region_dir)) == listing
     # the scratch probe is the one that needs a writable directory
     assert probe_capabilities(scratch_dir=region_dir).transmission_ready() is False
@@ -854,7 +914,8 @@ def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
 def _run_tiny_cell(monkeypatch, tmp_path):
     monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
     payload = random_payload(7, TINY.payload_bits)
-    return live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000)
+    region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    return live.run_pair(TINY, payload, region, 10_000_000)
 
 
 def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
@@ -880,12 +941,66 @@ def test_a_live_pair_refuses_a_payload_of_no_bits_before_it_probes_or_forks(
 ):
     # both children once started and printed tracebacks, and the parent
     # raised RunAbort with the receiver's ConfigError as its text
+    monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
     monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
     monkeypatch.setattr(
         multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
     )
     with pytest.raises(ConfigError, match=message):
         live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000)
+
+
+def test_a_live_pair_refuses_a_negative_lead_before_it_opens_probes_or_forks(
+    monkeypatch, tmp_path
+):
+    # every slot would already be past its deadline, and the report would
+    # still carry a plausible error rate and bandwidth
+    monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
+    monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
+    )
+    payload = random_payload(7, TINY.payload_bits)
+    with pytest.raises(ConfigError, match="lead_ns must be >= 0, got -1000000000"):
+        live.run_pair(TINY, payload, str(tmp_path / "r.bin"), -1_000_000_000)
+
+
+def test_a_region_too_short_for_the_config_is_a_setup_error_before_any_fork(
+    monkeypatch, tmp_path
+):
+    # the probe once mapped only two pages, passed, and both children then
+    # failed to open the region: a set-up fault reported as a RunAbort
+    monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
+    )
+    short = TINY.region_size - PAGE_SIZE
+    region = create_backing_file(str(tmp_path / "r.bin"), short)
+    payload = random_payload(7, TINY.payload_bits)
+    sizes = f"holds {short} bytes but the region needs {TINY.region_size}"
+    with pytest.raises(SetupError, match=sizes):
+        live.run_pair(TINY, payload, region, 10_000_000)
+
+
+def test_a_region_that_cannot_be_mapped_is_a_setup_error_naming_the_file(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(live, "_mmap", refuse)
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
+    )
+    region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    payload = random_payload(7, TINY.payload_bits)
+    with pytest.raises(SetupError, match=f"cannot map backing file {region!r}"):
+        live.run_pair(TINY, payload, region, 10_000_000)
+    argv = ["send", "--region-file", region, "--epoch", "+1", "--bits", "01"]
+    assert main([*argv, "--region-size", str(TINY.region_size), "--page-gap", "4"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"setup error: cannot map backing file {region!r}: [Errno 12]"
+    )
 
 
 def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp_path):
@@ -984,9 +1099,9 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
     monkeypatch, tmp_path, usable, expected
 ):
     def recording(name, entry):
-        def wrapped(region_path, cfg, payload, capabilities, cpu, conn):
+        def wrapped(region, cfg, payload, capabilities, cpu, conn):
             (tmp_path / name).write_text(str(cpu))
-            return entry(region_path, cfg, payload, capabilities, cpu, conn)
+            return entry(region, cfg, payload, capabilities, cpu, conn)
 
         return wrapped
 
@@ -999,9 +1114,9 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
 
 
 def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_path):
-    # each endpoint opens its region and pins its core before it reports
-    # ready, so the epoch finds it with only its wait left. The real entries
-    # run; their slot loops are stood in for, and each records the epoch
+    # each endpoint pins its core, on the region it inherited, before it
+    # reports ready, so the epoch finds it with only its wait left. The real
+    # entries run; their slot loops are stood in for, and each records the epoch
     real_ready = live._ready
 
     def recording_ready(conn):
@@ -1020,7 +1135,6 @@ def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_pa
     monkeypatch.setattr(live, "_ready", recording_ready)
     monkeypatch.setattr(live, "trojan_send", fake_send)
     monkeypatch.setattr(live, "spy_receive", fake_receive)
-    create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
     receiver_cpu, sender_cpu = live_cpus()
     unpinned = " ".join(map(str, sorted(os.sched_getaffinity(0))))
     _run_tiny_cell(monkeypatch, tmp_path)
@@ -1053,11 +1167,12 @@ def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
             return live._now_ns()
 
     monkeypatch.setattr(os, "sched_setaffinity", recording_set)
-    region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    path = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
     original = os.sched_getaffinity(0)
     core = live_cpus()[0]
     payload = random_payload(0, TINY.payload_bits)
-    report = live._receiver_entry(region, TINY, payload, READY, core, Parent())
+    with open_region(path, TINY) as region:
+        report = live._receiver_entry(region, TINY, payload, READY, core, Parent())
     assert report.payload_bits == TINY.payload_bits
     assert events == [("set", {core}), ("ready", None), "epoch", ("set", original)]
 

@@ -226,11 +226,12 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
 ):
     # a region on tmpfs with a disk-backed temp dir would otherwise pass a
     # probe of the wrong filesystem and then read noise as a plausible BER;
-    # a live sweep and either endpoint's command probe the region file itself
+    # a live sweep and either endpoint's command probe the open region itself
     probed = []
 
-    def probe(path, *notes):
-        probed.append(path)
+    def probe(region, *notes):
+        st = os.fstat(region._fd)
+        probed.append((st.st_dev, st.st_ino))
         return BackendCapabilities(False, False, True)
 
     monkeypatch.setattr(pfchan.live, "_probe_file", probe)
@@ -248,7 +249,8 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
             pfchan.live.create_backing_file(region, MIB)
         assert main([*argv, "--epoch", "+1", "--bits", "01"]) == 2
         assert "lacks required capabilities" in capsys.readouterr().err
-    assert probed == [region]
+    st = os.stat(region)
+    assert probed == [(st.st_dev, st.st_ino)]
 
 
 def test_live_sweep_requires_region_file(monkeypatch):
@@ -284,9 +286,9 @@ def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
         return replace(READY, notes=(f"cell{len(started_before)}",))
 
     def recording(role, healthy):
-        def entry(region_path, cfg, payload, capabilities, cpu, conn):
+        def entry(region, cfg, payload, capabilities, cpu, conn):
             (tmp_path / f"{role}-{capabilities.notes[0]}").touch()
-            return healthy(region_path, cfg, payload, READY, cpu, conn)
+            return healthy(region, cfg, payload, READY, cpu, conn)
 
         return entry
 
@@ -315,6 +317,53 @@ def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
     )
     with pytest.raises(SetupError, match="lacks required capabilities"):
         run_sweep(spec)
+
+
+def test_each_live_cell_opens_its_region_once_and_its_children_inherit_it(
+    monkeypatch, tmp_path
+):
+    # the parent opens the region once per cell, before that cell's children
+    # start; both children run on that open region, its descriptor included,
+    # and neither opens the file again
+    parent = os.getpid()
+    opened = []  # per open: the region, its descriptor, the children started
+    real_open = pfchan.live.open_region
+
+    def counting_open(path, cfg):
+        if os.getpid() != parent:
+            os._exit(9)  # a child that opens the file fails its cell
+        region = real_open(path, cfg)
+        opened.append((region, region._fd, sorted(p.name for p in tmp_path.glob("*-cell*"))))
+        return region
+
+    def recording(role, healthy):
+        def entry(region, cfg, payload, capabilities, cpu, conn):
+            inherited = opened[-1][0]  # the fork copied the parent's list
+            name = f"{role}-cell{len(opened)}-fd{region._fd}"
+            (tmp_path / name).write_text(str(region is inherited))
+            return healthy(region, cfg, payload, capabilities, cpu, conn)
+
+        return entry
+
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
+    monkeypatch.setattr(pfchan.live, "open_region", counting_open)
+    monkeypatch.setattr(pfchan.live, "_sender_entry", recording("sender", healthy_sender))
+    monkeypatch.setattr(
+        pfchan.live, "_receiver_entry", recording("receiver", healthy_receiver)
+    )
+    spec = SweepSpec(
+        variable="payload_bits", values=(8, 16), repetitions=1, cfg=TINY,
+        params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
+        live_lead_ns=10_000_000,
+    )
+    rows = run_sweep(spec).rows
+    assert [(row.payload_bits, row.ber) for row in rows] == [(8, 0.0), (16, 0.0)]
+    assert len(opened) == 2
+    (_, fd1, started1), (_, fd2, started2) = opened
+    assert started1 == [] and started2 == [f"receiver-cell1-fd{fd1}", f"sender-cell1-fd{fd1}"]
+    for cell, fd in ((1, fd1), (2, fd2)):
+        for role in ("receiver", "sender"):
+            assert (tmp_path / f"{role}-cell{cell}-fd{fd}").read_text() == "True"
 
 
 @pytest.mark.parametrize(
