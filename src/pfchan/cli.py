@@ -239,9 +239,9 @@ def cmd_send(args) -> int:
     if args.create_region:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
-        caps = live.check_host(region)
+        live.check_host(region)
         with live._pinned(args.cpu, "sender"):
-            log = live.trojan_send(region, cfg, payload, epoch, caps)
+            log = live.trojan_send(region, cfg, payload, epoch)
     overruns = sum(1 for rec in log if rec.overrun)
     if any(rec.evict_confirmed is None for rec in log):
         evictions = "evictions not verified (mincore cannot report on this file)"
@@ -263,10 +263,10 @@ def cmd_receive(args) -> int:
     epoch = _parse_epoch(args.epoch)
     _check_writable(args, "out")
     with live.open_region(args.region_file, cfg) as region:
-        caps = live.check_host(region)
+        live.check_host(region)
         cpu = live.live_cpus()[0] if args.cpu is None else args.cpu
         with live._pinned(cpu, "receiver"):
-            report = live.spy_receive(region, cfg, epoch, expected, capabilities=caps)
+            report = live.spy_receive(region, cfg, epoch, expected)
     if expected is None:
         print(
             f"received {report.payload_bits} bits blind "

@@ -32,10 +32,12 @@ which is the scheduling behavior the channel measures. A plain index into
 the mmap object would hold the lock across the fault and serialize them.
 
 A live process opens its region once, then checks, pins and runs:
-check_host probes the caller's open region in place. run_pair opens and
-checks before it forks; its sender and receiver inherit that region and
-only pin their cores before they report ready, so once the epoch is fixed
-each has only its wait left, and the receiver its two workers to start.
+check_host probes the caller's open region in place and marks it if the
+host is ready, and both endpoints refuse an unmarked region. run_pair
+opens and checks before it forks; its sender and receiver inherit the
+marked region and only pin their cores before they report ready, so once
+the epoch is fixed each has only its wait left, and the receiver its two
+workers to start.
 
 Decoding uses only the order in which the two reads finished: each read
 reports its name, t1 for the read of p1 and t2 for that of p2, once its
@@ -82,10 +84,9 @@ _libc.mincore.restype = ctypes.c_int
 
 @dataclass(frozen=True)
 class BackendCapabilities:
-    """What the host verifiably offers; a transmission refuses to start
-    unless every flag is true."""
+    """What the host verifiably offers; check_host passes a region only
+    when every flag is true."""
 
-    shared_readonly_mapping: bool
     cache_advice_eviction: bool
     cpu_affinity: bool
     notes: tuple[str, ...] = ()
@@ -132,15 +133,27 @@ class SharedRegion:
     """A file mapped copy-on-write and only ever read.
 
     The mapping is never written, so every page stays backed by the page
-    cache and remains evictable through fadvise on the backing file.
+    cache and remains evictable through fadvise on the backing file. A file
+    with a hole in the mapped length is refused: a read there takes no disk
+    fetch, so the channel would read noise. Only check_host sets
+    host_checked, and only a checked region transmits.
     """
 
     def __init__(self, path: str, length: int) -> None:
         self.length = length
+        self.host_checked = False
         self._fd = os.open(path, os.O_RDONLY)
         # a failure past this point releases whatever was set up, since
         # probe_capabilities catches set-up errors and keeps running
         try:
+            # a sparse or fallocated file reads its holes and unwritten
+            # extents as zeroes without a disk fetch
+            hole = os.lseek(self._fd, 0, os.SEEK_HOLE)
+            if hole < length:
+                raise SetupError(
+                    f"backing file {path!r} has a hole at byte {hole}, where a "
+                    f"read takes no disk fetch; write the file out in full"
+                )
             # the kernel's rule for when mincore reports page-cache state
             self._mincore_reports = os.fstat(self._fd).st_uid == os.geteuid() or (
                 os.access(path, os.W_OK, effective_ids=True)
@@ -172,7 +185,10 @@ class SharedRegion:
         return self.length // PAGE_SIZE
 
     def _offset(self, page: int) -> int:
-        """Byte offset of the page; a page outside the region is a usage error."""
+        """Byte offset of the page; a page outside the region, or any page
+        of a closed one, is a usage error."""
+        if self._mm is None:
+            raise ConfigError(f"cannot reach page {page}: the region is closed")
         if not (0 <= page < self.page_count):
             raise ConfigError(f"page {page} outside region of {self.page_count} pages")
         return page * PAGE_SIZE
@@ -201,7 +217,8 @@ class SharedRegion:
     def drop_mapping(self, page: int) -> None:
         """Release this process's page table entry for the page, keeping the
         page cache untouched. The next mapped read faults again."""
-        self._mm.madvise(MADV_DONTNEED, self._offset(page), PAGE_SIZE)
+        offset = self._offset(page)  # before the lookup of a closed region's _mm
+        self._mm.madvise(MADV_DONTNEED, offset, PAGE_SIZE)
 
     def advise_dontneed(self, page: int) -> None:
         os.posix_fadvise(self._fd, self._offset(page), PAGE_SIZE, os.POSIX_FADV_DONTNEED)
@@ -333,9 +350,9 @@ _PROBE_CFG = ChannelConfig(region_size=2 * PAGE_SIZE, page_gap=2)
 
 def _probe_file(region: SharedRegion | None, *notes: str) -> BackendCapabilities:
     """The host probe: evict and re-read page 0 of the open region, whose
-    mapping open_region made, then pin to one core. With no region, the two
-    flags that need one are off and notes say why. Never raises; a failed
-    step turns its flag off and adds a note.
+    mapping open_region made, then pin to one core. With no region, the
+    eviction flag is off and notes say why. Never raises; a failed step
+    turns its flag off and adds a note.
 
     Eviction is confirmed by its effect, one major fault on the mapped read
     right after the advice, which unlike mincore works on a file the caller
@@ -383,7 +400,6 @@ def _probe_file(region: SharedRegion | None, *notes: str) -> BackendCapabilities
         notes.append(f"cpu affinity control failed: {exc}")
 
     return BackendCapabilities(
-        shared_readonly_mapping=region is not None,
         cache_advice_eviction=eviction_ok,
         cpu_affinity=affinity_ok,
         notes=tuple(notes),
@@ -406,24 +422,19 @@ def probe_capabilities(scratch_dir: str | None = None) -> BackendCapabilities:
         return _probe_file(None, f"scratch file setup failed: {exc}")
 
 
-def _require_ready(caps: BackendCapabilities) -> BackendCapabilities:
-    """Check, never probe: whoever starts a transmission probes."""
-    if not caps.transmission_ready():
-        raise SetupError(
-            "live backend lacks required capabilities:\n" + caps.summary()
-        )
-    return caps
-
-
-def check_host(region: SharedRegion) -> BackendCapabilities:
-    """Run the host probe on the caller's open region, in place, and return
-    its capabilities, or raise SetupError unless they are transmission_ready().
+def check_host(region: SharedRegion) -> None:
+    """Run the host probe on the caller's open region, in place, and mark
+    the region as checked, or raise SetupError unless the probe's result is
+    transmission_ready(). Only a marked region transmits.
 
     Eviction advice works or not per filesystem, and the region's own pages
     show it. The check opens and writes no file, so the region's directory
     need not be writable, and it confirms advice on a file the caller
     neither owns nor can write as well as on its own."""
-    return _require_ready(_probe_file(region))
+    caps = _probe_file(region)
+    if not caps.transmission_ready():
+        raise SetupError("live backend lacks required capabilities:\n" + caps.summary())
+    region.host_checked = True
 
 
 def _now_ns() -> int:
@@ -481,7 +492,6 @@ def trojan_send(
     cfg: ChannelConfig,
     payload: list[int],
     epoch_ns: int,
-    capabilities: BackendCapabilities,
 ) -> list[SenderSlotLog]:
     """Transmit the payload: per slot, evict the pair then touch the encode
     target at the sender deadline, on whatever cores the caller allows.
@@ -489,11 +499,12 @@ def trojan_send(
     A missed deadline is logged and the slot still runs, since skipping
     would desynchronize every later slot. A failed eviction advice or
     mincore call raises its OSError and ends the transmission; a non-bit
-    payload fails before the first slot, and so do capabilities that are
-    not transmission_ready(). The caller probes; this only checks.
+    payload fails before the first slot, and so does a region that has not
+    passed check_host. The caller checks the host; this only checks the mark.
     """
     check_bits(payload)
-    _require_ready(capabilities)
+    if not region.host_checked:
+        raise SetupError("this region has not passed check_host(region)")
     log: list[SenderSlotLog] = []
     for k, bit in enumerate(payload):
         pair = page_pair_for_slot(cfg, k)
@@ -574,8 +585,6 @@ def spy_receive(
     cfg: ChannelConfig,
     epoch_ns: int,
     expected: list[int] | None = None,
-    *,
-    capabilities: BackendCapabilities,
 ) -> TransmissionReport:
     """Receive one bit per slot, probing each slot at its guard deadline:
     len(expected) bits, or cfg.payload_bits without the expected payload.
@@ -590,14 +599,15 @@ def spy_receive(
     Bandwidth counts whole slots, as on the simulator, unless the receiver
     fell behind them. An expected payload that is empty, or holds anything
     but bits, is a ConfigError before any worker starts: there is nothing
-    to report on. Capabilities that are not transmission_ready() fail there
-    too; the caller probes them, this only checks.
+    to report on. A region that has not passed check_host fails there too,
+    as a SetupError; the caller checks the host, this only checks the mark.
     """
     if expected is not None:
         if not expected:
             raise ConfigError("cannot receive an empty payload: expected holds no bits")
         check_bits(expected)
-    _require_ready(capabilities)
+    if not region.host_checked:
+        raise SetupError("this region has not passed check_host(region)")
     if len(mask := os.sched_getaffinity(0)) > 1:
         raise SetupError(
             f"the receiver may run on cores {sorted(mask)}; its caller must "
@@ -637,16 +647,14 @@ def _ready(conn) -> int:
     return conn.recv()
 
 
-def _sender_entry(region, cfg, payload, capabilities, cpu, conn):
+def _sender_entry(region, cfg, payload, cpu, conn):
     with _pinned(cpu, "sender"):
-        trojan_send(region, cfg, payload, _ready(conn), capabilities=capabilities)
+        trojan_send(region, cfg, payload, _ready(conn))
 
 
-def _receiver_entry(region, cfg, payload, capabilities, cpu, conn):
+def _receiver_entry(region, cfg, payload, cpu, conn):
     with _pinned(cpu, "receiver"):
-        return spy_receive(
-            region, cfg, _ready(conn), expected=payload, capabilities=capabilities
-        )
+        return spy_receive(region, cfg, _ready(conn), expected=payload)
 
 
 def _child_main(entry, conn, parent_ends, *args) -> None:
@@ -707,8 +715,8 @@ def run_pair(
     region_file, which must hold cfg.region_size bytes, and return the
     receiver's report. An empty or non-bit payload, or a negative lead_ns,
     is a ConfigError; then the region is opened and check_host(region)
-    runs, all before any fork. Both children inherit the region and its
-    capabilities, and slot 0 starts lead_ns after both have pinned their
+    runs, all before any fork. Both children inherit the region, marked by
+    that check, and slot 0 starts lead_ns after both have pinned their
     cores and reported ready. A child that fails or exits early raises
     RunAbort, with its error text when it sent one."""
     import multiprocessing
@@ -725,7 +733,7 @@ def run_pair(
     receiver_cpu, sender_cpu = live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     with open_region(region_file, cfg) as region:
-        capabilities = check_host(region)
+        check_host(region)
         deadline = time.monotonic() + budget
         children = []
         try:
@@ -737,10 +745,7 @@ def run_pair(
                 parent_ends = [c for _, _, c in children] + [conn]
                 proc = ctx.Process(
                     target=_child_main,
-                    args=(
-                        entry, child_conn, parent_ends, region, cfg, payload,
-                        capabilities, cpu,
-                    ),
+                    args=(entry, child_conn, parent_ends, region, cfg, payload, cpu),
                 )
                 proc.start()
                 # only the child may hold its end, or its exit would not read

@@ -1,11 +1,13 @@
 """Fakes shared by the live and CLI tests: capabilities that pass the ready
-check, a tiny channel, a stand-in affinity mask, and healthy stand-ins for
-the forked children's entry points. The children are forked, so they run
-whatever entry a test monkeypatches into pfchan.live."""
+check, a region marked as check_host marks one that passed, a tiny channel,
+a stand-in affinity mask, and healthy stand-ins for the forked children's
+entry points. The children are forked, so they run whatever entry a test
+monkeypatches into pfchan.live."""
 from __future__ import annotations
 
 import errno
 import os
+from unittest.mock import patch
 
 import pytest
 
@@ -14,24 +16,28 @@ from pfchan.config import ChannelConfig
 from pfchan.live import BackendCapabilities
 from pfchan.sim import SimParams, run_channel_sim
 
-READY = BackendCapabilities(
-    shared_readonly_mapping=True,
-    cache_advice_eviction=True,
-    cpu_affinity=True,
-)
+READY = BackendCapabilities(cache_advice_eviction=True, cpu_affinity=True)
 TINY = ChannelConfig(
     region_size=64 * 1024, page_gap=4, payload_bits=8, sync_period_ns=1_000_000
 )
 
 
-def healthy_sender(region, cfg, payload, capabilities, cpu, conn):
-    if capabilities is not READY:
+def checked(region):
+    """The open region, after check_host passed it with the probe standing
+    in as READY; the endpoints transmit only on such a region."""
+    with patch.object(live, "_probe_file", lambda region: READY):
+        live.check_host(region)
+    return region
+
+
+def healthy_sender(region, cfg, payload, cpu, conn):
+    if not region.host_checked:
         os._exit(9)
     live._ready(conn)
 
 
-def healthy_receiver(region, cfg, payload, capabilities, cpu, conn):
-    if capabilities is not READY:
+def healthy_receiver(region, cfg, payload, cpu, conn):
+    if not region.host_checked:
         os._exit(9)
     live._ready(conn)
     return run_channel_sim(cfg, SimParams(), payload)

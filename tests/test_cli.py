@@ -32,10 +32,11 @@ SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
 
 
 def fake_live_setup(monkeypatch) -> None:
-    """Stand in for the region and the probe: send and receive open the
-    region, then probe that open region, here the stand-in's None."""
+    """Stand in for the region and its host check: send and receive open the
+    region, here the stand-in's None, then check it, here a check that
+    passes. The tests stand in for the endpoints, which would refuse it."""
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
-    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
+    monkeypatch.setattr(pfchan.live, "check_host", lambda region: None)
 
 
 def run_cli(*argv) -> int:
@@ -351,7 +352,6 @@ def test_sweep_bad_values_exit_1(capsys):
 
 def test_sweep_live_without_capabilities_exits_2(tmp_path, monkeypatch, capsys):
     broken = BackendCapabilities(
-        shared_readonly_mapping=False,
         cache_advice_eviction=False,
         cpu_affinity=False,
         notes=("scratch mapping failed",),
@@ -450,9 +450,9 @@ def test_probe_prints_capability_report(capsys):
     code = run_cli("probe")
     assert code in (0, 2)
     out = capsys.readouterr().out
-    flags = [line.split(":")[0] for line in out.splitlines()[:3]]
-    assert flags == ["shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity"]
-    assert all(line.startswith("note: ") for line in out.splitlines()[3:])
+    flags = [line.split(":")[0] for line in out.splitlines()[:2]]
+    assert flags == ["cache_advice_eviction", "cpu_affinity"]
+    assert all(line.startswith("note: ") for line in out.splitlines()[2:])
     assert "assumed" not in out
 
 

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 from unittest.mock import Mock
 
 import pytest
-from conftest import READY, TINY, healthy_receiver, healthy_sender
+from conftest import READY, TINY, checked, healthy_receiver, healthy_sender
 
 from pfchan import live
 from pfchan.config import PAGE_SIZE, ChannelConfig
@@ -53,7 +53,6 @@ from pfchan.sim import SimParams, run_channel_sim
 from pfchan.sweep import SweepSpec, run_sweep
 
 NOT_READY = BackendCapabilities(
-    shared_readonly_mapping=True,
     cache_advice_eviction=False,
     cpu_affinity=True,
     notes=("advice probe failed",),
@@ -148,6 +147,68 @@ def test_region_close_is_reentrant(region_file):
     region.close()
 
 
+def test_every_page_access_on_a_closed_region_is_a_config_error(region_file):
+    # read_byte on a closed region once read the unmapped address and killed
+    # the interpreter, and the other calls each failed their own way; a child
+    # runs them, so a crash fails this test instead of the run
+    src = str(Path(live.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        from pfchan import live
+        from pfchan.config import ChannelConfig
+        from pfchan.errors import ConfigError
+        region = live.open_region({region_file!r}, ChannelConfig(region_size=65536, page_gap=8))
+        region.close()
+        for call in (region.read_byte, region.load_byte, region.drop_mapping,
+                     region.advise_dontneed, region.residency):
+            try:
+                call(1)
+            except ConfigError as exc:
+                print(call.__name__, exc)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    names = ("read_byte", "load_byte", "drop_mapping", "advise_dontneed", "residency")
+    assert result.stdout.splitlines() == [
+        f"{name} cannot reach page 1: the region is closed" for name in names
+    ]
+
+
+@pytest.mark.parametrize("making", ["truncate", "fallocate", "half-written"])
+def test_a_region_file_with_a_hole_is_refused_naming_the_hole(
+    tmp_path, monkeypatch, capsys, making
+):
+    # a read of a hole or an unwritten extent takes no disk fetch, yet the
+    # probe's mapped read still counts one major fault: such a file once
+    # passed the host check and read BER 0.54 through run_pair
+    monkeypatch.setattr(live, "_probe_file", lambda *a, **k: pytest.fail("probed"))
+    size = 16 * PAGE_SIZE
+    path = str(tmp_path / "r.bin")
+    with open(path, "wb") as fh:
+        if making == "half-written":
+            fh.write(bytes(size // 2))
+        fh.truncate(size)
+        if making == "fallocate":
+            os.posix_fallocate(fh.fileno(), 0, size)
+    fd = os.open(path, os.O_RDONLY)
+    hole = os.lseek(fd, 0, os.SEEK_HOLE)
+    os.close(fd)
+    if hole >= size:
+        pytest.skip("this filesystem reports no hole in the file")
+    message = f"backing file {path!r} has a hole at byte {hole}"
+    with pytest.raises(SetupError, match=message):
+        open_region(path, small_cfg(pages=16))
+    argv = ["send", "--region-file", path, "--region-size", str(size), "--page-gap", "8"]
+    assert main([*argv, "--epoch", "+1", "--bits", "01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"setup error: {message}") and "write the file out in full" in err
+    # --create-region keeps a file that is long enough, so it is refused too
+    assert main([*argv, "--create-region", "--epoch", "+1", "--bits", "01"]) == 2
+
+
 def test_region_set_up_failure_releases_the_fd_and_mapping(region_file, monkeypatch):
     # probe_capabilities catches set-up errors and keeps running, so a
     # failure after the mapping exists must not leak it
@@ -204,14 +265,15 @@ def test_probe_capabilities_never_raises(tmp_path):
     assert isinstance(caps.transmission_ready(), bool)
     assert all(isinstance(n, str) for n in caps.notes)
     text = caps.summary()
-    for key in ("shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity"):
+    for key in ("cache_advice_eviction", "cpu_affinity"):
         assert key in text
 
 
 def test_probe_capabilities_on_unwritable_scratch():
     caps = probe_capabilities(scratch_dir="/nonexistent/nowhere")
-    assert caps.shared_readonly_mapping is False
+    assert caps.cache_advice_eviction is False
     assert caps.transmission_ready() is False
+    assert any(n.startswith("scratch file setup failed:") for n in caps.notes)
 
 
 def test_probe_capabilities_survives_a_scratch_file_it_cannot_write(
@@ -286,12 +348,12 @@ def test_a_probe_that_cannot_lock_the_file_notes_it_and_goes_on(
     monkeypatch.setattr(live, "_major_faults", Mock(side_effect=[0, 1]))
     with open_region(region_file, small_cfg()) as region:
         caps = live._probe_file(region)
-    assert caps.shared_readonly_mapping and caps.cache_advice_eviction
+    assert caps.cache_advice_eviction
     assert any(n.startswith("cannot lock the file against another probe:") for n in caps.notes)
 
 
-def test_capabilities_state_three_observed_flags_and_need_each():
-    flags = ("shared_readonly_mapping", "cache_advice_eviction", "cpu_affinity")
+def test_capabilities_state_two_observed_flags_and_need_each():
+    flags = ("cache_advice_eviction", "cpu_affinity")
     assert tuple(f.name for f in fields(BackendCapabilities)) == (*flags, "notes")
     assert READY.transmission_ready() is True
     for flag in flags:
@@ -352,10 +414,11 @@ def test_importing_the_live_backend_loads_no_executor_or_logging(tmp_path):
         cfg = ChannelConfig(
             region_size=65536, page_gap=4, payload_bits=2, sync_period_ns=1_000_000
         )
-        ready = live.BackendCapabilities(True, True, True)
+        live._probe_file = lambda region: live.BackendCapabilities(True, True)
         path = live.create_backing_file({str(tmp_path / "r.bin")!r}, cfg.region_size)
         with live.open_region(path, cfg) as region, live._pinned(live.live_cpus()[0], "t"):
-            report = live.spy_receive(region, cfg, live._now_ns(), capabilities=ready)
+            live.check_host(region)
+            report = live.spy_receive(region, cfg, live._now_ns())
         assert report.payload_bits == 2
         {loaded}
     """)
@@ -425,28 +488,64 @@ def test_the_wait_sleeps_until_the_clock_reaches_the_deadline(
     assert clock.reads <= len(clock.sleeps) + live._SPIN_NS // 1_000 + 1
 
 
-def test_send_requires_capabilities(region_file):
-    with open_region(region_file, small_cfg()) as region:
-        with pytest.raises(SetupError, match="lacks required"):
-            trojan_send(region, small_cfg(), [1, 0], live._now_ns(), NOT_READY)
+def refuses_an_unchecked_region(tmp_path, region_file, monkeypatch, run) -> None:
+    """Run an endpoint, run(region, cfg), on a region check_host never ran
+    on, then on one whose check failed, while the scratch probe is ready.
+    Each run must raise a SetupError naming check_host before any wait,
+    eviction, advice, read, worker start or probe."""
+    monkeypatch.setattr(live, "_probe_file", Mock(side_effect=[READY, NOT_READY]))
+    assert probe_capabilities(scratch_dir=str(tmp_path)).transmission_ready() is True
+    for name in ("_wait_until_ns", "evict_pair", "_accessors"):
+        monkeypatch.setattr(live, name, Mock(side_effect=AssertionError(name)))
+    for name in ("advise_dontneed", "read_byte", "load_byte", "drop_mapping"):
+        monkeypatch.setattr(SharedRegion, name, Mock(side_effect=AssertionError(name)))
+    cfg = small_cfg(payload_bits=2)
+    unchecked = r"has not passed check_host\(region\)"
+    with open_region(region_file, cfg) as region:
+        with pytest.raises(SetupError, match=unchecked):
+            run(region, cfg)
+        with pytest.raises(SetupError, match="lacks required capabilities"):
+            live.check_host(region)
+        assert region.host_checked is False
+        with pytest.raises(SetupError, match=unchecked):
+            run(region, cfg)
 
 
-def test_receive_requires_capabilities(region_file):
-    with open_region(region_file, small_cfg()) as region:
-        with pytest.raises(SetupError, match="lacks required"):
-            spy_receive(region, small_cfg(), live._now_ns(), capabilities=NOT_READY)
+# once, a region on tmpfs handed the scratch probe's ready result from a
+# disk-backed temp dir ran every slot and read noise as BER 0.45
+
+def test_send_requires_capabilities(tmp_path, region_file, monkeypatch):
+    refuses_an_unchecked_region(
+        tmp_path, region_file, monkeypatch,
+        lambda region, cfg: trojan_send(region, cfg, [1, 0], live._now_ns()),
+    )
 
 
-def test_the_endpoints_check_the_capabilities_they_are_handed_and_never_probe(
+def test_receive_requires_capabilities(tmp_path, region_file, monkeypatch, one_core):
+    refuses_an_unchecked_region(
+        tmp_path, region_file, monkeypatch,
+        lambda region, cfg: spy_receive(region, cfg, live._now_ns(), expected=[1, 0]),
+    )
+
+
+def test_both_endpoints_run_on_a_region_check_host_passed_and_never_probe(
     region_file, monkeypatch, one_core
 ):
-    monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
+    probe = Mock(return_value=READY)
+    monkeypatch.setattr(live, "_probe_file", probe)
     monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: ObservedOrder.T1_LAST)
     cfg = small_cfg(payload_bits=2, sync_period_ns=1_000_000)
     with open_region(region_file, cfg) as region:
-        assert len(trojan_send(region, cfg, [1, 0], live._now_ns(), READY)) == 2
-        report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+        assert live.check_host(region) is None
+        probe.assert_called_once_with(region)
+        assert region.host_checked is True
+        monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
+        assert len(trojan_send(region, cfg, [1, 0], live._now_ns())) == 2
+        report = spy_receive(region, cfg, live._now_ns())
     assert report.decoded == [1, 1]
+    # the mark belongs to that open region: another open of the file has none
+    with open_region(region_file, cfg) as other:
+        assert other.host_checked is False
 
 
 @pytest.mark.parametrize("command", ["send", "receive"])
@@ -490,17 +589,15 @@ def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
     monkeypatch.setattr(live, "_accessors", lambda region: pytest.fail("workers started"))
     with open_region(region_file, small_cfg()) as region:
         with pytest.raises(ConfigError, match="cannot receive an empty payload"):
-            spy_receive(
-                region, small_cfg(), live._now_ns(), expected=[], capabilities=READY
-            )
+            spy_receive(region, small_cfg(), live._now_ns(), expected=[])
 
 
 def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
     monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
-    with open_region(region_file, cfg) as region:
-        report = spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+    with checked(open_region(region_file, cfg)) as region:
+        report = spy_receive(region, cfg, live._now_ns())
     assert report.sent is None and report.ber is None
     assert report.decoded == [1, 0, None]
     assert report.received == [1, 0, 0]
@@ -527,8 +624,8 @@ def test_the_receiver_carries_whole_slots_unless_it_falls_behind_them(
         return ObservedOrder.T1_LAST
 
     monkeypatch.setattr(live, "_probe_pair", probe_pair)
-    with open_region(region_file, cfg) as region:
-        report = spy_receive(region, cfg, epoch, capabilities=READY)
+    with checked(open_region(region_file, cfg)) as region:
+        report = spy_receive(region, cfg, epoch)
     assert probes == [0, 1, 2, 3]
     end = clock.now_ns  # the receive's last clock reading
     n = cfg.payload_bits
@@ -548,8 +645,8 @@ def test_sender_follows_shared_schedule(region_file):
     cfg = small_cfg()
     payload = [1, 0, 1, 1, 0, 0, 1, 0]
     epoch = live._now_ns() + 20_000_000
-    with open_region(region_file, cfg) as region:
-        log = trojan_send(region, cfg, payload, epoch, READY)
+    with checked(open_region(region_file, cfg)) as region:
+        log = trojan_send(region, cfg, payload, epoch)
     assert [rec.slot for rec in log] == list(range(8))
     for k, rec in enumerate(log):
         pair = page_pair_for_slot(cfg, k)
@@ -569,9 +666,9 @@ def test_failed_eviction_advice_ends_the_transmission(region_file, monkeypatch):
     loaded = []
     monkeypatch.setattr(SharedRegion, "advise_dontneed", refuse)
     monkeypatch.setattr(SharedRegion, "load_byte", lambda self, page: loaded.append(page))
-    with open_region(region_file, small_cfg()) as region:
+    with checked(open_region(region_file, small_cfg())) as region:
         with pytest.raises(OSError, match="bad"):
-            trojan_send(region, small_cfg(), [1, 0], live._now_ns(), READY)
+            trojan_send(region, small_cfg(), [1, 0], live._now_ns())
     assert loaded == []
 
 
@@ -588,12 +685,12 @@ def test_a_receiver_allowed_two_cores_is_refused(region_file, monkeypatch, three
     cfg = small_cfg(payload_bits=2)
     os.sched_setaffinity(0, {1, 2})
     before = threading.enumerate()
-    with open_region(region_file, cfg) as region:
+    with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(SetupError, match=r"cores \[1, 2\]; its caller must pin"):
-            spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+            spy_receive(region, cfg, live._now_ns())
         assert threading.enumerate() == before and seen == []
         os.sched_setaffinity(0, {1})
-        spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+        spy_receive(region, cfg, live._now_ns())
     assert seen == [{1}, {1}]
 
 
@@ -644,9 +741,9 @@ def test_no_accessor_worker_outlives_a_receive(
     monkeypatch.setattr(live, "_wait_until_ns", wait)
     cfg = small_cfg(payload_bits=3, sync_period_ns=1_000_000)
     before = threading.enumerate()
-    with open_region(region_file, cfg) as region:
+    with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(raised) if raised else nullcontext():
-            spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+            spy_receive(region, cfg, live._now_ns())
     assert threading.enumerate() == before
     assert readers and threading.main_thread() not in readers
 
@@ -670,9 +767,9 @@ def test_an_interrupt_in_a_workers_start_leaves_no_worker_running(
     monkeypatch.setattr(SharedRegion, "read_byte", lambda self, page: reads.append(page))
     cfg = small_cfg(payload_bits=3, sync_period_ns=1_000_000)
     before = threading.enumerate()
-    with open_region(region_file, cfg) as region:
+    with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(KeyboardInterrupt):
-            spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+            spy_receive(region, cfg, live._now_ns())
     assert len(started) == 2 and not any(w.is_alive() for w in started)
     assert threading.enumerate() == before
     time.sleep(0.02)
@@ -694,16 +791,16 @@ def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatc
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     cfg = small_cfg(payload_bits=8, sync_period_ns=1_000_000)
     core = live_cpus()[0]
-    with open_region(region_file, cfg) as region, live._pinned(core, "receiver"):
-        spy_receive(region, cfg, live._now_ns(), capabilities=READY)
+    with checked(open_region(region_file, cfg)) as region, live._pinned(core, "receiver"):
+        spy_receive(region, cfg, live._now_ns())
     assert len(readers) == 2 and threading.main_thread() not in readers
     assert readers <= alive[0]  # both started before slot 0's first read
     assert masks == [{core}] * 16
 
 
 def test_sender_empty_payload(region_file):
-    with open_region(region_file, small_cfg()) as region:
-        assert trojan_send(region, small_cfg(), [], live._now_ns(), READY) == []
+    with checked(open_region(region_file, small_cfg())) as region:
+        assert trojan_send(region, small_cfg(), [], live._now_ns()) == []
 
 
 def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch):
@@ -715,11 +812,9 @@ def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch):
     cfg = small_cfg()
     with open_region(region_file, cfg) as region:
         with pytest.raises(ConfigError, match="only bits, got 2"):
-            trojan_send(region, cfg, [0, 1, 2], live._now_ns(), READY)
+            trojan_send(region, cfg, [0, 1, 2], live._now_ns())
         with pytest.raises(ConfigError, match="only bits, got 2"):
-            spy_receive(
-                region, cfg, live._now_ns(), expected=[0, 2, 0], capabilities=READY
-            )
+            spy_receive(region, cfg, live._now_ns(), expected=[0, 2, 0])
 
 
 def test_open_region_refuses_a_host_without_posix_fadvise(monkeypatch, region_file):
@@ -800,7 +895,6 @@ def test_probe_takes_its_eviction_verdict_from_a_major_fault(
     caps = probe_capabilities(scratch_dir=str(tmp_path))
     checked = ["count", "read 0", "count", "drop 0", "advise 0"]
     assert events == ["read 0", "drop 0", "advise 0", *([] if delta is None else checked)]
-    assert caps.shared_readonly_mapping is True
     assert caps.cache_advice_eviction is eviction_ok
     assert [n for n in caps.notes if "eviction" in n] == ([note] if note else [])
 
@@ -821,7 +915,8 @@ def test_check_host_probes_the_region_in_place_and_writes_nothing(
     listing = sorted(os.listdir(region_dir))
     with open_region(region_file, small_cfg()) as region:
         monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
-        assert live.check_host(region).transmission_ready() is True
+        assert live.check_host(region) is None
+        assert region.host_checked is True
     assert sorted(os.listdir(region_dir)) == listing
     # the scratch probe is the one that needs a writable directory
     assert probe_capabilities(scratch_dir=region_dir).transmission_ready() is False
@@ -862,14 +957,14 @@ def test_a_failing_mincore_raises_and_ends_the_transmission(
 ):
     # None means only "cannot report on this file"; a failed call is an error
     monkeypatch.setattr(live._libc, "mincore", failing_mincore)
-    with open_region(region_file, small_cfg()) as region:
+    with checked(open_region(region_file, small_cfg())) as region:
         with pytest.raises(OSError, match="mincore on page 5") as info:
             region.residency(5)
         assert info.value.errno == errno.ENOMEM
         loaded = []
         monkeypatch.setattr(region, "load_byte", loaded.append)
         with pytest.raises(OSError, match="mincore"):
-            trojan_send(region, small_cfg(), [1, 0], live._now_ns(), READY)
+            trojan_send(region, small_cfg(), [1, 0], live._now_ns())
         assert loaded == []
     # the probe's verdict is a major fault, not mincore's word, so a mincore
     # that fails ends a transmission but not the host check
@@ -891,10 +986,10 @@ def test_evictions_on_a_file_mincore_cannot_report_on_are_unverified(
     monkeypatch.setattr(live._libc, "mincore", mincore)
     monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
     cfg = small_cfg()
-    with open_region(region_file, cfg) as region:
+    with checked(open_region(region_file, cfg)) as region:
         assert region.residency(2, 3) is None
         assert evict_pair(region, PagePair(p1=2, p2=3, slot=0)) is None
-        log = trojan_send(region, cfg, [1, 0], live._now_ns(), READY)
+        log = trojan_send(region, cfg, [1, 0], live._now_ns())
     assert [rec.evict_confirmed for rec in log] == [None, None]
     assert main([
         "send", "--region-file", region_file, "--epoch", "+0", "--bits", "0110",
@@ -929,6 +1024,29 @@ def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
     )
     (row,) = run_sweep(spec).rows
     assert (row.payload_bits, row.ber) == (8, 0.0)
+
+
+def test_a_live_pair_transmits_on_the_parents_checked_region_and_never_probes_again(
+    monkeypatch, tmp_path
+):
+    # the real entries and endpoints run in the children: each is handed no
+    # verdict, finds the region the parent's check marked, and transmits on
+    # it; a child that probed would fail its cell
+    parent = os.getpid()
+    probed = []
+
+    def probe(region, *notes):
+        if os.getpid() != parent:
+            os._exit(9)
+        probed.append(region)
+        return READY
+
+    monkeypatch.setattr(live, "_probe_file", probe)
+    payload = random_payload(7, TINY.payload_bits)
+    path = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    report = live.run_pair(TINY, payload, path, 10_000_000)
+    assert report.sent == payload and len(report.received) == len(payload)
+    assert len(probed) == 1 and probed[0].host_checked is True
 
 
 @pytest.mark.parametrize(
@@ -1099,9 +1217,9 @@ def test_live_cell_pins_the_endpoints_to_distinct_cores(
     monkeypatch, tmp_path, usable, expected
 ):
     def recording(name, entry):
-        def wrapped(region, cfg, payload, capabilities, cpu, conn):
+        def wrapped(region, cfg, payload, cpu, conn):
             (tmp_path / name).write_text(str(cpu))
-            return entry(region, cfg, payload, capabilities, cpu, conn)
+            return entry(region, cfg, payload, cpu, conn)
 
         return wrapped
 
@@ -1171,8 +1289,8 @@ def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
     original = os.sched_getaffinity(0)
     core = live_cpus()[0]
     payload = random_payload(0, TINY.payload_bits)
-    with open_region(path, TINY) as region:
-        report = live._receiver_entry(region, TINY, payload, READY, core, Parent())
+    with checked(open_region(path, TINY)) as region:
+        report = live._receiver_entry(region, TINY, payload, core, Parent())
     assert report.payload_bits == TINY.payload_bits
     assert events == [("set", {core}), ("ready", None), "epoch", ("set", original)]
 

@@ -209,7 +209,6 @@ def test_calibration_prefers_lower_error_over_width():
 
 def test_live_sweep_refuses_without_capabilities(monkeypatch, tmp_path):
     broken = BackendCapabilities(
-        shared_readonly_mapping=True,
         cache_advice_eviction=False,
         cpu_affinity=True,
         notes=("advice probe failed",),
@@ -232,7 +231,7 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
     def probe(region, *notes):
         st = os.fstat(region._fd)
         probed.append((st.st_dev, st.st_ino))
-        return BackendCapabilities(False, False, True)
+        return BackendCapabilities(False, True)
 
     monkeypatch.setattr(pfchan.live, "_probe_file", probe)
     monkeypatch.chdir(tmp_path)
@@ -254,12 +253,7 @@ def test_a_live_sweep_probes_the_filesystem_its_region_file_is_on(
 
 
 def test_live_sweep_requires_region_file(monkeypatch):
-    ready = BackendCapabilities(
-        shared_readonly_mapping=True,
-        cache_advice_eviction=True,
-        cpu_affinity=True,
-    )
-    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: ready)
+    monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: READY)
     with pytest.raises(ConfigError, match="region_file"):
         run_sweep(small_spec(backend="live"))
 
@@ -278,17 +272,20 @@ def _run_tiny_live_sweep(monkeypatch, tmp_path):
 
 def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
     # the sweep only writes the region file; each cell's run_pair probes it
-    # once, before that cell forks, and hands its own result to both children
+    # once, before that cell forks, and both children get the region that
+    # probe marked
     started_before = []  # the children already started at each probe
 
-    def probe(path, *notes):
+    def probe(region, *notes):
         started_before.append(sorted(p.name for p in tmp_path.glob("*-cell*")))
-        return replace(READY, notes=(f"cell{len(started_before)}",))
+        return READY
 
     def recording(role, healthy):
-        def entry(region, cfg, payload, capabilities, cpu, conn):
-            (tmp_path / f"{role}-{capabilities.notes[0]}").touch()
-            return healthy(region, cfg, payload, READY, cpu, conn)
+        def entry(region, cfg, payload, cpu, conn):
+            # the fork copied the parent's list as it stood at this cell's probe
+            name = f"{role}-cell{len(started_before)}"
+            (tmp_path / name).write_text(str(region.host_checked))
+            return healthy(region, cfg, payload, cpu, conn)
 
         return entry
 
@@ -305,9 +302,11 @@ def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
     rows = run_sweep(spec).rows
     assert [(row.payload_bits, row.ber) for row in rows] == [(8, 0.0), (16, 0.0)]
     assert started_before == [[], ["receiver-cell1", "sender-cell1"]]
-    assert sorted(p.name for p in tmp_path.glob("*-cell*")) == [
+    children = sorted(tmp_path.glob("*-cell*"))
+    assert [p.name for p in children] == [
         "receiver-cell1", "receiver-cell2", "sender-cell1", "sender-cell2",
     ]
+    assert {p.read_text() for p in children} == {"True"}
 
     # a failing check stops the cell before it starts any child
     broken = replace(READY, cache_advice_eviction=False)
@@ -337,11 +336,11 @@ def test_each_live_cell_opens_its_region_once_and_its_children_inherit_it(
         return region
 
     def recording(role, healthy):
-        def entry(region, cfg, payload, capabilities, cpu, conn):
+        def entry(region, cfg, payload, cpu, conn):
             inherited = opened[-1][0]  # the fork copied the parent's list
             name = f"{role}-cell{len(opened)}-fd{region._fd}"
             (tmp_path / name).write_text(str(region is inherited))
-            return healthy(region, cfg, payload, capabilities, cpu, conn)
+            return healthy(region, cfg, payload, cpu, conn)
 
         return entry
 
