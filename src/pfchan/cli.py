@@ -265,8 +265,8 @@ def cmd_receive(args) -> int:
     with live.open_region(args.region_file, cfg) as region:
         live.check_host(region)
         cpu = live.live_cpus()[0] if args.cpu is None else args.cpu
-        with live._pinned(cpu, "receiver"):
-            report = live.spy_receive(region, cfg, epoch, expected)
+        with live._pinned(cpu, "receiver"), live._accessors(region) as accessors:
+            report = live.spy_receive(region, accessors, cfg, epoch, expected)
     if expected is None:
         print(
             f"received {report.payload_bits} bits blind "

@@ -24,8 +24,8 @@ readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
 touch of one page cannot drag its partner into the cache.
 
 The receiver's two accessors are two plain threads, started once per
-receive inside its caller's one-core pin, which both inherit. They take
-reads from one queue, and each reads one byte of a page through libc
+receive by its caller inside its one-core pin, which both inherit. They
+take reads from one queue, and each reads one byte of a page through libc
 memcpy. That detour matters: a ctypes call releases the interpreter lock
 for its duration, so a worker stuck in a hard fault lets its sibling run,
 which is the scheduling behavior the channel measures. A plain index into
@@ -35,9 +35,9 @@ A live process opens its region once, then checks, pins and runs:
 check_host probes the caller's open region in place and marks it if the
 host is ready, and both endpoints refuse an unmarked region. run_pair
 opens and checks before it forks; its sender and receiver inherit the
-marked region and only pin their cores before they report ready, so once
-the epoch is fixed each has only its wait left, and the receiver its two
-workers to start.
+marked region and pin their cores before they report ready, and the
+receiver starts its two workers inside that pin, so once the epoch is fixed
+each has only its first wait left.
 
 Decoding uses only the order in which the two reads finished: each read
 reports its name, t1 for the read of p1 and t2 for that of p2, once its
@@ -146,9 +146,7 @@ class SharedRegion:
         # a failure past this point releases whatever was set up, since
         # probe_capabilities catches set-up errors and keeps running
         try:
-            # a sparse or fallocated file reads its holes and unwritten
-            # extents as zeroes without a disk fetch
-            hole = os.lseek(self._fd, 0, os.SEEK_HOLE)
+            hole = _first_hole(self._fd)
             if hole < length:
                 raise SetupError(
                     f"backing file {path!r} has a hole at byte {hole}, where a "
@@ -238,12 +236,13 @@ class SharedRegion:
         that way starts readahead, which brings the page back into the
         cache and undoes the eviction it was meant to check.
         """
+        offsets = [self._offset(page) for page in pages]
         if not self._mincore_reports:
             return None
         vec = (ctypes.c_ubyte * 1)()
         resident = []
-        for page in pages:
-            if _libc.mincore(self._addr + self._offset(page), PAGE_SIZE, vec):
+        for page, offset in zip(pages, offsets):
+            if _libc.mincore(self._addr + offset, PAGE_SIZE, vec):
                 err = ctypes.get_errno()
                 raise OSError(err, f"mincore on page {page}: {os.strerror(err)}")
             resident.append(bool(vec[0] & 1))
@@ -300,16 +299,34 @@ def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
     return SharedRegion(path, cfg.region_size)
 
 
+def _first_hole(fd: int) -> int:
+    """Byte offset of the file's first hole, or its size when it has none.
+    A sparse or fallocated file reads its holes and unwritten extents as
+    zeroes without a disk fetch."""
+    return os.lseek(fd, 0, os.SEEK_HOLE)
+
+
 def create_backing_file(path: str, size: int) -> str:
-    """Write a patterned file of the given size for use as a shared region.
+    """Write a patterned file of the given size for use as a shared region,
+    unless the file is already at least that long with no hole in its first
+    size bytes.
 
     Blocks are written explicitly so the file is not sparse; reads from
-    holes would never hit the disk and the channel would starve. The
-    write-time cache state is left for open_region, which flushes it.
+    holes would never hit the disk and the channel would starve. A file
+    that is too short or has such a hole is written over. The write-time
+    cache state is left for open_region, which flushes it.
     """
     if size <= 0:
         raise ConfigError(f"size must be positive, got {size}")
-    if os.path.exists(path) and os.path.getsize(path) >= size:
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            whole = os.fstat(fd).st_size >= size and _first_hole(fd) >= size
+        finally:
+            os.close(fd)
+    except OSError:
+        whole = False  # absent or unreadable: the write creates it or says why
+    if whole:
         return path
     block = bytes(range(256)) * 4096  # 1 MiB
     try:
@@ -548,8 +565,19 @@ def _accessor(region: SharedRegion, reads: SimpleQueue, done: SimpleQueue) -> No
 @contextmanager
 def _accessors(region: SharedRegion):
     """The (reads, done) queues of two workers started here to read region,
-    inside the caller's pin, which both inherit. Leaving the block ends and
-    joins every running worker; one caught starting finds only ends queued."""
+    inside the caller's one-core pin, which both inherit, so they contend
+    for that core. A region that has not passed check_host, or a thread
+    allowed more than one core, is a SetupError before any worker starts;
+    the caller checks the host, this only checks the mark. Leaving the
+    block ends and joins every running worker; one caught starting finds
+    only ends queued."""
+    if not region.host_checked:
+        raise SetupError("this region has not passed check_host(region)")
+    if len(mask := os.sched_getaffinity(0)) > 1:
+        raise SetupError(
+            f"the receiver may run on cores {sorted(mask)}; its caller must "
+            f"pin it to one core, which both accessor workers share"
+        )
     reads, done = SimpleQueue(), SimpleQueue()
     args = (region, reads, done)
     workers = [threading.Thread(target=_accessor, args=args) for _ in range(2)]
@@ -582,6 +610,7 @@ def _probe_pair(accessors, pair: PagePair) -> ObservedOrder:
 
 def spy_receive(
     region: SharedRegion,
+    accessors,
     cfg: ChannelConfig,
     epoch_ns: int,
     expected: list[int] | None = None,
@@ -589,43 +618,32 @@ def spy_receive(
     """Receive one bit per slot, probing each slot at its guard deadline:
     len(expected) bits, or cfg.payload_bits without the expected payload.
 
-    The caller pins the receiving thread to a single core first; a thread
-    allowed more than one is a SetupError. The two accessor workers it
-    starts once inherit that core, so they contend for it. Per slot each
-    worker reads one page of the pair and reports its name; the last name
-    decides the bit. Every way out, an interrupt in mid-probe included,
-    joins both workers, and a read that raised aborts naming its slot.
-    Without the expected payload the report's sent and ber are None.
-    Bandwidth counts whole slots, as on the simulator, unless the receiver
-    fell behind them. An expected payload that is empty, or holds anything
-    but bits, is a ConfigError before any worker starts: there is nothing
-    to report on. A region that has not passed check_host fails there too,
-    as a SetupError; the caller checks the host, this only checks the mark.
+    accessors are the running workers of the caller's _accessors(region),
+    opened inside its one-core pin before the epoch, so a receive starts
+    no thread and has only its first wait left. Per slot each worker reads
+    one page of the pair and reports its name; the last name decides the
+    bit, and a read that raised aborts naming its slot. Without the
+    expected payload the report's sent and ber are None. Bandwidth counts
+    whole slots, as on the simulator, unless the receiver fell behind them.
+    An expected payload that is empty, or holds anything but bits, is a
+    ConfigError before the first wait: there is nothing to report on.
     """
     if expected is not None:
         if not expected:
             raise ConfigError("cannot receive an empty payload: expected holds no bits")
         check_bits(expected)
-    if not region.host_checked:
-        raise SetupError("this region has not passed check_host(region)")
-    if len(mask := os.sched_getaffinity(0)) > 1:
-        raise SetupError(
-            f"the receiver may run on cores {sorted(mask)}; its caller must "
-            f"pin it to one core, which both accessor workers share"
-        )
     n_bits = cfg.payload_bits if expected is None else len(expected)
     decoded: list[int | None] = []
-    with _accessors(region) as accessors:
-        for k in range(n_bits):
-            pair = page_pair_for_slot(cfg, k)
-            _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
-            order = _probe_pair(accessors, pair)
-            # release our page table entries so the pair stays evictable
-            # when the schedule wraps back to it
-            region.drop_mapping(pair.p1)
-            region.drop_mapping(pair.p2)
-            decoded.append(decode_from_order(order))
-        end_ns = _now_ns()
+    for k in range(n_bits):
+        pair = page_pair_for_slot(cfg, k)
+        _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
+        order = _probe_pair(accessors, pair)
+        # release our page table entries so the pair stays evictable
+        # when the schedule wraps back to it
+        region.drop_mapping(pair.p1)
+        region.drop_mapping(pair.p2)
+        decoded.append(decode_from_order(order))
+    end_ns = _now_ns()
 
     # the last probe comes half a slot before the channel's last slot ends
     elapsed_ns = max(end_ns - epoch_ns, n_bits * cfg.sync_period_ns)
@@ -635,7 +653,8 @@ def spy_receive(
 # -- forked sender/receiver pair ---------------------------------------------
 # Entry points are module level so forked children can run them directly.
 # Each child talks to the parent over its own pipe: ("ready", None) once its
-# core is pinned, then ("result", value) when it is done, or ("error", text)
+# core is pinned, and for the receiver its two workers started, then
+# ("result", value) when it is done, or ("error", text)
 # from whatever step failed. The parent answers "ready" with the epoch. A
 # child that exits closes its end, so the parent sees the exit at once as
 # end of file on the pipe.
@@ -653,8 +672,11 @@ def _sender_entry(region, cfg, payload, cpu, conn):
 
 
 def _receiver_entry(region, cfg, payload, cpu, conn):
-    with _pinned(cpu, "receiver"):
-        return spy_receive(region, cfg, _ready(conn), expected=payload)
+    """Pin, start both workers inside the pin, then report ready: once the
+    epoch comes the receive has only its first wait left. Every way out, an
+    epoch that never comes included, joins both workers."""
+    with _pinned(cpu, "receiver"), _accessors(region) as accessors:
+        return spy_receive(region, accessors, cfg, _ready(conn), expected=payload)
 
 
 def _child_main(entry, conn, parent_ends, *args) -> None:
@@ -717,8 +739,9 @@ def run_pair(
     is a ConfigError; then the region is opened and check_host(region)
     runs, all before any fork. Both children inherit the region, marked by
     that check, and slot 0 starts lead_ns after both have pinned their
-    cores and reported ready. A child that fails or exits early raises
-    RunAbort, with its error text when it sent one."""
+    cores, the receiver has started its workers, and both have reported
+    ready. A child that fails or exits early raises RunAbort, with its
+    error text when it sent one."""
     import multiprocessing
 
     if not payload:
@@ -754,9 +777,8 @@ def run_pair(
                 children.append((name, proc, conn))
             _collect(children, "ready", deadline)
             epoch = _now_ns() + lead_ns
-            # the sender first: woken, it only starts its wait, while the
-            # woken receiver starts its workers, and on a shared core would
-            # hold this process off the second send until they had started
+            # the sender first: its deadline in every slot, slot 0's
+            # included, comes before the receiver's probe
             for _, _, conn in reversed(children):
                 try:
                     conn.send(epoch)

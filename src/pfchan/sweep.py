@@ -75,11 +75,11 @@ class SweepSpec:
     seed: int = 0
     region_file: str | None = None  # live backend only
     # margin from both live endpoints reporting ready, each with its region
-    # open and its core pinned, to slot 0. It covers the epoch's hand-off and
-    # the receiver starting its two workers: twice the p99 of that set-up on
-    # a host under 1% CPU steal, rounded up to whole ms, plus 1 ms for the
-    # per-rate BER check (BENCH_cellcost.json)
-    live_lead_ns: int = 7_000_000
+    # open and its core pinned, and the receiver with its two workers
+    # running, to slot 0. It covers only the epoch's hand-off and each
+    # endpoint's first wait: twice the larger endpoint p99 of that set-up on
+    # a host under 1% CPU steal, rounded up to whole ms (BENCH_prestart.json)
+    live_lead_ns: int = 2_000_000
 
     def __post_init__(self) -> None:
         if not self.values:

@@ -32,11 +32,13 @@ SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
 
 
 def fake_live_setup(monkeypatch) -> None:
-    """Stand in for the region and its host check: send and receive open the
-    region, here the stand-in's None, then check it, here a check that
-    passes. The tests stand in for the endpoints, which would refuse it."""
+    """Stand in for the region, its host check and the receiver's workers:
+    send and receive open the region, here the stand-in's None, then check
+    it, here a check that passes, and receive starts its workers, here
+    none. The tests stand in for the endpoints, which would refuse it."""
     monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
     monkeypatch.setattr(pfchan.live, "check_host", lambda region: None)
+    monkeypatch.setattr(pfchan.live, "_accessors", lambda region: nullcontext())
 
 
 def run_cli(*argv) -> int:

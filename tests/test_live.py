@@ -76,9 +76,16 @@ def region_file(tmp_path):
 
 @pytest.fixture
 def one_core():
-    """The test's thread pinned to one core, as spy_receive's caller must be."""
+    """The test's thread pinned to one core, as the receiver's caller must be."""
     with live._pinned(live_cpus()[0], "test"):
         yield
+
+
+def receive(region, cfg, epoch_ns, expected=None):
+    """spy_receive on the workers of _accessors(region), opened here as
+    every receiver's caller opens them, before the receive."""
+    with live._accessors(region) as accessors:
+        return spy_receive(region, accessors, cfg, epoch_ns, expected=expected)
 
 
 def test_create_backing_file_size_and_pattern(tmp_path):
@@ -94,6 +101,37 @@ def test_create_backing_file_is_idempotent(region_file):
     before = os.path.getmtime(region_file)
     assert create_backing_file(region_file, 64 * PAGE_SIZE) == region_file
     assert os.path.getmtime(region_file) == before
+
+
+@pytest.mark.parametrize("making", ["truncate", "fallocate", "half-written", "short"])
+def test_create_backing_file_writes_over_a_file_with_a_hole(tmp_path, making):
+    # a file long enough but with a hole in it was once kept as it was, so
+    # send --create-region and a live sweep never repaired it; SEEK_HOLE
+    # reads the end of a file too short as a hole as well
+    size = 16 * PAGE_SIZE
+    path = str(tmp_path / "r.bin")
+    with open(path, "wb") as fh:
+        if making in ("half-written", "short"):
+            fh.write(bytes(size // 2))
+        if making != "short":
+            fh.truncate(2 * size)
+        if making == "fallocate":
+            os.posix_fallocate(fh.fileno(), 0, 2 * size)
+    fd = os.open(path, os.O_RDONLY)
+    hole = os.lseek(fd, 0, os.SEEK_HOLE)
+    os.close(fd)
+    if hole >= size:
+        pytest.skip("this filesystem reports no hole in the file")
+    assert create_backing_file(path, size) == path
+    assert os.path.getsize(path) == size
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        assert os.lseek(fd, 0, os.SEEK_HOLE) >= size
+        assert os.pread(fd, 512, 0) == bytes(i % 256 for i in range(512))
+    finally:
+        os.close(fd)
+    with open_region(path, small_cfg(pages=16)) as region:
+        assert region.page_count == 16
 
 
 def test_create_backing_file_in_a_missing_directory_is_a_setup_error(tmp_path):
@@ -205,8 +243,28 @@ def test_a_region_file_with_a_hole_is_refused_naming_the_hole(
     assert main([*argv, "--epoch", "+1", "--bits", "01"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"setup error: {message}") and "write the file out in full" in err
-    # --create-region keeps a file that is long enough, so it is refused too
+    # --create-region writes the file out in full, so the host check is
+    # what runs next, here one that refuses
+    monkeypatch.setattr(live, "_probe_file", lambda *a, **k: NOT_READY)
     assert main([*argv, "--create-region", "--epoch", "+1", "--bits", "01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("setup error: live backend lacks required capabilities")
+    fd = os.open(path, os.O_RDONLY)
+    assert os.lseek(fd, 0, os.SEEK_HOLE) >= size
+    os.close(fd)
+
+
+def test_residency_where_mincore_cannot_report_still_checks_the_page(region_file):
+    # it once returned None before any check, so a closed region or a page
+    # outside the region read as "cannot report" instead of a usage error
+    region = open_region(region_file, small_cfg(pages=16))
+    region._mincore_reports = False
+    assert region.residency(3, 15) is None
+    with pytest.raises(ConfigError, match="page 999 outside region of 16 pages"):
+        region.residency(3, 999)
+    region.close()
+    with pytest.raises(ConfigError, match="cannot reach page 1: the region is closed"):
+        region.residency(1)
 
 
 def test_region_set_up_failure_releases_the_fd_and_mapping(region_file, monkeypatch):
@@ -364,7 +422,9 @@ def test_capabilities_state_two_observed_flags_and_need_each():
 
 
 @pytest.mark.parametrize("failing", ["t1", "t2"])
-def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypatch, failing):
+def test_a_dead_accessor_aborts_the_probe_naming_its_slot(
+    region_file, monkeypatch, one_core, failing
+):
     # a read that never finishes leaves no order to decode; its worker
     # reports the error in its place, so the probe returns either way
     bad_page = {"t1": 4, "t2": 8}[failing]
@@ -376,7 +436,7 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(region_file, monkeypat
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     before = threading.enumerate()
-    with open_region(region_file, small_cfg()) as region:
+    with checked(open_region(region_file, small_cfg())) as region:
         with live._accessors(region) as accessors:
             with pytest.raises(RunAbort, match="accessor read failed in slot 7") as raised:
                 live._probe_pair(accessors, PagePair(p1=4, p2=8, slot=7))
@@ -399,10 +459,10 @@ def test_decode_path_reads_no_clock():
 
 
 def test_importing_the_live_backend_loads_no_executor_or_logging(tmp_path):
-    # every importer of pfchan.live pays for what it imports, a process
-    # that never receives included, and a receive imports nothing once its
-    # epoch is fixed: its workers are plain threads. One line each, after
-    # the import and after a two-slot receive
+    """Every importer of pfchan.live pays for what it imports, a process
+    that never receives included, and a receive imports nothing: its caller
+    starts the workers, plain threads, before the epoch. One line each,
+    after the import and after a two-slot receive."""
     src = str(Path(live.__file__).resolve().parents[1])
     loaded = "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
     code = textwrap.dedent(f"""
@@ -418,7 +478,8 @@ def test_importing_the_live_backend_loads_no_executor_or_logging(tmp_path):
         path = live.create_backing_file({str(tmp_path / "r.bin")!r}, cfg.region_size)
         with live.open_region(path, cfg) as region, live._pinned(live.live_cpus()[0], "t"):
             live.check_host(region)
-            report = live.spy_receive(region, cfg, live._now_ns())
+            with live._accessors(region) as accessors:
+                report = live.spy_receive(region, accessors, cfg, live._now_ns())
         assert report.payload_bits == 2
         {loaded}
     """)
@@ -495,8 +556,10 @@ def refuses_an_unchecked_region(tmp_path, region_file, monkeypatch, run) -> None
     eviction, advice, read, worker start or probe."""
     monkeypatch.setattr(live, "_probe_file", Mock(side_effect=[READY, NOT_READY]))
     assert probe_capabilities(scratch_dir=str(tmp_path)).transmission_ready() is True
-    for name in ("_wait_until_ns", "evict_pair", "_accessors"):
+    for name in ("_wait_until_ns", "evict_pair"):
         monkeypatch.setattr(live, name, Mock(side_effect=AssertionError(name)))
+    no_thread = Mock(side_effect=AssertionError("worker start"))
+    monkeypatch.setattr(live, "threading", SimpleNamespace(Thread=no_thread))
     for name in ("advise_dontneed", "read_byte", "load_byte", "drop_mapping"):
         monkeypatch.setattr(SharedRegion, name, Mock(side_effect=AssertionError(name)))
     cfg = small_cfg(payload_bits=2)
@@ -524,7 +587,7 @@ def test_send_requires_capabilities(tmp_path, region_file, monkeypatch):
 def test_receive_requires_capabilities(tmp_path, region_file, monkeypatch, one_core):
     refuses_an_unchecked_region(
         tmp_path, region_file, monkeypatch,
-        lambda region, cfg: spy_receive(region, cfg, live._now_ns(), expected=[1, 0]),
+        lambda region, cfg: receive(region, cfg, live._now_ns(), expected=[1, 0]),
     )
 
 
@@ -541,7 +604,7 @@ def test_both_endpoints_run_on_a_region_check_host_passed_and_never_probe(
         assert region.host_checked is True
         monkeypatch.setattr(live, "_probe_file", Mock(side_effect=AssertionError))
         assert len(trojan_send(region, cfg, [1, 0], live._now_ns())) == 2
-        report = spy_receive(region, cfg, live._now_ns())
+        report = receive(region, cfg, live._now_ns())
     assert report.decoded == [1, 1]
     # the mark belongs to that open region: another open of the file has none
     with open_region(region_file, cfg) as other:
@@ -583,13 +646,15 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     probe.assert_called_once_with(opened[0])
 
 
-def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
+def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch, one_core):
     # a report over no bits would claim an error rate it never measured; the
-    # receive refuses it with the other input checks, before any worker starts
-    monkeypatch.setattr(live, "_accessors", lambda region: pytest.fail("workers started"))
-    with open_region(region_file, small_cfg()) as region:
+    # receive refuses it with the other input checks, before any slot waits
+    # or probes
+    monkeypatch.setattr(live, "_wait_until_ns", lambda *a: pytest.fail("waited"))
+    monkeypatch.setattr(live, "_probe_pair", lambda *a: pytest.fail("probed"))
+    with checked(open_region(region_file, small_cfg())) as region:
         with pytest.raises(ConfigError, match="cannot receive an empty payload"):
-            spy_receive(region, small_cfg(), live._now_ns(), expected=[])
+            receive(region, small_cfg(), live._now_ns(), expected=[])
 
 
 def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
@@ -597,7 +662,7 @@ def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
     monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
     with checked(open_region(region_file, cfg)) as region:
-        report = spy_receive(region, cfg, live._now_ns())
+        report = receive(region, cfg, live._now_ns())
     assert report.sent is None and report.ber is None
     assert report.decoded == [1, 0, None]
     assert report.received == [1, 0, 0]
@@ -625,7 +690,7 @@ def test_the_receiver_carries_whole_slots_unless_it_falls_behind_them(
 
     monkeypatch.setattr(live, "_probe_pair", probe_pair)
     with checked(open_region(region_file, cfg)) as region:
-        report = spy_receive(region, cfg, epoch)
+        report = receive(region, cfg, epoch)
     assert probes == [0, 1, 2, 3]
     end = clock.now_ns  # the receive's last clock reading
     n = cfg.payload_bits
@@ -687,10 +752,10 @@ def test_a_receiver_allowed_two_cores_is_refused(region_file, monkeypatch, three
     before = threading.enumerate()
     with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(SetupError, match=r"cores \[1, 2\]; its caller must pin"):
-            spy_receive(region, cfg, live._now_ns())
+            receive(region, cfg, live._now_ns())
         assert threading.enumerate() == before and seen == []
         os.sched_setaffinity(0, {1})
-        spy_receive(region, cfg, live._now_ns())
+        receive(region, cfg, live._now_ns())
     assert seen == [{1}, {1}]
 
 
@@ -743,7 +808,7 @@ def test_no_accessor_worker_outlives_a_receive(
     before = threading.enumerate()
     with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(raised) if raised else nullcontext():
-            spy_receive(region, cfg, live._now_ns())
+            receive(region, cfg, live._now_ns())
     assert threading.enumerate() == before
     assert readers and threading.main_thread() not in readers
 
@@ -769,7 +834,7 @@ def test_an_interrupt_in_a_workers_start_leaves_no_worker_running(
     before = threading.enumerate()
     with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(KeyboardInterrupt):
-            spy_receive(region, cfg, live._now_ns())
+            receive(region, cfg, live._now_ns())
     assert len(started) == 2 and not any(w.is_alive() for w in started)
     assert threading.enumerate() == before
     time.sleep(0.02)
@@ -792,7 +857,7 @@ def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatc
     cfg = small_cfg(payload_bits=8, sync_period_ns=1_000_000)
     core = live_cpus()[0]
     with checked(open_region(region_file, cfg)) as region, live._pinned(core, "receiver"):
-        spy_receive(region, cfg, live._now_ns())
+        receive(region, cfg, live._now_ns())
     assert len(readers) == 2 and threading.main_thread() not in readers
     assert readers <= alive[0]  # both started before slot 0's first read
     assert masks == [{core}] * 16
@@ -803,18 +868,18 @@ def test_sender_empty_payload(region_file):
         assert trojan_send(region, small_cfg(), [], live._now_ns()) == []
 
 
-def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch):
-    # both endpoints refuse it before the first wait, and the receiver
-    # before it checks its pin, so no slot evicts, touches or probes a pair
+def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch, one_core):
+    # both endpoints refuse it before the first wait, so no slot evicts,
+    # touches or probes a pair
     monkeypatch.setattr(live, "_wait_until_ns", lambda *a: pytest.fail("waited"))
     monkeypatch.setattr(live, "evict_pair", lambda *a: pytest.fail("evicted"))
     monkeypatch.setattr(live, "_probe_pair", lambda *a: pytest.fail("probed"))
     cfg = small_cfg()
-    with open_region(region_file, cfg) as region:
+    with checked(open_region(region_file, cfg)) as region:
         with pytest.raises(ConfigError, match="only bits, got 2"):
             trojan_send(region, cfg, [0, 1, 2], live._now_ns())
         with pytest.raises(ConfigError, match="only bits, got 2"):
-            spy_receive(region, cfg, live._now_ns(), expected=[0, 2, 0])
+            receive(region, cfg, live._now_ns(), expected=[0, 2, 0])
 
 
 def test_open_region_refuses_a_host_without_posix_fadvise(monkeypatch, region_file):
@@ -1147,8 +1212,7 @@ def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp
 
 
 def test_the_sender_gets_the_epoch_before_the_receiver(monkeypatch, tmp_path):
-    # woken first, the receiver starts its workers, and on a core it shares
-    # with the parent would hold off the send to the sender until they run
+    # the sender's deadline comes first in every slot, slot 0's included
     names, sent = {}, []
     real_collect = live._collect
     real_send = multiprocessing.connection.Connection.send
@@ -1246,7 +1310,7 @@ def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_pa
         (tmp_path / "sender-epoch").write_text(repr(epoch_ns))
         return []
 
-    def fake_receive(region, cfg, epoch_ns, expected=None, **kwargs):
+    def fake_receive(region, accessors, cfg, epoch_ns, expected=None):
         (tmp_path / "receiver-epoch").write_text(repr(epoch_ns))
         return run_channel_sim(cfg, SimParams(), expected)
 
@@ -1266,8 +1330,8 @@ def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_pa
 def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
     monkeypatch, tmp_path
 ):
-    # the entry pins before it reports ready; after the epoch the receiver
-    # has only its workers to start and its slots to run, and the one
+    # the entry pins and starts its workers before it reports ready; after
+    # the epoch the receiver has only its slots to run, and the one
     # affinity call left is the entry's restore on the way out
     events = []
     real_set = os.sched_setaffinity
@@ -1293,6 +1357,92 @@ def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
         report = live._receiver_entry(region, TINY, payload, core, Parent())
     assert report.payload_bits == TINY.payload_bits
     assert events == [("set", {core}), ("ready", None), "epoch", ("set", original)]
+
+
+class EntryParent:
+    """The parent's end of a receiver child's pipe, for a _receiver_entry
+    run in this process: it records, when the entry reports ready, each
+    thread started since it was made, whether it runs and on which cores,
+    then hands the epoch over, or raises EOFError as a parent that died
+    before sending one would."""
+
+    def __init__(self, epoch_comes: bool = True) -> None:
+        self.before = set(threading.enumerate())
+        self.epoch_comes = epoch_comes
+        self.at_ready = []
+
+    def send(self, message):
+        started = set(threading.enumerate()) - self.before
+        self.at_ready.append(
+            (message, [(t.is_alive(), os.sched_getaffinity(t.native_id)) for t in started])
+        )
+
+    def recv(self):
+        if not self.epoch_comes:
+            raise EOFError
+        return live._now_ns()
+
+
+def test_the_receiver_entry_has_both_workers_running_when_it_reports_ready(tmp_path):
+    # the first thread start in a fresh fork is the slowest step of a
+    # receiver's set-up; made before ready, it stays out of the lead
+    path = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    core = live_cpus()[0]
+    payload = random_payload(0, TINY.payload_bits)
+    parent = EntryParent()
+    with checked(open_region(path, TINY)) as region:
+        report = live._receiver_entry(region, TINY, payload, core, parent)
+    assert report.payload_bits == TINY.payload_bits
+    assert parent.at_ready == [(("ready", None), [(True, {core}), (True, {core})])]
+    assert set(threading.enumerate()) == parent.before
+
+
+def test_an_epoch_that_never_comes_leaves_no_worker_running(tmp_path, monkeypatch):
+    # the parent died after the receiver reported ready: its workers were
+    # running, and the entry's way out joins both
+    monkeypatch.setattr(live, "spy_receive", lambda *a, **kw: pytest.fail("received"))
+    path = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    payload = random_payload(0, TINY.payload_bits)
+    parent = EntryParent(epoch_comes=False)
+    with checked(open_region(path, TINY)) as region:
+        with pytest.raises(EOFError):
+            live._receiver_entry(region, TINY, payload, live_cpus()[0], parent)
+    (message, started), = parent.at_ready
+    assert message == ("ready", None) and [alive for alive, _ in started] == [True, True]
+    assert set(threading.enumerate()) == parent.before
+
+
+def test_spy_receive_starts_no_thread(region_file, monkeypatch, one_core):
+    # its caller started the workers before the epoch; the receive itself
+    # only waits, probes on them and decodes
+    cfg = small_cfg(payload_bits=3, sync_period_ns=1_000_000)
+    with checked(open_region(region_file, cfg)) as region:
+        with live._accessors(region) as accessors:
+            running = threading.enumerate()
+            monkeypatch.setattr(
+                threading.Thread, "start", lambda self: pytest.fail("thread started")
+            )
+            report = spy_receive(region, accessors, cfg, live._now_ns())
+            assert threading.enumerate() == running
+    assert report.payload_bits == 3
+
+
+def test_the_workers_refuse_an_unmarked_region_and_a_two_core_thread_before_starting(
+    region_file, monkeypatch, three_cores
+):
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: pytest.fail("worker started")
+    )
+    with open_region(region_file, small_cfg()) as region:
+        os.sched_setaffinity(0, {1})
+        with pytest.raises(SetupError, match=r"has not passed check_host\(region\)"):
+            with live._accessors(region):
+                pass
+        checked(region)
+        os.sched_setaffinity(0, {1, 2})
+        with pytest.raises(SetupError, match=r"cores \[1, 2\]; its caller must pin"):
+            with live._accessors(region):
+                pass
 
 
 def _wait_for(condition, timeout_s=5.0):
