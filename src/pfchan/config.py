@@ -73,4 +73,4 @@ class ChannelConfig:
     @property
     def slots_per_wrap(self) -> int:
         """Slots before the schedule revisits the start of the region."""
-        return max(1, self.region_pages // self.page_gap)
+        return self.region_pages // self.page_gap

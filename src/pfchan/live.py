@@ -40,9 +40,9 @@ receiver starts its two workers inside that pin, so once the epoch is fixed
 each has only its first wait left.
 
 Decoding uses only the order in which the two reads finished: each read
-reports its name, t1 for the read of p1 and t2 for that of p2, once its
-page is in, and the last name reported decides the bit. No clock is read
-anywhere on the decode path.
+reports the order it stands for, T1_LAST for the read of p1 and T2_LAST
+for that of p2, once its page is in, and the last one reported decides the
+bit. No clock is read anywhere on the decode path.
 """
 from __future__ import annotations
 
@@ -133,27 +133,26 @@ class SharedRegion:
     """A file mapped copy-on-write and only ever read.
 
     The mapping is never written, so every page stays backed by the page
-    cache and remains evictable through fadvise on the backing file. A file
-    with a hole in the mapped length is refused: a read there takes no disk
-    fetch, so the channel would read noise. Only check_host sets
+    cache and remains evictable through fadvise on the backing file, which
+    must open and pass _judge_region_file. Only check_host sets
     host_checked, and only a checked region transmits.
     """
 
     def __init__(self, path: str, length: int) -> None:
         self.length = length
         self.host_checked = False
-        self._fd = os.open(path, os.O_RDONLY)
+        try:
+            self._fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            raise SetupError(f"cannot open backing file {path!r}: {exc.strerror}") from exc
         # a failure past this point releases whatever was set up, since
         # probe_capabilities catches set-up errors and keeps running
         try:
-            hole = _first_hole(self._fd)
-            if hole < length:
-                raise SetupError(
-                    f"backing file {path!r} has a hole at byte {hole}, where a "
-                    f"read takes no disk fetch; write the file out in full"
-                )
+            st, defect = _judge_region_file(self._fd, path, length)
+            if defect is not None:
+                raise SetupError(defect)
             # the kernel's rule for when mincore reports page-cache state
-            self._mincore_reports = os.fstat(self._fd).st_uid == os.geteuid() or (
+            self._mincore_reports = st.st_uid == os.geteuid() or (
                 os.access(path, os.W_OK, effective_ids=True)
             )
             # PROT_WRITE is needed only so ctypes can take the buffer's
@@ -208,7 +207,7 @@ class SharedRegion:
         against eviction for the rest of the process lifetime.
         """
         data = os.pread(self._fd, 1, self._offset(page))
-        if len(data) != 1:  # the file shrank after open_region checked its size
+        if len(data) != 1:  # the file shrank after it was judged
             raise RunAbort(f"short read at page {page}")
         return data[0]
 
@@ -265,12 +264,11 @@ class SharedRegion:
 
 
 def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
-    """Map cfg.region_size bytes of an existing readable file.
-
-    No page is touched here; first access happens inside a timed slot.
-    This is the backend's one platform gate: every page-sized eviction and
-    the readahead switch-off need posix_fadvise, and every page-sized call
-    needs the host's pages to be PAGE_SIZE bytes.
+    """Map cfg.region_size bytes of a file, which SharedRegion opens and
+    judges. No page is touched here; first access happens inside a timed
+    slot. The checks here are the backend's one platform gate: every
+    page-sized eviction and the readahead switch-off need posix_fadvise,
+    and every page-sized call needs the host's pages to be PAGE_SIZE bytes.
     """
     if not hasattr(os, "posix_fadvise"):
         raise SetupError(
@@ -282,52 +280,54 @@ def open_region(path: str, cfg: ChannelConfig) -> SharedRegion:
             f"the live backend moves {PAGE_SIZE}-byte pages, but this host's "
             f"pages are {PAGESIZE} bytes"
         )
-    if not os.path.exists(path):
-        raise SetupError(
-            f"backing file {path!r} does not exist; create one at least "
-            f"{cfg.region_size} bytes long with 'pfchan send --create-region' "
-            f"or create_backing_file()"
-        )
-    if not os.access(path, os.R_OK):
-        raise SetupError(f"backing file {path!r} is not readable by this process")
-    size = os.path.getsize(path)
-    if size < cfg.region_size:
-        raise SetupError(
-            f"backing file {path!r} holds {size} bytes but the region needs "
-            f"{cfg.region_size}; grow the file or shrink region_size"
-        )
     return SharedRegion(path, cfg.region_size)
 
 
-def _first_hole(fd: int) -> int:
-    """Byte offset of the file's first hole, or its size when it has none.
-    A sparse or fallocated file reads its holes and unwritten extents as
-    zeroes without a disk fetch."""
-    return os.lseek(fd, 0, os.SEEK_HOLE)
+def _judge_region_file(fd: int, path: str, size: int) -> tuple[os.stat_result, str | None]:
+    """The stat of the file open on fd, and why it cannot back size bytes
+    of a region, or None. Any kind of file but a regular one, which no
+    write mends, raises SetupError instead. Callers open with O_NONBLOCK,
+    so a FIFO opens at once, to be refused; a regular file ignores it."""
+    import stat  # loaded at interpreter start
+
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        raise SetupError(f"backing file {path!r} is not a regular file")
+    if st.st_size < size:
+        return st, (
+            f"backing file {path!r} holds {st.st_size} bytes but the region "
+            f"needs {size}; grow the file or shrink region_size"
+        )
+    if (hole := os.lseek(fd, 0, os.SEEK_HOLE)) < size:
+        return st, (
+            f"backing file {path!r} has a hole at byte {hole}, where a read "
+            f"takes no disk fetch; write the file out in full"
+        )
+    return st, None
 
 
 def create_backing_file(path: str, size: int) -> str:
     """Write a patterned file of the given size for use as a shared region,
-    unless the file is already at least that long with no hole in its first
-    size bytes.
+    unless the path holds a regular file that _judge_region_file passes.
 
-    Blocks are written explicitly so the file is not sparse; reads from
-    holes would never hit the disk and the channel would starve. A file
-    that is too short or has such a hole is written over. The write-time
-    cache state is left for open_region, which flushes it.
+    The file is written block by block, never sparse, over a regular file
+    too short or with a hole; any other existing path, or one this process
+    cannot read, is refused unwritten. open_region flushes the write's cache.
     """
     if size <= 0:
         raise ConfigError(f"size must be positive, got {size}")
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except FileNotFoundError:
+        pass  # the write below creates it, or says why it cannot
+    except OSError as exc:
+        raise SetupError(f"cannot open backing file {path!r}: {exc.strerror}") from exc
+    else:
         try:
-            whole = os.fstat(fd).st_size >= size and _first_hole(fd) >= size
+            if _judge_region_file(fd, path, size)[1] is None:
+                return path
         finally:
             os.close(fd)
-    except OSError:
-        whole = False  # absent or unreadable: the write creates it or says why
-    if whole:
-        return path
     block = bytes(range(256)) * 4096  # 1 MiB
     try:
         with open(path, "wb") as fh:
@@ -550,16 +550,16 @@ def trojan_send(
 
 
 def _accessor(region: SharedRegion, reads: SimpleQueue, done: SimpleQueue) -> None:
-    """One accessor worker on region: for each (name, page) read taken from
-    reads, touch the page, then put the name on done, or the exception the
+    """One accessor worker on region: for each (order, page) read taken from
+    reads, touch the page, then put the order on done, or the exception the
     read raised. A None ends the worker. Nothing here reads a clock."""
     while (read := reads.get()) is not None:
-        name, page = read
+        order, page = read
         try:
             region.read_byte(page)
         except BaseException as exc:  # unreported, it would hang the receiver
-            name = exc
-        done.put(name)
+            order = exc
+        done.put(order)
 
 
 @contextmanager
@@ -595,17 +595,17 @@ def _accessors(region: SharedRegion):
 
 def _probe_pair(accessors, pair: PagePair) -> ObservedOrder:
     """Read both pages on the two workers and observe completion order:
-    either worker may take either read, and each reports the read's name
-    once its page is in, so the last name marks the page that came from
-    disk. Nothing here reads a clock."""
+    either worker may take either read, and each reports the order its read
+    stands for, T1_LAST for p1 and T2_LAST for p2, once its page is in: the
+    last report names the page that came from disk. Nothing reads a clock."""
     reads, done = accessors
-    reads.put(("t1", pair.p1))
-    reads.put(("t2", pair.p2))
+    reads.put((ObservedOrder.T1_LAST, pair.p1))
+    reads.put((ObservedOrder.T2_LAST, pair.p2))
     finished = (done.get(), done.get())
-    for name in finished:
-        if isinstance(name, BaseException):
-            raise RunAbort(f"accessor read failed in slot {pair.slot}") from name
-    return ObservedOrder.T1_LAST if finished[-1] == "t1" else ObservedOrder.T2_LAST
+    for order in finished:
+        if isinstance(order, BaseException):
+            raise RunAbort(f"accessor read failed in slot {pair.slot}") from order
+    return finished[-1]
 
 
 def spy_receive(
@@ -621,7 +621,7 @@ def spy_receive(
     accessors are the running workers of the caller's _accessors(region),
     opened inside its one-core pin before the epoch, so a receive starts
     no thread and has only its first wait left. Per slot each worker reads
-    one page of the pair and reports its name; the last name decides the
+    one page of the pair and reports its order; the last decides the
     bit, and a read that raised aborts naming its slot. Without the
     expected payload the report's sent and ber are None. Bandwidth counts
     whole slots, as on the simulator, unless the receiver fell behind them.

@@ -26,6 +26,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
+from queue import SimpleQueue
 from types import SimpleNamespace
 from unittest.mock import Mock
 
@@ -150,11 +151,94 @@ def test_open_region_missing_file(tmp_path):
         open_region(str(tmp_path / "absent.bin"), small_cfg())
 
 
+def refuse_to_open(monkeypatch, refused: str) -> None:
+    """os.open raises PermissionError on the refused path, as it does for a
+    file this process may not read; root reads any file, so only a stand-in
+    shows the refusal."""
+    real_open = os.open
+
+    def fake_open(path, flags, *args, **kwargs):
+        if path == refused:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", fake_open)
+
+
 def test_open_region_unreadable_file(region_file, monkeypatch):
-    # root reads any file, so the refusal is driven through os.access
-    monkeypatch.setattr(os, "access", lambda path, mode, **kw: mode != os.R_OK)
-    with pytest.raises(SetupError, match="not readable by this process"):
+    refuse_to_open(monkeypatch, region_file)
+    with pytest.raises(SetupError) as raised:
         open_region(region_file, small_cfg())
+    assert str(raised.value) == f"cannot open backing file {region_file!r}: Permission denied"
+
+
+def test_create_backing_file_leaves_a_file_it_cannot_read_unwritten(region_file, monkeypatch):
+    # such a file was once written over, though open_region could never read
+    # it back; a FIFO or device this process can write but not read was
+    # opened for writing the same way
+    refuse_to_open(monkeypatch, region_file)
+    monkeypatch.setattr(live, "open", lambda *a: pytest.fail("written"), raising=False)
+    with pytest.raises(SetupError, match="Permission denied"):
+        create_backing_file(region_file, 128 * PAGE_SIZE)
+
+
+@pytest.mark.parametrize("call", ["create_backing_file", "open_region", "sweep"])
+def test_a_fifo_region_file_is_refused_without_waiting_for_a_writer(tmp_path, call):
+    # create_backing_file once opened a FIFO for reading and waited for a
+    # writer, which hung send --create-region and every live sweep; a child
+    # makes each call, so a hang fails this test by its timeout instead of
+    # wedging the run
+    fifo = str(tmp_path / "r.bin")
+    os.mkfifo(fifo)
+    statement = {
+        "create_backing_file": "live.create_backing_file(fifo, 65536)",
+        "open_region": "live.open_region(fifo, ChannelConfig(region_size=65536, page_gap=8))",
+        "sweep": "sys.exit(main(['sweep', '--variable', 'bit_rate', '--values', '100', "
+        "'--payload-bits', '8', '--region-file', fifo]))",
+    }[call]
+    src = str(Path(live.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        from pfchan import live
+        from pfchan.cli import main
+        from pfchan.config import ChannelConfig
+        from pfchan.errors import SetupError
+        fifo = {fifo!r}
+        try:
+            {statement}
+        except SetupError as exc:
+            print(f"setup error: {{exc}}", file=sys.stderr)
+            sys.exit(2)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=20
+    )
+    message = f"setup error: backing file {fifo!r} is not a regular file\n"
+    assert (result.returncode, result.stderr) == (2, message)
+
+
+@pytest.mark.parametrize("kind", ["device", "directory"])
+def test_a_device_or_a_directory_is_refused_before_anything_writes_it(
+    tmp_path, monkeypatch, capsys, kind
+):
+    # /dev/null was once opened "wb" and written 64 KiB before fsync failed
+    # with a misleading "Invalid argument"; a directory read "holds N bytes"
+    # or, past the region's length, "cannot map backing file ...: No such
+    # device"
+    path = "/dev/null" if kind == "device" else str(tmp_path)
+    monkeypatch.setattr(live, "open", lambda *a: pytest.fail("written"), raising=False)
+    message = f"backing file {path!r} is not a regular file"
+    with pytest.raises(SetupError) as raised:
+        create_backing_file(path, 16 * PAGE_SIZE)
+    assert str(raised.value) == message
+    with pytest.raises(SetupError) as raised:
+        open_region(path, small_cfg())
+    assert str(raised.value) == message
+    argv = ["--region-file", path, "--region-size", "65536", "--page-gap", "8"]
+    for command in (["send", "--create-region"], ["receive"]):
+        assert main([*command, *argv, "--epoch", "+1", "--bits", "01"]) == 2
+        assert capsys.readouterr().err == f"setup error: {message}\n"
 
 
 def test_open_region_too_small(tmp_path, region_file):
@@ -446,6 +530,33 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(
             order = live._probe_pair(accessors, PagePair(p1=4, p2=8, slot=8))
             assert order in (ObservedOrder.T1_LAST, ObservedOrder.T2_LAST)
     assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("late, order", [(4, ObservedOrder.T1_LAST), (8, ObservedOrder.T2_LAST)])
+def test_the_read_reported_last_is_the_order_observed(
+    region_file, monkeypatch, one_core, late, order
+):
+    # each read reports the ObservedOrder it stands for, and the probe
+    # returns the last report as it is; the late page's read waits until
+    # the other read has reported
+    reported = threading.Event()
+
+    class Done(SimpleQueue):
+        def put(self, item):
+            super().put(item)
+            if isinstance(item, ObservedOrder):
+                reported.set()
+
+    def read_byte(self, page):
+        if page == late:
+            assert reported.wait(timeout=10)
+        return 0
+
+    monkeypatch.setattr(live, "SimpleQueue", Done)
+    monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    with checked(open_region(region_file, small_cfg())) as region:
+        with live._accessors(region) as accessors:
+            assert live._probe_pair(accessors, PagePair(p1=4, p2=8, slot=0)) is order
 
 
 def test_decode_path_reads_no_clock():
