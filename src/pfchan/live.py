@@ -52,7 +52,7 @@ import os
 import resource
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, PROT_WRITE
 from mmap import mmap as _mmap
@@ -651,13 +651,13 @@ def spy_receive(
 
 
 # -- forked sender/receiver pair ---------------------------------------------
-# Entry points are module level so forked children can run them directly.
-# Each child talks to the parent over its own pipe: ("ready", None) once its
-# core is pinned, and for the receiver its two workers started, then
-# ("result", value) when it is done, or ("error", text)
-# from whatever step failed. The parent answers "ready" with the epoch. A
-# child that exits closes its end, so the parent sees the exit at once as
-# end of file on the pipe.
+# Each child is a bare os.fork that runs _child_main to its os._exit. It
+# talks to the parent over its own pipe: ("ready", None) once its core is
+# pinned, and for the receiver its two workers started, then ("result",
+# value) when it is done, or ("error", text) from whatever step failed. The
+# parent answers "ready" with the epoch. A child that exits closes its end,
+# so the parent sees the exit at once as end of file on the pipe, and _reap
+# waits on its pidfd.
 
 
 def _ready(conn) -> int:
@@ -681,23 +681,47 @@ def _receiver_entry(region, cfg, payload, cpu, conn):
 
 def _child_main(entry, conn, parent_ends, *args) -> None:
     """Run one endpoint in a forked child and send its result, or the text
-    of the exception that stopped it before the child exits non-zero.
+    of the exception that stopped it, then exit 0, or 1 after its traceback.
 
     The fork copies the parent's ends of every pipe made so far. Closing
     them first leaves the parent their only holder, so a parent that dies
     shows here as end of file instead of a wait for an epoch that never
-    comes."""
-    for parent_end in parent_ends:
-        parent_end.close()
+    comes. As multiprocessing's children do, the exit waits for every
+    non-daemon thread, one that ends the process itself included, and runs
+    no atexit handler."""
+    from multiprocessing.util import _flush_std_streams
+
+    code = 1
     try:
-        result = entry(*args, conn)
-    except BaseException as exc:
         try:
-            conn.send(("error", repr(exc)))
-        except OSError:
-            pass
-        raise
-    conn.send(("result", result))
+            for parent_end in parent_ends:
+                parent_end.close()
+            conn.send(("result", entry(*args, conn)))
+            code = 0
+        except BaseException as exc:
+            with suppress(OSError):
+                conn.send(("error", repr(exc)))
+            import traceback
+            traceback.print_exc()
+        threading._shutdown()
+        _flush_std_streams()
+    finally:
+        os._exit(code)
+
+
+_REAP_S = 10.0  # the longest wait for a child to exit before it is killed
+
+
+def _reap(pidfd: int, deadline: float) -> int:
+    """The exit code of the child open on pidfd, negative for a signal, once
+    reaped; killed if it runs past deadline or _REAP_S, whichever is first."""
+    import signal  # loaded with multiprocessing.connection
+    from multiprocessing.connection import wait
+
+    if not wait([pidfd], min(deadline - time.monotonic(), _REAP_S)):
+        signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+    info = os.waitid(os.P_PIDFD, pidfd, os.WEXITED)
+    return info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
 
 
 def _collect(children, kind: str, deadline: float) -> dict[str, object]:
@@ -705,7 +729,7 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
     sends an error, or closes its pipe by exiting, aborts the pair."""
     from multiprocessing.connection import wait
 
-    waiting = {conn: (name, proc) for name, proc, conn in children}
+    waiting = {conn: (name, pidfd) for name, pidfd, conn in children}
     got: dict[str, object] = {}
     while waiting:
         remaining = deadline - time.monotonic()
@@ -713,7 +737,7 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
             names = " and ".join(name for name, _ in waiting.values())
             raise RunAbort(f"live {names} sent no {kind} before the deadline")
         for conn in wait(list(waiting), timeout=remaining):
-            name, proc = waiting.pop(conn)
+            name, pidfd = waiting.pop(conn)
             try:
                 got_kind, value = conn.recv()
             except EOFError:
@@ -721,12 +745,12 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
             if got_kind == kind:
                 got[name] = value
                 continue
-            proc.join(timeout=10)
-            if proc.exitcode == 0:
+            code = _reap(pidfd, deadline)
+            if code == 0:
                 missing = "reporting ready" if kind == "ready" else "a report"
                 raise RunAbort(f"live {name} child exited without {missing}")
             detail = f": {value}" if got_kind == "error" else ""
-            raise RunAbort(f"live {name} child exited with code {proc.exitcode}{detail}")
+            raise RunAbort(f"live {name} child exited with code {code}{detail}")
     return got
 
 
@@ -741,8 +765,9 @@ def run_pair(
     that check, and slot 0 starts lead_ns after both have pinned their
     cores, the receiver has started its workers, and both have reported
     ready. A child that fails or exits early raises RunAbort, with its
-    error text when it sent one."""
-    import multiprocessing
+    error text when it sent one. Every child is reaped before this returns
+    or raises, killed first if it still runs after a failure or _reap's bound."""
+    from multiprocessing import connection, util
 
     if not payload:
         raise ConfigError("cannot send an empty payload: it holds no bits")
@@ -752,7 +777,6 @@ def run_pair(
             f"lead_ns must be >= 0, got {lead_ns}: a negative lead puts slot 0 "
             f"in the past, so every slot overruns"
         )
-    ctx = multiprocessing.get_context("fork")
     receiver_cpu, sender_cpu = live_cpus()
     budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     with open_region(region_file, cfg) as region:
@@ -764,17 +788,15 @@ def run_pair(
                 ("receiver", _receiver_entry, receiver_cpu),
                 ("sender", _sender_entry, sender_cpu),
             ):
-                conn, child_conn = ctx.Pipe()
+                conn, child_conn = connection.Pipe()
                 parent_ends = [c for _, _, c in children] + [conn]
-                proc = ctx.Process(
-                    target=_child_main,
-                    args=(entry, child_conn, parent_ends, region, cfg, payload, cpu),
-                )
-                proc.start()
+                util._flush_std_streams()  # or the child writes them out again
+                if (pid := os.fork()) == 0:
+                    _child_main(entry, child_conn, parent_ends, region, cfg, payload, cpu)
                 # only the child may hold its end, or its exit would not read
                 # as end of file here; closing before the next fork keeps it so
                 child_conn.close()
-                children.append((name, proc, conn))
+                children.append((name, os.pidfd_open(pid), conn))
             _collect(children, "ready", deadline)
             epoch = _now_ns() + lead_ns
             # the sender first: its deadline in every slot, slot 0's
@@ -785,15 +807,13 @@ def run_pair(
                 except OSError:
                     pass  # that child has exited; collecting its result says how
             report = _collect(children, "result", deadline)["receiver"]
-            for _, proc, _ in children:
-                proc.join(timeout=10)
+            for name, pidfd, _ in children:
+                if (code := _reap(pidfd, deadline)) != 0:
+                    raise RunAbort(f"live {name} child exited with code {code}")
         finally:
-            for _, proc, conn in children:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
+            for _, pidfd, conn in children:
+                with suppress(ChildProcessError):  # reaped already
+                    _reap(pidfd, 0.0)  # killed before its pipe closes under it
+                os.close(pidfd)
                 conn.close()
-    for name, proc, _ in children:
-        if proc.exitcode not in (None, 0):
-            raise RunAbort(f"live {name} child exited with code {proc.exitcode}")
     return report

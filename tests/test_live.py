@@ -13,7 +13,6 @@ import fcntl
 import inspect
 import multiprocessing
 import multiprocessing.connection
-import multiprocessing.process
 import os
 import resource
 import signal
@@ -1237,9 +1236,7 @@ def test_a_live_pair_refuses_a_payload_of_no_bits_before_it_probes_or_forks(
     # raised RunAbort with the receiver's ConfigError as its text
     monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
     monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
-    monkeypatch.setattr(
-        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
-    )
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(ConfigError, match=message):
         live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000)
 
@@ -1251,9 +1248,7 @@ def test_a_live_pair_refuses_a_negative_lead_before_it_opens_probes_or_forks(
     # still carry a plausible error rate and bandwidth
     monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
     monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
-    monkeypatch.setattr(
-        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
-    )
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     payload = random_payload(7, TINY.payload_bits)
     with pytest.raises(ConfigError, match="lead_ns must be >= 0, got -1000000000"):
         live.run_pair(TINY, payload, str(tmp_path / "r.bin"), -1_000_000_000)
@@ -1265,9 +1260,7 @@ def test_a_region_too_short_for_the_config_is_a_setup_error_before_any_fork(
     # the probe once mapped only two pages, passed, and both children then
     # failed to open the region: a set-up fault reported as a RunAbort
     monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
-    monkeypatch.setattr(
-        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
-    )
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     short = TINY.region_size - PAGE_SIZE
     region = create_backing_file(str(tmp_path / "r.bin"), short)
     payload = random_payload(7, TINY.payload_bits)
@@ -1283,9 +1276,7 @@ def test_a_region_that_cannot_be_mapped_is_a_setup_error_naming_the_file(
         raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
     monkeypatch.setattr(live, "_mmap", refuse)
-    monkeypatch.setattr(
-        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
-    )
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
     payload = random_payload(7, TINY.payload_bits)
     with pytest.raises(SetupError, match=f"cannot map backing file {region!r}"):
@@ -1376,6 +1367,112 @@ def test_live_cell_whose_receiver_fails_after_its_report_aborts(monkeypatch, tmp
     with pytest.raises(RunAbort, match="live receiver child exited with code 7$"):
         _run_tiny_cell(monkeypatch, tmp_path)
     assert time.monotonic() - start < 1
+
+
+def test_a_healthy_live_cell_forks_exactly_twice(monkeypatch, tmp_path):
+    # the no-fork guards above patch os.fork; they guard only while run_pair
+    # starts its endpoints through it, one fork each
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(live, "_sender_entry", healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", healthy_receiver)
+    _run_tiny_cell(monkeypatch, tmp_path)
+    assert forks == [os.getpid()] * 2
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _raising_sender(*args):
+    live._ready(args[-1])
+    raise SetupError("region vanished")
+
+
+def _receiver_exiting_7_after_its_report(*args):
+    def exit_7():
+        threading.main_thread().join()
+        os._exit(7)
+
+    threading.Thread(target=exit_7).start()
+    return healthy_receiver(*args)
+
+
+@pytest.mark.parametrize(
+    "sender, receiver, message",
+    [
+        (healthy_sender, healthy_receiver, None),
+        (_raising_sender, healthy_receiver, "sender child exited with code 1: SetupError"),
+        (
+            healthy_sender,
+            _receiver_exiting_7_after_its_report,
+            "receiver child exited with code 7$",
+        ),
+    ],
+    ids=["healthy", "sender-raises", "receiver-exits-7"],
+)
+def test_a_live_cell_leaves_no_child_unreaped(
+    monkeypatch, tmp_path, sender, receiver, message
+):
+    # run_pair reaps both of its forks before it returns or raises; a child
+    # left behind would stay a zombie for the life of a sweep
+    assert _no_child_left()
+    monkeypatch.setattr(live, "_sender_entry", sender)
+    monkeypatch.setattr(live, "_receiver_entry", receiver)
+    with pytest.raises(RunAbort, match=message) if message else nullcontext():
+        _run_tiny_cell(monkeypatch, tmp_path)
+    assert _no_child_left()
+
+
+def test_a_live_child_that_never_exits_is_killed_at_the_reap_bound(monkeypatch, tmp_path):
+    # the receiver reports, then a thread it left behind keeps it alive; the
+    # reap waits no longer than its bound, then kills the child and names it
+    def never_exiting(*args):
+        threading.Thread(target=threading.Event().wait).start()
+        return healthy_receiver(*args)
+
+    monkeypatch.setattr(live, "_REAP_S", 0.3)
+    monkeypatch.setattr(live, "_sender_entry", healthy_sender)
+    monkeypatch.setattr(live, "_receiver_entry", never_exiting)
+    start = time.monotonic()
+    with pytest.raises(RunAbort, match="live receiver child exited with code -9$"):
+        _run_tiny_cell(monkeypatch, tmp_path)
+    assert 0.3 <= time.monotonic() - start < 5
+    assert _no_child_left()
+
+
+def test_text_buffered_before_a_live_cell_is_written_once(tmp_path):
+    # a fork copies the parent's unwritten stdout buffer, and each child
+    # flushes its streams on exit; the parent flushes before each fork, so
+    # the text cannot come out three times. stdout is a pipe here, so it is
+    # block-buffered, as under a redirected sweep
+    here = Path(__file__).resolve().parent
+    src = str(Path(live.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path[:0] = [{src!r}, {str(here)!r}]
+        from conftest import READY, TINY, healthy_receiver, healthy_sender
+        from pfchan import live
+        live._probe_file = lambda *a, **k: READY
+        live._sender_entry, live._receiver_entry = healthy_sender, healthy_receiver
+        print("written before the cell")
+        region = live.create_backing_file({str(tmp_path / "r.bin")!r}, TINY.region_size)
+        live.run_pair(TINY, [0, 1] * 4, region, 10_000_000)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "written before the cell\n"), result.stderr
 
 
 def test_collect_past_its_deadline_names_every_silent_child():

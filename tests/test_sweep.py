@@ -1,7 +1,6 @@
 """Harness checks: reproducibility, grid mechanics, best-value choice."""
 from __future__ import annotations
 
-import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -311,9 +310,7 @@ def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
     # a failing check stops the cell before it starts any child
     broken = replace(READY, cache_advice_eviction=False)
     monkeypatch.setattr(pfchan.live, "_probe_file", lambda *a, **k: broken)
-    monkeypatch.setattr(
-        multiprocessing.process.BaseProcess, "start", lambda self: pytest.fail("forked")
-    )
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(SetupError, match="lacks required capabilities"):
         run_sweep(spec)
 
