@@ -90,9 +90,11 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
+def resolve_settings(args) -> tuple[ChannelConfig, dict]:
     """Settings from the config file, overridden by the flags the subcommand
-    has. A config file may hold every key, whichever subcommand reads it."""
+    has: the ChannelConfig, and the simulator's settings unchecked until a
+    command that simulates builds its SimParams from them. A config file may
+    hold every key, whichever subcommand reads it."""
     merged: dict = {}
     if args.config:
         merged.update(load_config_file(args.config))
@@ -102,7 +104,7 @@ def resolve_settings(args) -> tuple[ChannelConfig, SimParams]:
             merged[key] = cli_value
     channel_kwargs = {k: v for k, v in merged.items() if k in CHANNEL_KEYS}
     sim_kwargs = {k: v for k, v in merged.items() if k in SIM_KEYS}
-    return ChannelConfig(**channel_kwargs), SimParams(**sim_kwargs)
+    return ChannelConfig(**channel_kwargs), sim_kwargs
 
 
 def _parse_epoch(text: str) -> int:
@@ -209,7 +211,8 @@ def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
 # -- subcommand bodies ------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg, params = resolve_settings(args)
+    cfg, sim_kwargs = resolve_settings(args)
+    params = SimParams(**sim_kwargs)
     payload = _payload_from_args(args, cfg)
     _check_writable(args, "out", "trace")
     trace = [] if args.trace else None
@@ -264,9 +267,8 @@ def cmd_receive(args) -> int:
     _check_writable(args, "out")
     with live.open_region(args.region_file, cfg) as region:
         live.check_host(region)
-        cpu = live.live_cpus()[0] if args.cpu is None else args.cpu
-        with live._pinned(cpu, "receiver"), live._accessors(region) as accessors:
-            report = live.spy_receive(region, accessors, cfg, epoch, expected)
+        with live._accessors(region, args.cpu) as accessors:
+            report = live.spy_receive(accessors, cfg, epoch, expected)
     if expected is None:
         print(
             f"received {report.payload_bits} bits blind "
@@ -318,7 +320,8 @@ def cmd_sweep(args) -> int:
             if getattr(args, key) is not None:
                 flag = "--" + key.replace("_", "-")
                 raise ConfigError(f"{flag} is a simulator setting; this sweep is live")
-    cfg, params = resolve_settings(args)
+    cfg, sim_kwargs = resolve_settings(args)
+    params = SimParams(**sim_kwargs) if args.region_file is None else SimParams()
     if args.values is not None:
         values = _parse_values(args.values)
     else:

@@ -23,7 +23,8 @@ class ChannelConfig:
     """Parameters of one covert-channel deployment.
 
     Slot k probes pages k * page_gap and half a gap after it, so page_gap
-    must leave P2 room: at least 2. The receiver probes half a period into
+    must leave P2 room: at least 2, in a region of at least two pages. The
+    receiver probes half a period into
     each slot (guard_ns), so the period must be at least 2 ns.
     """
 
@@ -37,6 +38,11 @@ class ChannelConfig:
             raise ConfigError(
                 f"region_size must be a positive multiple of the page size "
                 f"({PAGE_SIZE}), got {self.region_size}"
+            )
+        if self.region_size < 2 * PAGE_SIZE:
+            raise ConfigError(
+                f"region_size must be at least {2 * PAGE_SIZE} bytes, two pages "
+                f"for a page pair, got {self.region_size}"
             )
         pages = self.region_size // PAGE_SIZE
         if not (2 <= self.page_gap <= pages):

@@ -23,21 +23,22 @@ back to a page, nobody maps it and the advice works again. Kernel
 readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
 touch of one page cannot drag its partner into the cache.
 
-The receiver's two accessors are two plain threads, started once per
-receive by its caller inside its one-core pin, which both inherit. They
-take reads from one queue, and each reads one byte of a page through libc
-memcpy. That detour matters: a ctypes call releases the interpreter lock
-for its duration, so a worker stuck in a hard fault lets its sibling run,
-which is the scheduling behavior the channel measures. A plain index into
-the mmap object would hold the lock across the fault and serialize them.
+The receiver's two accessors are plain threads that _accessors starts once
+per receive, pinned to one core. They take reads from one queue, and each
+reads one byte of a page through libc memcpy. That detour matters: a
+ctypes call releases the interpreter lock for its duration, so a worker
+stuck in a hard fault lets its sibling run, which is the scheduling
+behavior the channel measures. A plain index into the mmap object would
+hold the lock across the fault and serialize them.
 
-A live process opens its region once, then checks, pins and runs:
+A live process opens its region once, then checks, sets up and runs:
 check_host probes the caller's open region in place and marks it if the
-host is ready, and both endpoints refuse an unmarked region. run_pair
-opens and checks before it forks; its sender and receiver inherit the
-marked region and pin their cores before they report ready, and the
-receiver starts its two workers inside that pin, so once the epoch is fixed
-each has only its first wait left.
+host is ready, and both endpoints refuse an unmarked region. A receiver is
+set up by one call, _accessors(region, cpu), which pins it and starts both
+workers; spy_receive keeps only the schedule. run_pair opens and checks
+before it forks; its children inherit the marked region, and the sender
+pins its core and the receiver sets up before each reports ready, so once
+the epoch is fixed each has only its first wait left.
 
 Decoding uses only the order in which the two reads finished: each read
 reports the order it stands for, T1_LAST for the read of p1 and T2_LAST
@@ -563,53 +564,51 @@ def _accessor(region: SharedRegion, reads: SimpleQueue, done: SimpleQueue) -> No
 
 
 @contextmanager
-def _accessors(region: SharedRegion):
-    """The (reads, done) queues of two workers started here to read region,
-    inside the caller's one-core pin, which both inherit, so they contend
-    for that core. A region that has not passed check_host, or a thread
-    allowed more than one core, is a SetupError before any worker starts;
-    the caller checks the host, this only checks the mark. Leaving the
-    block ends and joins every running worker; one caught starting finds
-    only ends queued."""
+def _accessors(region: SharedRegion, cpu: int | None = None):
+    """Set up a receiver on region: pin the calling thread to core cpu, or
+    to live_cpus()[0] when cpu is None, and start two workers there, which
+    inherit the pin and contend for that core; yield their handle (region,
+    reads, done). An unmarked region is a SetupError before any pin or
+    start; the caller checks the host, this only checks the mark. Every way
+    out joins the workers, one caught starting too, then restores the pin."""
     if not region.host_checked:
         raise SetupError("this region has not passed check_host(region)")
-    if len(mask := os.sched_getaffinity(0)) > 1:
-        raise SetupError(
-            f"the receiver may run on cores {sorted(mask)}; its caller must "
-            f"pin it to one core, which both accessor workers share"
-        )
     reads, done = SimpleQueue(), SimpleQueue()
     args = (region, reads, done)
     workers = [threading.Thread(target=_accessor, args=args) for _ in range(2)]
-    try:
-        for worker in workers:
-            worker.start()
-        yield reads, done
-    finally:
-        for worker in workers:
-            reads.put(None)
-        for worker in workers:
-            if worker.is_alive():
-                worker.join()
+    with _pinned(live_cpus()[0] if cpu is None else cpu, "receiver"):
+        try:
+            for worker in workers:
+                worker.start()
+            yield args
+        finally:
+            for worker in workers:
+                reads.put(None)
+            for worker in workers:
+                if worker.is_alive():
+                    worker.join()
 
 
 def _probe_pair(accessors, pair: PagePair) -> ObservedOrder:
-    """Read both pages on the two workers and observe completion order:
-    either worker may take either read, and each reports the order its read
-    stands for, T1_LAST for p1 and T2_LAST for p2, once its page is in: the
-    last report names the page that came from disk. Nothing reads a clock."""
-    reads, done = accessors
+    """Read both pages on the workers and observe completion order: either
+    worker may take either read, and each reports the order its read stands
+    for, T1_LAST for p1 and T2_LAST for p2, once its page is in: the last
+    report names the page that came from disk. Once both reads succeed, p1's
+    then p2's page table entries are released, so a wrap finds the pair
+    evictable. Nothing reads a clock."""
+    region, reads, done = accessors
     reads.put((ObservedOrder.T1_LAST, pair.p1))
     reads.put((ObservedOrder.T2_LAST, pair.p2))
     finished = (done.get(), done.get())
     for order in finished:
         if isinstance(order, BaseException):
             raise RunAbort(f"accessor read failed in slot {pair.slot}") from order
+    region.drop_mapping(pair.p1)
+    region.drop_mapping(pair.p2)
     return finished[-1]
 
 
 def spy_receive(
-    region: SharedRegion,
     accessors,
     cfg: ChannelConfig,
     epoch_ns: int,
@@ -618,15 +617,14 @@ def spy_receive(
     """Receive one bit per slot, probing each slot at its guard deadline:
     len(expected) bits, or cfg.payload_bits without the expected payload.
 
-    accessors are the running workers of the caller's _accessors(region),
-    opened inside its one-core pin before the epoch, so a receive starts
-    no thread and has only its first wait left. Per slot each worker reads
-    one page of the pair and reports its order; the last decides the
-    bit, and a read that raised aborts naming its slot. Without the
-    expected payload the report's sent and ber are None. Bandwidth counts
-    whole slots, as on the simulator, unless the receiver fell behind them.
-    An expected payload that is empty, or holds anything but bits, is a
-    ConfigError before the first wait: there is nothing to report on.
+    accessors is the handle of the caller's _accessors, whose workers run
+    before the epoch, so a receive keeps only the schedule: per slot it
+    waits, probes and decodes the last read's order, and a read that raised
+    aborts naming its slot. Without the expected payload the report's sent
+    and ber are None. Bandwidth counts whole slots, as on the simulator,
+    unless the receiver fell behind them. An expected payload that is empty,
+    or holds anything but bits, is a ConfigError before the first wait:
+    there is nothing to report on.
     """
     if expected is not None:
         if not expected:
@@ -637,12 +635,7 @@ def spy_receive(
     for k in range(n_bits):
         pair = page_pair_for_slot(cfg, k)
         _wait_until_ns(slot_deadline(cfg, epoch_ns, k, "receiver"))
-        order = _probe_pair(accessors, pair)
-        # release our page table entries so the pair stays evictable
-        # when the schedule wraps back to it
-        region.drop_mapping(pair.p1)
-        region.drop_mapping(pair.p2)
-        decoded.append(decode_from_order(order))
+        decoded.append(decode_from_order(_probe_pair(accessors, pair)))
     end_ns = _now_ns()
 
     # the last probe comes half a slot before the channel's last slot ends
@@ -672,11 +665,11 @@ def _sender_entry(region, cfg, payload, cpu, conn):
 
 
 def _receiver_entry(region, cfg, payload, cpu, conn):
-    """Pin, start both workers inside the pin, then report ready: once the
-    epoch comes the receive has only its first wait left. Every way out, an
-    epoch that never comes included, joins both workers."""
-    with _pinned(cpu, "receiver"), _accessors(region) as accessors:
-        return spy_receive(region, accessors, cfg, _ready(conn), expected=payload)
+    """Set up the receiver, then report ready: once the epoch comes the
+    receive has only its first wait left. Every way out, an epoch that never
+    comes included, joins both workers and restores the affinity."""
+    with _accessors(region, cpu) as accessors:
+        return spy_receive(accessors, cfg, _ready(conn), expected=payload)
 
 
 def _child_main(entry, conn, parent_ends, *args) -> None:

@@ -7,6 +7,7 @@ import os
 import threading
 from contextlib import nullcontext
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 from conftest import READY
@@ -32,13 +33,14 @@ SMALL = ["--region-size", str(MIB), "--sync-period-ns", "10000000"]
 
 
 def fake_live_setup(monkeypatch) -> None:
-    """Stand in for the region, its host check and the receiver's workers:
-    send and receive open the region, here the stand-in's None, then check
-    it, here a check that passes, and receive starts its workers, here
-    none. The tests stand in for the endpoints, which would refuse it."""
-    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext())
+    """Stand in for the region and its host check: send and receive open
+    the region, here a stand-in that carries check_host's mark, then check
+    it, here a check that passes. receive's set-up pins and starts its two
+    workers for real; the tests stand in for the endpoints, so no worker
+    ever reads the stand-in."""
+    region = SimpleNamespace(host_checked=True)
+    monkeypatch.setattr(pfchan.live, "open_region", lambda *a: nullcontext(region))
     monkeypatch.setattr(pfchan.live, "check_host", lambda region: None)
-    monkeypatch.setattr(pfchan.live, "_accessors", lambda region: nullcontext())
 
 
 def run_cli(*argv) -> int:
@@ -248,6 +250,14 @@ def test_invalid_channel_geometry_exits_1(capsys):
     # a gap of 1 leaves P2 no room: a config error, not a crash
     assert run_cli("simulate", *SMALL, "--page-gap", "1") == 1
     assert "page_gap" in capsys.readouterr().err
+
+
+def test_a_region_of_one_page_exits_1_naming_region_size(capsys):
+    assert run_cli("simulate", "--bits", "01", "--region-size", "4096") == 1
+    assert capsys.readouterr().err == (
+        "error: region_size must be at least 8192 bytes, two pages for a page "
+        "pair, got 4096\n"
+    )
 
 
 def test_literal_bit_payload(capsys):
@@ -642,19 +652,36 @@ def test_a_system_call_that_fails_during_a_run_exits_3(
     assert capsys.readouterr().err == "aborted: [Errno 5] Input/output error\n"
 
 
-def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch):
+def test_send_reads_a_config_file_that_also_holds_sim_keys(tmp_path, monkeypatch, capsys):
+    # a live command reads no simulator setting, so one the simulator would
+    # refuse stops only simulate; it once stopped send, receive and a live
+    # sweep before any set-up
     cfg_file = tmp_path / "chan.cfg"
-    cfg_file.write_text("page_gap = 32\ndisk_latency = 5\n")
-    configs = []
+    cfg_file.write_text("page_gap = 32\ndisk_latency = 5\nmem_latency = 0\n")
+    gaps = []
+    report = TransmissionReport.build([0, 1], [0, 1], 1)
+
+    def ran(cfg, result):
+        gaps.append(cfg.page_gap)
+        return result
+
     fake_live_setup(monkeypatch)
-    monkeypatch.setattr(
-        pfchan.live, "trojan_send", lambda region, cfg, *a, **kw: configs.append(cfg) or []
-    )
-    assert run_cli(
-        "send", "--config", str(cfg_file), "--region-file", "unused",
-        "--epoch", "+0", "--bits", "01",
-    ) == 0
-    assert [cfg.page_gap for cfg in configs] == [32]
+    monkeypatch.setattr(pfchan.live, "trojan_send", lambda region, cfg, *a: ran(cfg, []))
+    monkeypatch.setattr(pfchan.live, "spy_receive", lambda acc, cfg, *a: ran(cfg, report))
+    monkeypatch.setattr(pfchan.live, "run_pair", lambda cfg, *a: ran(cfg, report))
+    monkeypatch.setattr(pfchan.live, "create_backing_file", lambda *a: None)
+    region = ["--region-file", "unused", "--config", str(cfg_file)]
+    endpoint = [*region, "--epoch", "+0", "--bits", "01"]
+    for argv in (
+        ["send", *endpoint],
+        ["receive", *endpoint],
+        ["sweep", "--variable", "payload_bits", "--values", "2", *region],
+    ):
+        assert run_cli(*argv) == 0
+    assert gaps == [32, 32, 32]
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", str(cfg_file), "--bits", "01") == 1
+    assert capsys.readouterr().err == "error: mem_latency must be at least 1, got 0\n"
 
 
 def test_send_without_region_file_exits_2(tmp_path, capsys):

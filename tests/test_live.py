@@ -74,18 +74,11 @@ def region_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def one_core():
-    """The test's thread pinned to one core, as the receiver's caller must be."""
-    with live._pinned(live_cpus()[0], "test"):
-        yield
-
-
 def receive(region, cfg, epoch_ns, expected=None):
-    """spy_receive on the workers of _accessors(region), opened here as
-    every receiver's caller opens them, before the receive."""
+    """spy_receive on the workers of _accessors(region), set up here as
+    every receiver's caller sets them up, before the receive."""
     with live._accessors(region) as accessors:
-        return spy_receive(region, accessors, cfg, epoch_ns, expected=expected)
+        return spy_receive(accessors, cfg, epoch_ns, expected=expected)
 
 
 def test_create_backing_file_size_and_pattern(tmp_path):
@@ -506,7 +499,7 @@ def test_capabilities_state_two_observed_flags_and_need_each():
 
 @pytest.mark.parametrize("failing", ["t1", "t2"])
 def test_a_dead_accessor_aborts_the_probe_naming_its_slot(
-    region_file, monkeypatch, one_core, failing
+    region_file, monkeypatch, failing
 ):
     # a read that never finishes leaves no order to decode; its worker
     # reports the error in its place, so the probe returns either way
@@ -533,7 +526,7 @@ def test_a_dead_accessor_aborts_the_probe_naming_its_slot(
 
 @pytest.mark.parametrize("late, order", [(4, ObservedOrder.T1_LAST), (8, ObservedOrder.T2_LAST)])
 def test_the_read_reported_last_is_the_order_observed(
-    region_file, monkeypatch, one_core, late, order
+    region_file, monkeypatch, late, order
 ):
     # each read reports the ObservedOrder it stands for, and the probe
     # returns the last report as it is; the late page's read waits until
@@ -586,10 +579,10 @@ def test_importing_the_live_backend_loads_no_executor_or_logging(tmp_path):
         )
         live._probe_file = lambda region: live.BackendCapabilities(True, True)
         path = live.create_backing_file({str(tmp_path / "r.bin")!r}, cfg.region_size)
-        with live.open_region(path, cfg) as region, live._pinned(live.live_cpus()[0], "t"):
+        with live.open_region(path, cfg) as region:
             live.check_host(region)
             with live._accessors(region) as accessors:
-                report = live.spy_receive(region, accessors, cfg, live._now_ns())
+                report = live.spy_receive(accessors, cfg, live._now_ns())
         assert report.payload_bits == 2
         {loaded}
     """)
@@ -694,7 +687,7 @@ def test_send_requires_capabilities(tmp_path, region_file, monkeypatch):
     )
 
 
-def test_receive_requires_capabilities(tmp_path, region_file, monkeypatch, one_core):
+def test_receive_requires_capabilities(tmp_path, region_file, monkeypatch):
     refuses_an_unchecked_region(
         tmp_path, region_file, monkeypatch,
         lambda region, cfg: receive(region, cfg, live._now_ns(), expected=[1, 0]),
@@ -702,7 +695,7 @@ def test_receive_requires_capabilities(tmp_path, region_file, monkeypatch, one_c
 
 
 def test_both_endpoints_run_on_a_region_check_host_passed_and_never_probe(
-    region_file, monkeypatch, one_core
+    region_file, monkeypatch
 ):
     probe = Mock(return_value=READY)
     monkeypatch.setattr(live, "_probe_file", probe)
@@ -740,9 +733,10 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     real_endpoint = getattr(live, endpoint)
     ran_on = []
 
-    def recording(region, *args, **kwargs):
-        ran_on.append(region)
-        return real_endpoint(region, *args, **kwargs)
+    def recording(first, *args, **kwargs):
+        # the receive's first argument is its set-up's (region, reads, done)
+        ran_on.append(first if command == "send" else first[0])
+        return real_endpoint(first, *args, **kwargs)
 
     monkeypatch.setattr(live, endpoint, recording)
     assert main([
@@ -756,7 +750,7 @@ def test_send_and_receive_probe_once_and_hand_the_result_on(
     probe.assert_called_once_with(opened[0])
 
 
-def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch, one_core):
+def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch):
     # a report over no bits would claim an error rate it never measured; the
     # receive refuses it with the other input checks, before any slot waits
     # or probes
@@ -767,7 +761,7 @@ def test_receive_zero_bits_is_a_config_error(region_file, monkeypatch, one_core)
             receive(region, small_cfg(), live._now_ns(), expected=[])
 
 
-def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
+def test_blind_receive_reports_no_ber(region_file, monkeypatch):
     orders = iter([ObservedOrder.T1_LAST, ObservedOrder.T2_LAST, ObservedOrder.AMBIGUOUS])
     monkeypatch.setattr(live, "_probe_pair", lambda accessors, pair: next(orders))
     cfg = small_cfg(payload_bits=3)  # a blind receive is as long as the payload
@@ -782,7 +776,7 @@ def test_blind_receive_reports_no_ber(region_file, monkeypatch, one_core):
 
 @pytest.mark.parametrize("late_periods", [0, 3], ids=["on-time", "behind"])
 def test_the_receiver_carries_whole_slots_unless_it_falls_behind_them(
-    region_file, monkeypatch, fake_clock, one_core, late_periods
+    region_file, monkeypatch, fake_clock, late_periods
 ):
     # on time, the last probe ends half a slot before the channel does and the
     # bandwidth is exactly nominal; a receiver whose last probe ends past the
@@ -847,28 +841,6 @@ def test_failed_eviction_advice_ends_the_transmission(region_file, monkeypatch):
     assert loaded == []
 
 
-def test_a_receiver_allowed_two_cores_is_refused(region_file, monkeypatch, three_cores):
-    # the caller pins; a receive whose workers could spread over two cores
-    # would report a BER of a channel it never ran, so it starts none
-    seen = []
-
-    def probe(accessors, pair):
-        seen.append(os.sched_getaffinity(0))
-        return ObservedOrder.T1_LAST
-
-    monkeypatch.setattr(live, "_probe_pair", probe)
-    cfg = small_cfg(payload_bits=2)
-    os.sched_setaffinity(0, {1, 2})
-    before = threading.enumerate()
-    with checked(open_region(region_file, cfg)) as region:
-        with pytest.raises(SetupError, match=r"cores \[1, 2\]; its caller must pin"):
-            receive(region, cfg, live._now_ns())
-        assert threading.enumerate() == before and seen == []
-        os.sched_setaffinity(0, {1})
-        receive(region, cfg, live._now_ns())
-    assert seen == [{1}, {1}]
-
-
 @pytest.fixture
 def sigint_raises():
     """SIGINT raises KeyboardInterrupt in the main thread, as in a terminal,
@@ -888,7 +860,7 @@ def sigint_raises():
     ],
 )
 def test_no_accessor_worker_outlives_a_receive(
-    region_file, monkeypatch, sigint_raises, one_core, ending, raised
+    region_file, monkeypatch, sigint_raises, ending, raised
 ):
     # the workers are joined on every way out of the receive,
     # including an interrupt that lands between two slots and one that
@@ -924,7 +896,7 @@ def test_no_accessor_worker_outlives_a_receive(
 
 
 def test_an_interrupt_in_a_workers_start_leaves_no_worker_running(
-    region_file, monkeypatch, one_core
+    region_file, monkeypatch
 ):
     # an interrupt can land in Thread.start once the thread exists, before
     # the receive knows it started; that worker too must end, and read
@@ -951,9 +923,13 @@ def test_an_interrupt_in_a_workers_start_leaves_no_worker_running(
     assert reads == []
 
 
-def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatch):
-    # workers started outside the pin would read on any core, and a worker
-    # started inside a probe could be left unjoined
+def test_both_accessor_workers_run_on_the_receivers_core(
+    region_file, monkeypatch, three_cores
+):
+    # the receiver's set-up pins the calling thread and starts both workers
+    # inside the pin: workers started outside it would read on any core,
+    # and a worker started inside a probe could be left unjoined
+    mask, pins = three_cores
     readers, masks, alive = set(), [], []
     real_read = SharedRegion.read_byte
 
@@ -965,12 +941,98 @@ def test_both_accessor_workers_run_on_the_receivers_core(region_file, monkeypatc
 
     monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
     cfg = small_cfg(payload_bits=8, sync_period_ns=1_000_000)
-    core = live_cpus()[0]
-    with checked(open_region(region_file, cfg)) as region, live._pinned(core, "receiver"):
-        receive(region, cfg, live._now_ns())
+    with checked(open_region(region_file, cfg)) as region:
+        with live._accessors(region, 2) as accessors:
+            assert os.sched_getaffinity(0) == {2}
+            spy_receive(accessors, cfg, live._now_ns())
     assert len(readers) == 2 and threading.main_thread() not in readers
     assert readers <= alive[0]  # both started before slot 0's first read
-    assert masks == [{core}] * 16
+    assert masks == [{2}] * 16
+    assert pins == [{2}, {0, 1, 2}] and mask == {0, 1, 2}
+
+
+def test_a_receiver_given_no_core_pins_to_the_lowest_usable_one(
+    region_file, three_cores
+):
+    mask, pins = three_cores
+    os.sched_setaffinity(0, {1, 2})
+    with checked(open_region(region_file, small_cfg())) as region:
+        with live._accessors(region):
+            assert os.sched_getaffinity(0) == {live_cpus()[0]} == {1}
+    assert pins == [{1, 2}, {1}, {1, 2}] and mask == {1, 2}
+
+
+@pytest.mark.parametrize("failing", [None, 4, 8], ids=["both-read", "p1-fails", "p2-fails"])
+def test_a_probe_releases_p1_then_p2_once_both_reads_succeed(
+    region_file, monkeypatch, failing
+):
+    # a pair left mapped would refuse the sender's eviction advice when the
+    # schedule wraps back to it; after a failed read the receive aborts
+    events = []
+
+    def read_byte(self, page):
+        events.append(("read", page))
+        if page == failing:
+            raise OSError(14, "bad address")
+        return 0
+
+    monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    monkeypatch.setattr(
+        SharedRegion, "drop_mapping", lambda self, page: events.append(("drop", page))
+    )
+    with checked(open_region(region_file, small_cfg())) as region:
+        with live._accessors(region) as accessors:
+            with pytest.raises(RunAbort) if failing else nullcontext():
+                live._probe_pair(accessors, PagePair(p1=4, p2=8, slot=0))
+    assert sorted(events[:2]) == [("read", 4), ("read", 8)]
+    assert events[2:] == ([] if failing else [("drop", 4), ("drop", 8)])
+
+
+def test_each_slot_reads_both_pages_then_releases_p1_then_p2(
+    region_file, monkeypatch
+):
+    # the receiver's calls per slot, through the seams a tracer patches: the
+    # pair, the wait, both reads in either order, then p1's and p2's page
+    # table entries released, so the pair is evictable when the schedule
+    # wraps back to it
+    events = []  # list.append is atomic, so both workers may record
+    real_read, real_drop = SharedRegion.read_byte, SharedRegion.drop_mapping
+    real_pair, real_wait = live.page_pair_for_slot, live._wait_until_ns
+
+    def record(*event):
+        events.append(event)
+
+    def read_byte(self, page):
+        record("read", page)
+        return real_read(self, page)
+
+    def drop_mapping(self, page):
+        record("drop", page)
+        real_drop(self, page)
+
+    def pair_for_slot(cfg, k):
+        record("pair", k)
+        return real_pair(cfg, k)
+
+    def wait(deadline_ns):
+        record("wait")
+        return real_wait(deadline_ns)
+
+    monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    monkeypatch.setattr(SharedRegion, "drop_mapping", drop_mapping)
+    monkeypatch.setattr(live, "page_pair_for_slot", pair_for_slot)
+    monkeypatch.setattr(live, "_wait_until_ns", wait)
+    cfg = small_cfg(payload_bits=10, sync_period_ns=1_000_000)  # wraps after slot 7
+    with checked(open_region(region_file, cfg)) as region:
+        receive(region, cfg, live._now_ns())
+    assert len(events) == 6 * cfg.payload_bits
+    for k in range(cfg.payload_bits):
+        pair = page_pair_for_slot(cfg, k)
+        slot = events[6 * k : 6 * k + 6]
+        assert slot[:2] == [("pair", k), ("wait",)]
+        # the two reads race, so they compare in either order
+        assert sorted(slot[2:4]) == sorted([("read", pair.p1), ("read", pair.p2)])
+        assert slot[4:] == [("drop", pair.p1), ("drop", pair.p2)]
 
 
 def test_sender_empty_payload(region_file):
@@ -978,7 +1040,7 @@ def test_sender_empty_payload(region_file):
         assert trojan_send(region, small_cfg(), [], live._now_ns()) == []
 
 
-def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch, one_core):
+def test_a_payload_that_is_not_bits_runs_no_slot(region_file, monkeypatch):
     # both endpoints refuse it before the first wait, so no slot evicts,
     # touches or probes a pair
     monkeypatch.setattr(live, "_wait_until_ns", lambda *a: pytest.fail("waited"))
@@ -1518,7 +1580,7 @@ def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_pa
         (tmp_path / "sender-epoch").write_text(repr(epoch_ns))
         return []
 
-    def fake_receive(region, accessors, cfg, epoch_ns, expected=None):
+    def fake_receive(accessors, cfg, epoch_ns, expected=None):
         (tmp_path / "receiver-epoch").write_text(repr(epoch_ns))
         return run_channel_sim(cfg, SimParams(), expected)
 
@@ -1620,7 +1682,31 @@ def test_an_epoch_that_never_comes_leaves_no_worker_running(tmp_path, monkeypatc
     assert set(threading.enumerate()) == parent.before
 
 
-def test_spy_receive_starts_no_thread(region_file, monkeypatch, one_core):
+@pytest.mark.parametrize(
+    "ending, raised",
+    [("normal", None), ("dead accessor", RunAbort), ("no epoch", EOFError)],
+)
+def test_the_receiver_gives_back_the_mask_it_found(
+    tmp_path, monkeypatch, three_cores, ending, raised
+):
+    # the receiver's set-up pins its caller; every way out restores the mask
+    mask, pins = three_cores
+    if ending == "dead accessor":
+        def read_byte(self, page):
+            raise OSError(14, "bad address")
+
+        monkeypatch.setattr(SharedRegion, "read_byte", read_byte)
+    path = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
+    payload = random_payload(0, TINY.payload_bits)
+    parent = EntryParent(epoch_comes=ending != "no epoch")
+    with checked(open_region(path, TINY)) as region:
+        with pytest.raises(raised) if raised else nullcontext():
+            live._receiver_entry(region, TINY, payload, 1, parent)
+    assert pins == [{1}, {0, 1, 2}] and mask == {0, 1, 2}
+    assert set(threading.enumerate()) == parent.before
+
+
+def test_spy_receive_starts_no_thread(region_file, monkeypatch):
     # its caller started the workers before the epoch; the receive itself
     # only waits, probes on them and decodes
     cfg = small_cfg(payload_bits=3, sync_period_ns=1_000_000)
@@ -1630,27 +1716,23 @@ def test_spy_receive_starts_no_thread(region_file, monkeypatch, one_core):
             monkeypatch.setattr(
                 threading.Thread, "start", lambda self: pytest.fail("thread started")
             )
-            report = spy_receive(region, accessors, cfg, live._now_ns())
+            report = spy_receive(accessors, cfg, live._now_ns())
             assert threading.enumerate() == running
     assert report.payload_bits == 3
 
 
-def test_the_workers_refuse_an_unmarked_region_and_a_two_core_thread_before_starting(
+def test_the_workers_refuse_an_unmarked_region_before_pinning_or_starting(
     region_file, monkeypatch, three_cores
 ):
+    mask, pins = three_cores
     monkeypatch.setattr(
         threading.Thread, "start", lambda self: pytest.fail("worker started")
     )
     with open_region(region_file, small_cfg()) as region:
-        os.sched_setaffinity(0, {1})
         with pytest.raises(SetupError, match=r"has not passed check_host\(region\)"):
-            with live._accessors(region):
+            with live._accessors(region, 1):
                 pass
-        checked(region)
-        os.sched_setaffinity(0, {1, 2})
-        with pytest.raises(SetupError, match=r"cores \[1, 2\]; its caller must pin"):
-            with live._accessors(region):
-                pass
+    assert pins == [] and mask == {0, 1, 2}
 
 
 def _wait_for(condition, timeout_s=5.0):

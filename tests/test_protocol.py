@@ -153,6 +153,16 @@ def test_config_rejects_a_gap_that_leaves_p2_no_room():
     assert ChannelConfig(page_gap=2).pair_offset_pages == 1
 
 
+def test_config_names_a_region_too_small_for_a_pair():
+    # one page once failed naming page_gap and the empty range [2, 1]
+    with pytest.raises(ConfigError) as raised:
+        ChannelConfig(region_size=4096, page_gap=2)
+    assert str(raised.value) == (
+        "region_size must be at least 8192 bytes, two pages for a page pair, got 4096"
+    )
+    assert ChannelConfig(region_size=8192, page_gap=2).region_pages == 2
+
+
 def test_config_rejects_gap_beyond_region():
     with pytest.raises(ConfigError):
         ChannelConfig(region_size=1 * MIB, page_gap=512)  # 256 pages only
