@@ -71,10 +71,12 @@ class _Parser(argparse.ArgumentParser):
 def load_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path!r}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -16,6 +16,19 @@ MIB = 1024 * 1024
 # size, so simulator results do not depend on the host; the live backend
 # refuses a host whose pages differ.
 PAGE_SIZE = 4096
+# Margin, in ns, from both live endpoints reporting ready, each with its
+# region open and its core pinned, and the receiver with its two workers
+# running, to slot 0. It covers only the epoch's hand-off and each
+# endpoint's first wait: twice the larger endpoint p99 of that set-up on a
+# host under 1% CPU steal, rounded up to whole ms (BENCH_prestart.json).
+LIVE_LEAD_NS = 2_000_000
+
+
+def check_int(name: str, value) -> None:
+    """Refuse a setting that is not an int; a bool is not one either. A
+    float page index or period would otherwise run and be reported."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +47,8 @@ class ChannelConfig:
     payload_bits: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("region_size", "page_gap", "sync_period_ns", "payload_bits"):
+            check_int(name, getattr(self, name))
         if self.region_size <= 0 or self.region_size % PAGE_SIZE != 0:
             raise ConfigError(
                 f"region_size must be a positive multiple of the page size "

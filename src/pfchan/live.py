@@ -59,7 +59,7 @@ from mmap import MADV_DONTNEED, MADV_RANDOM, MAP_PRIVATE, PAGESIZE, PROT_READ, P
 from mmap import mmap as _mmap
 from queue import SimpleQueue
 
-from .config import PAGE_SIZE, ChannelConfig
+from .config import LIVE_LEAD_NS, PAGE_SIZE, ChannelConfig
 from .errors import ConfigError, RunAbort, SetupError
 from .protocol import (
     ObservedOrder,
@@ -747,31 +747,24 @@ def _collect(children, kind: str, deadline: float) -> dict[str, object]:
     return got
 
 
-def run_pair(
-    cfg: ChannelConfig, payload: list[int], region_file: str, lead_ns: int
-) -> TransmissionReport:
+def run_pair(cfg: ChannelConfig, payload: list[int], region_file: str) -> TransmissionReport:
     """Send the payload from a forked sender to a forked receiver on
     region_file, which must hold cfg.region_size bytes, and return the
-    receiver's report. An empty or non-bit payload, or a negative lead_ns,
-    is a ConfigError; then the region is opened and check_host(region)
-    runs, all before any fork. Both children inherit the region, marked by
-    that check, and slot 0 starts lead_ns after both have pinned their
-    cores, the receiver has started its workers, and both have reported
-    ready. A child that fails or exits early raises RunAbort, with its
-    error text when it sent one. Every child is reaped before this returns
-    or raises, killed first if it still runs after a failure or _reap's bound."""
+    receiver's report. An empty or non-bit payload is a ConfigError; then
+    the region is opened and check_host(region) runs, all before any fork.
+    Both children inherit the region, marked by that check, and slot 0
+    starts LIVE_LEAD_NS after both have pinned their cores, the receiver
+    has started its workers, and both have reported ready. A child that
+    fails or exits early raises RunAbort, with its error text when it sent
+    one. Every child is reaped before this returns or raises, killed first
+    if it still runs after a failure or _reap's bound."""
     from multiprocessing import connection, util
 
     if not payload:
         raise ConfigError("cannot send an empty payload: it holds no bits")
     check_bits(payload)
-    if lead_ns < 0:
-        raise ConfigError(
-            f"lead_ns must be >= 0, got {lead_ns}: a negative lead puts slot 0 "
-            f"in the past, so every slot overruns"
-        )
     receiver_cpu, sender_cpu = live_cpus()
-    budget = (lead_ns + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
+    budget = (LIVE_LEAD_NS + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     with open_region(region_file, cfg) as region:
         check_host(region)
         deadline = time.monotonic() + budget
@@ -791,7 +784,7 @@ def run_pair(
                 child_conn.close()
                 children.append((name, os.pidfd_open(pid), conn))
             _collect(children, "ready", deadline)
-            epoch = _now_ns() + lead_ns
+            epoch = _now_ns() + LIVE_LEAD_NS
             # the sender first: its deadline in every slot, slot 0's
             # included, comes before the receiver's probe
             for _, _, conn in reversed(children):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .config import ChannelConfig
+from .config import ChannelConfig, check_int
 from .errors import ConfigError
 from .protocol import (
     FaultKind,
@@ -89,6 +89,8 @@ class SimParams:
     eviction_behavior: EvictionBehavior = EvictionBehavior.ALWAYS
 
     def __post_init__(self) -> None:
+        for name in ("disk_latency", "mem_latency", "switch_cost", "tick_ns"):
+            check_int(name, getattr(self, name))
         if self.mem_latency < 1:
             raise ConfigError(f"mem_latency must be at least 1, got {self.mem_latency}")
         if self.disk_latency <= self.mem_latency:

@@ -10,10 +10,10 @@ report.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
-from .config import MIB, ChannelConfig
+from .config import LIVE_LEAD_NS, MIB, ChannelConfig, check_int
 from .errors import ConfigError
 from .report import random_payload
 from .sim import SimParams, run_channel_sim
@@ -62,8 +62,9 @@ class SweepSpec:
     region_size, bits for payload_bits and pages for page_gap. cfg and
     params hold every other setting; params is read only by the simulator.
     backend is "sim" or "live", and a live sweep maps region_file. seed is
-    the master seed every cell seed derives from. live_lead_ns is the
-    margin, in ns, from both live endpoints reporting ready to slot 0.
+    the master seed every cell seed derives from. live_lead_ns is always
+    config.LIVE_LEAD_NS, the margin from both live endpoints reporting
+    ready to slot 0; no caller sets it.
     """
 
     variable: str
@@ -74,16 +75,12 @@ class SweepSpec:
     backend: str = "sim"
     seed: int = 0
     region_file: str | None = None  # live backend only
-    # margin from both live endpoints reporting ready, each with its region
-    # open and its core pinned, and the receiver with its two workers
-    # running, to slot 0. It covers only the epoch's hand-off and each
-    # endpoint's first wait: twice the larger endpoint p99 of that set-up on
-    # a host under 1% CPU steal, rounded up to whole ms (BENCH_prestart.json)
-    live_lead_ns: int = 2_000_000
+    live_lead_ns: int = field(default=LIVE_LEAD_NS, init=False)
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ConfigError("sweep needs at least one value")
+        check_int("repetitions", self.repetitions)
         if self.repetitions < 1:
             raise ConfigError(
                 f"repetitions must be at least 1, got {self.repetitions}"
@@ -96,11 +93,6 @@ class SweepSpec:
             )
         if self.backend == "live" and not self.region_file:
             raise ConfigError("live sweeps need a region_file")
-        if self.live_lead_ns < 0:
-            raise ConfigError(
-                f"live_lead_ns must be >= 0, got {self.live_lead_ns}: a negative "
-                f"lead puts slot 0 in the past, so every slot overruns"
-            )
         # an unknown variable or a bad value fails here, before any cell runs
         for value in self.values:
             apply_variable(self.cfg, self.variable, value)
@@ -212,6 +204,7 @@ def apply_variable(cfg: ChannelConfig, variable: str, value: int) -> ChannelConf
         )
     if variable != "bit_rate":
         return replace(cfg, **{variable: value})
+    check_int(variable, value)  # by the rate's name, not as sync_period_ns
     if not 1 <= value <= 500_000_000:
         raise ConfigError(f"bit_rate must lie in [1, 500000000] bit/s, got {value}")
     return replace(cfg, sync_period_ns=1_000_000_000 // value)
@@ -237,7 +230,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.backend == "sim":
                 report = run_channel_sim(cfg, spec.params, payload)
             else:
-                report = live.run_pair(cfg, payload, spec.region_file, spec.live_lead_ns)
+                report = live.run_pair(cfg, payload, spec.region_file)
             rows.append(
                 CellResult.from_report(spec.variable, value, rep, seed, cfg, report)
             )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import fields
 
 import pytest
 
@@ -246,7 +245,7 @@ def _cpu_ticks() -> tuple[int, int]:
 )
 def test_live_round_trip(tmp_path):
     # Real page cache, real threads: 100 bits through a 32 MiB file-backed
-    # region at 50 bit/s with at most 10% errors, slot 0 coming the default
+    # region at 50 bit/s with at most 10% errors, slot 0 coming the library's
     # live lead after both endpoints are ready, as in a live sweep. The
     # host's CPU steal over the run is in the verdict, since a busy host
     # explains an error rate the channel alone would not.
@@ -255,10 +254,9 @@ def test_live_round_trip(tmp_path):
 
     cfg = ChannelConfig(page_gap=64, payload_bits=100, sync_period_ns=20_000_000)
     region = live.create_backing_file(str(tmp_path / "region.bin"), cfg.region_size)
-    lead_ns = next(f.default for f in fields(SweepSpec) if f.name == "live_lead_ns")
     steal_before, total_before = _cpu_ticks()
     try:  # the pair checks the host on the region itself before it forks
-        report = live.run_pair(cfg, random_payload(7, cfg.payload_bits), region, lead_ns)
+        report = live.run_pair(cfg, random_payload(7, cfg.payload_bits), region)
     except SetupError as exc:
         _verdict("live round trip", False, str(exc))
     steal_after, total_after = _cpu_ticks()

@@ -208,12 +208,15 @@ def test_cli_flag_overrides_config_file(tmp_path):
         ("guard_offset_ns = 5\n", "bad.cfg:1: unknown config key 'guard_offset_ns'"),
         ("page_size = 4096\n", "bad.cfg:1: unknown config key 'page_size'"),
         (None, "cannot read config file"),  # bad.cfg is a directory
+        (b"\xff\xfepage_gap = 8\n", "bad.cfg': not UTF-8 text"),
     ],
 )
 def test_bad_config_file_exits_1(tmp_path, capsys, content, fragment):
     cfg_file = tmp_path / "bad.cfg"
     if content is None:
         cfg_file.mkdir()
+    elif isinstance(content, bytes):
+        cfg_file.write_bytes(content)
     else:
         cfg_file.write_text(content)
     assert run_cli("simulate", "--config", str(cfg_file)) == 1

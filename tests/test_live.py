@@ -1247,7 +1247,7 @@ def _run_tiny_cell(monkeypatch, tmp_path):
     monkeypatch.setattr(live, "_probe_file", lambda *a, **k: READY)
     payload = random_payload(7, TINY.payload_bits)
     region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
-    return live.run_pair(TINY, payload, region, 10_000_000)
+    return live.run_pair(TINY, payload, region)
 
 
 def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
@@ -1257,7 +1257,6 @@ def test_live_cell_children_reuse_the_parents_probe(monkeypatch, tmp_path):
     spec = SweepSpec(
         variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
-        live_lead_ns=10_000_000,
     )
     (row,) = run_sweep(spec).rows
     assert (row.payload_bits, row.ber) == (8, 0.0)
@@ -1281,7 +1280,7 @@ def test_a_live_pair_transmits_on_the_parents_checked_region_and_never_probes_ag
     monkeypatch.setattr(live, "_probe_file", probe)
     payload = random_payload(7, TINY.payload_bits)
     path = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
-    report = live.run_pair(TINY, payload, path, 10_000_000)
+    report = live.run_pair(TINY, payload, path)
     assert report.sent == payload and len(report.received) == len(payload)
     assert len(probed) == 1 and probed[0].host_checked is True
 
@@ -1300,20 +1299,7 @@ def test_a_live_pair_refuses_a_payload_of_no_bits_before_it_probes_or_forks(
     monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     with pytest.raises(ConfigError, match=message):
-        live.run_pair(TINY, payload, str(tmp_path / "r.bin"), 10_000_000)
-
-
-def test_a_live_pair_refuses_a_negative_lead_before_it_opens_probes_or_forks(
-    monkeypatch, tmp_path
-):
-    # every slot would already be past its deadline, and the report would
-    # still carry a plausible error rate and bandwidth
-    monkeypatch.setattr(live, "open_region", lambda *a: pytest.fail("opened"))
-    monkeypatch.setattr(live, "check_host", lambda *a: pytest.fail("probed"))
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    payload = random_payload(7, TINY.payload_bits)
-    with pytest.raises(ConfigError, match="lead_ns must be >= 0, got -1000000000"):
-        live.run_pair(TINY, payload, str(tmp_path / "r.bin"), -1_000_000_000)
+        live.run_pair(TINY, payload, str(tmp_path / "r.bin"))
 
 
 def test_a_region_too_short_for_the_config_is_a_setup_error_before_any_fork(
@@ -1328,7 +1314,7 @@ def test_a_region_too_short_for_the_config_is_a_setup_error_before_any_fork(
     payload = random_payload(7, TINY.payload_bits)
     sizes = f"holds {short} bytes but the region needs {TINY.region_size}"
     with pytest.raises(SetupError, match=sizes):
-        live.run_pair(TINY, payload, region, 10_000_000)
+        live.run_pair(TINY, payload, region)
 
 
 def test_a_region_that_cannot_be_mapped_is_a_setup_error_naming_the_file(
@@ -1342,7 +1328,7 @@ def test_a_region_that_cannot_be_mapped_is_a_setup_error_naming_the_file(
     region = create_backing_file(str(tmp_path / "r.bin"), TINY.region_size)
     payload = random_payload(7, TINY.payload_bits)
     with pytest.raises(SetupError, match=f"cannot map backing file {region!r}"):
-        live.run_pair(TINY, payload, region, 10_000_000)
+        live.run_pair(TINY, payload, region)
     argv = ["send", "--region-file", region, "--epoch", "+1", "--bits", "01"]
     assert main([*argv, "--region-size", str(TINY.region_size), "--page-gap", "4"]) == 2
     assert capsys.readouterr().err.startswith(
@@ -1351,8 +1337,8 @@ def test_a_region_that_cannot_be_mapped_is_a_setup_error_naming_the_file(
 
 
 def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp_path):
-    # the sender is slower to get ready; slot 0 must still come lead_ns
-    # after the later of the two, and both must get the same epoch
+    # the sender is slower to get ready; slot 0 must still come the live
+    # lead after the later of the two, and both must get the same epoch
     real_ready = live._ready
 
     def recording_ready(conn):
@@ -1372,7 +1358,7 @@ def test_live_cell_starts_lead_ns_after_both_children_are_ready(monkeypatch, tmp
     records = [tuple(map(int, p.read_text().split())) for p in tmp_path.glob("ready-*")]
     assert len(records) == 2
     (ready_a, epoch_a), (ready_b, epoch_b) = records
-    assert epoch_a == epoch_b >= max(ready_a, ready_b) + 10_000_000
+    assert epoch_a == epoch_b >= max(ready_a, ready_b) + live.LIVE_LEAD_NS
 
 
 def test_the_sender_gets_the_epoch_before_the_receiver(monkeypatch, tmp_path):
@@ -1529,7 +1515,7 @@ def test_text_buffered_before_a_live_cell_is_written_once(tmp_path):
         live._sender_entry, live._receiver_entry = healthy_sender, healthy_receiver
         print("written before the cell")
         region = live.create_backing_file({str(tmp_path / "r.bin")!r}, TINY.region_size)
-        live.run_pair(TINY, [0, 1] * 4, region, 10_000_000)
+        live.run_pair(TINY, [0, 1] * 4, region)
     """)
     result = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60

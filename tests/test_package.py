@@ -87,3 +87,23 @@ def test_model_surface_is_only_what_the_slot_path_uses():
     assert callables == {"evict", "plan_access", "land_access", "run_spy_slot"}
     assert public(pfchan.PagePair) == {"p1", "p2", "slot", "count", "index"}
     assert not hasattr(pfchan, "compute_metrics")
+
+
+def test_the_traced_benchmark_finds_every_seam_it_patches(monkeypatch):
+    # the benchmark's full tracer patches the live backend by name
+    # (SharedRegion.residency and read_byte, live.evict_pair and
+    # live.page_pair_for_slot among them), and only a live CI step installs
+    # it that way, so a seam renamed in src would break a traced run unseen;
+    # installing it here fails on a missing name, and every patch must come
+    # off again
+    import pfchan.live  # noqa: F401 - bound as pfchan.live
+
+    monkeypatch.syspath_prepend(str(README.parent / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer(full=True)
+    with tracer.installed(pfchan, live=True):
+        patched = list(tracer._saved)
+        assert all(vars(owner)[name] is not old for owner, name, old in patched)
+    assert patched
+    assert all(vars(owner)[name] is old for owner, name, old in patched)

@@ -180,6 +180,17 @@ def test_config_rejects_bad_guard():
     assert ChannelConfig(sync_period_ns=2).guard_ns == 1
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [("page_gap", 3.5), ("region_size", 65536.0), ("sync_period_ns", 1e7),
+     ("payload_bits", True), ("page_gap", "8")],
+)
+def test_config_refuses_a_setting_that_is_not_an_int(setting, value):
+    # a float gap once ran, and page_pair_for_slot returned float pages
+    with pytest.raises(ConfigError, match=f"^{setting} must be an integer, got "):
+        ChannelConfig(**{setting: value})
+
+
 # --- quantified schedule properties --------------------------------------
 
 config_strategy = st.tuples(

@@ -67,6 +67,12 @@ def test_params_validation():
         SimParams(switch_cost=-1)
     with pytest.raises(ConfigError):
         SimParams(tick_ns=0)
+    for setting, value in (
+        ("disk_latency", 1000.0), ("mem_latency", True), ("switch_cost", 2.5),
+        ("tick_ns", "3"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{setting} must be an integer, got "):
+            SimParams(**{setting: value})
     # run_channel_sim tests the member by identity: its value string, a typo
     # or None would otherwise run silently as first-wrap
     for behavior in ("always", "first-wrap", "alwyas", None):

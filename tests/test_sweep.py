@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from conftest import READY, TINY, healthy_receiver, healthy_sender
 import pfchan.live
 from pfchan import sweep
 from pfchan.cli import main
-from pfchan.config import ChannelConfig
+from pfchan.config import LIVE_LEAD_NS, ChannelConfig
 from pfchan.errors import ConfigError, RunAbort, SetupError
 from pfchan.live import BackendCapabilities
 from pfchan.sim import EvictionBehavior, SimParams
@@ -71,9 +71,27 @@ def test_spec_validation():
         small_spec(values=(8, 16, 8))
     with pytest.raises(ConfigError, match="region_file"):
         small_spec(backend="live")
-    with pytest.raises(ConfigError, match="live_lead_ns"):
-        small_spec(live_lead_ns=-5_000_000_000)
-    assert small_spec(live_lead_ns=0).live_lead_ns == 0
+    # a float value once ran and wrote a row: a gap of 2.5 read BER 0.0,
+    # and a rate of 333.3 wrote sync_period_ns 3000300.0; a float count of
+    # repetitions passed here and failed in range()
+    with pytest.raises(ConfigError, match=r"^page_gap must be an integer, got 2\.5$"):
+        small_spec(values=(2.5,))
+    with pytest.raises(ConfigError, match=r"^bit_rate must be an integer, got 333\.3$"):
+        small_spec(variable="bit_rate", values=(333.3,))
+    with pytest.raises(ConfigError, match="^repetitions must be an integer, got 1.5$"):
+        small_spec(repetitions=1.5)
+    with pytest.raises(ConfigError, match="^repetitions must be an integer, got True$"):
+        small_spec(repetitions=True)
+
+
+def test_the_live_lead_is_the_librarys_constant():
+    with pytest.raises(TypeError, match="live_lead_ns"):
+        small_spec(live_lead_ns=0)
+    (lead,) = [f for f in fields(SweepSpec) if f.name == "live_lead_ns"]
+    assert lead.default == LIVE_LEAD_NS == 2_000_000 and not lead.init
+    spec = small_spec(backend="live", region_file="r.bin")
+    assert small_spec().live_lead_ns == spec.live_lead_ns == LIVE_LEAD_NS
+    assert replace(spec, seed=3).live_lead_ns == LIVE_LEAD_NS
 
 
 def test_a_bad_grid_value_fails_before_any_cell_runs(monkeypatch, capsys):
@@ -265,7 +283,6 @@ def _run_tiny_live_sweep(monkeypatch, tmp_path):
     return run_sweep(SweepSpec(
         variable="payload_bits", values=(8,), repetitions=1, cfg=TINY,
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
-        live_lead_ns=10_000_000,
     ))
 
 
@@ -296,7 +313,6 @@ def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
     spec = SweepSpec(
         variable="payload_bits", values=(8, 16), repetitions=1, cfg=TINY,
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
-        live_lead_ns=10_000_000,
     )
     rows = run_sweep(spec).rows
     assert [(row.payload_bits, row.ber) for row in rows] == [(8, 0.0), (16, 0.0)]
@@ -350,7 +366,6 @@ def test_each_live_cell_opens_its_region_once_and_its_children_inherit_it(
     spec = SweepSpec(
         variable="payload_bits", values=(8, 16), repetitions=1, cfg=TINY,
         params=SimParams(), backend="live", region_file=str(tmp_path / "r.bin"),
-        live_lead_ns=10_000_000,
     )
     rows = run_sweep(spec).rows
     assert [(row.payload_bits, row.ber) for row in rows] == [(8, 0.0), (16, 0.0)]
