@@ -204,10 +204,14 @@ def _write_csv(path: str, row_type, rows) -> None:
         write_csv(fh, row_type, rows)
 
 
-def _write_report_csv(path: str, seed: int, cfg: ChannelConfig, report) -> None:
-    """One result row; a report without ground truth leaves its ber cell empty."""
+def _write_report_csv(args, cfg: ChannelConfig, report) -> None:
+    """One result row in args.out. A report without ground truth leaves its
+    ber cell empty, and one whose payload was not drawn from --seed, given
+    as bits or hex or received blind, its seed cell."""
+    drawn = args.payload_hex is None and args.bits is None and not getattr(args, "blind", False)
+    seed = args.seed if drawn else None
     row = CellResult.from_report("payload_bits", report.payload_bits, 0, seed, cfg, report)
-    _write_csv(path, CellResult, [row])
+    _write_csv(args.out, CellResult, [row])
 
 
 # -- subcommand bodies ------------------------------------------------------
@@ -225,7 +229,7 @@ def cmd_simulate(args) -> int:
         f"indeterminate={report.indeterminate_slots}"
     )
     if args.out:
-        _write_report_csv(args.out, args.seed, cfg, report)
+        _write_report_csv(args, cfg, report)
         print(f"wrote {args.out}")
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -245,7 +249,7 @@ def cmd_send(args) -> int:
         live.create_backing_file(args.region_file, cfg.region_size)
     with live.open_region(args.region_file, cfg) as region:
         live.check_host(region)
-        with live._pinned(args.cpu, "sender"):
+        with live._pinned("sender", args.cpu):
             log = live.trojan_send(region, cfg, payload, epoch)
     overruns = sum(1 for rec in log if rec.overrun)
     if any(rec.evict_confirmed is None for rec in log):
@@ -257,6 +261,8 @@ def cmd_send(args) -> int:
     if args.out:
         _write_csv(args.out, live.SenderSlotLog, log)
         print(f"wrote {args.out}")
+    if args.cpu is None:
+        _note_unpinned_sender()
     return 0
 
 
@@ -284,14 +290,13 @@ def cmd_receive(args) -> int:
             f"indeterminate={report.indeterminate_slots}"
         )
     if args.out:
-        _write_report_csv(args.out, args.seed, cfg, report)
+        _write_report_csv(args, cfg, report)
         print(f"wrote {args.out}")
     return 0
 
 
-def _note_unpinned_sender(spec: SweepSpec) -> None:
-    if spec.backend != "live":
-        return
+def _note_unpinned_sender() -> None:
+    """Say so when the sender found no second core, and ran unpinned."""
     from .live import live_cpus
 
     if live_cpus()[1] is None:
@@ -348,7 +353,8 @@ def cmd_sweep(args) -> int:
     if args.out:
         _write_csv(args.out, CellResult, result.rows)
         print(f"wrote {args.out}")
-    _note_unpinned_sender(spec)
+    if spec.backend == "live":
+        _note_unpinned_sender()
     return 0
 
 
@@ -414,14 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the backing file first if it is missing or too small",
     )
     p.add_argument(
-        "--cpu", type=int, help="core to pin the sender to (default: unpinned)"
+        "--cpu",
+        type=int,
+        help="core to pin the sender to (default: the second usable core, "
+        "unpinned when there is only one)",
     )
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("receive", help="run the live receiver (spy)")
     _add_common(p, CHANNEL_KEYS)
     payload = _add_live_common(p)
-    p.add_argument("--cpu", type=int, help="core to pin the receiver to")
+    p.add_argument(
+        "--cpu", type=int, help="core to pin the receiver to (default: the lowest usable core)"
+    )
     payload.add_argument(
         "--blind",
         action="store_true",

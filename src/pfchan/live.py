@@ -17,11 +17,15 @@ DONTNEED refuses to drop a page that any process still has in its page
 tables, so both endpoints are careful about what they map. The sender
 populates its target page with pread, which fills the page cache without
 creating a mapping; the receiver does fault through its mapping (the fault
-is the observable) but releases its page table entries with
-madvise(DONTNEED) right after each probe. By the time the schedule wraps
-back to a page, nobody maps it and the advice works again. Kernel
-readahead is switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a
-touch of one page cannot drag its partner into the cache.
+is the observable) but releases the pair's page table entries with
+madvise(DONTNEED) right after each probe. A mapped read also maps the
+cached pages around it, in the kernel's fault-around block (16 pages by
+default), MADV_RANDOM or not. So only with a page_gap of at least that
+block does nobody map a page by the time the schedule wraps back to it;
+below it, the receiver still maps other slots' cached pages, and the
+sender's advice on them fails. Kernel readahead is switched off on both
+paths (FADV_RANDOM, MADV_RANDOM) so a touch of one page cannot drag its
+partner into the cache.
 
 The receiver's two accessors are plain threads that _accessors starts once
 per receive, pinned to one core. They take reads from one queue, and each
@@ -33,12 +37,15 @@ hold the lock across the fault and serialize them.
 
 A live process opens its region once, then checks, sets up and runs:
 check_host probes the caller's open region in place and marks it if the
-host is ready, and both endpoints refuse an unmarked region. A receiver is
-set up by one call, _accessors(region, cpu), which pins it and starts both
-workers; spy_receive keeps only the schedule. run_pair opens and checks
-before it forks; its children inherit the marked region, and the sender
-pins its core and the receiver sets up before each reports ready, so once
-the epoch is fixed each has only its first wait left.
+host is ready, and both endpoints refuse an unmarked region. One function,
+_pinned(who, cpu), turns a role into a core: the receiver and the probe
+take the lowest usable core and the sender the next, unless the caller
+names one. A receiver is set up by one call, _accessors(region, cpu),
+which pins it and starts both workers; spy_receive keeps only the
+schedule. run_pair opens and checks before it forks; its children inherit
+the marked region and no core, and the sender pins its role's core and
+the receiver sets up before each reports ready, so once the epoch is
+fixed each has only its first wait left.
 
 Decoding uses only the order in which the two reads finished: each read
 reports the order it stands for, T1_LAST for the read of p1 and T2_LAST
@@ -412,7 +419,7 @@ def _probe_file(region: SharedRegion | None, *notes: str) -> BackendCapabilities
             fcntl.flock(region._fd, fcntl.LOCK_UN)
 
     try:
-        with _pinned(live_cpus()[0], "probe"):
+        with _pinned("probe"):
             affinity_ok = True
     except (OSError, SetupError) as exc:
         notes.append(f"cpu affinity control failed: {exc}")
@@ -483,11 +490,15 @@ def _wait_until_ns(deadline_ns: int) -> int:
 
 
 @contextmanager
-def _pinned(cpu: int | None, who: str):
-    """Run the block with the calling thread on core cpu, or unpinned when
-    cpu is None; threads it starts inside the block inherit the pin. The
-    original affinity comes back on exit, and a core that cannot be pinned
-    is a startup failure."""
+def _pinned(who: str, cpu: int | None = None):
+    """Run the block with the calling thread on core cpu, or with no cpu on
+    its role's core, the one place a role becomes a core: the sender takes
+    live_cpus()[1], and stays unpinned on a one-core host, and every other
+    role live_cpus()[0]. Threads started inside the block inherit the pin.
+    The original affinity comes back on exit, and a core that cannot be
+    pinned is a startup failure."""
+    if cpu is None:
+        cpu = live_cpus()[1 if who == "sender" else 0]
     if cpu is None:
         yield
         return
@@ -566,7 +577,7 @@ def _accessor(region: SharedRegion, reads: SimpleQueue, done: SimpleQueue) -> No
 @contextmanager
 def _accessors(region: SharedRegion, cpu: int | None = None):
     """Set up a receiver on region: pin the calling thread to core cpu, or
-    to live_cpus()[0] when cpu is None, and start two workers there, which
+    to the receiver's core when cpu is None, and start two workers there, which
     inherit the pin and contend for that core; yield their handle (region,
     reads, done). An unmarked region is a SetupError before any pin or
     start; the caller checks the host, this only checks the mark. Every way
@@ -576,7 +587,7 @@ def _accessors(region: SharedRegion, cpu: int | None = None):
     reads, done = SimpleQueue(), SimpleQueue()
     args = (region, reads, done)
     workers = [threading.Thread(target=_accessor, args=args) for _ in range(2)]
-    with _pinned(live_cpus()[0] if cpu is None else cpu, "receiver"):
+    with _pinned("receiver", cpu):
         try:
             for worker in workers:
                 worker.start()
@@ -595,7 +606,8 @@ def _probe_pair(accessors, pair: PagePair) -> ObservedOrder:
     for, T1_LAST for p1 and T2_LAST for p2, once its page is in: the last
     report names the page that came from disk. Once both reads succeed, p1's
     then p2's page table entries are released, so a wrap finds the pair
-    evictable. Nothing reads a clock."""
+    evictable, unless, at a page_gap below the fault-around block, a later
+    slot's read maps them again. Nothing reads a clock."""
     region, reads, done = accessors
     reads.put((ObservedOrder.T1_LAST, pair.p1))
     reads.put((ObservedOrder.T2_LAST, pair.p2))
@@ -659,16 +671,16 @@ def _ready(conn) -> int:
     return conn.recv()
 
 
-def _sender_entry(region, cfg, payload, cpu, conn):
-    with _pinned(cpu, "sender"):
+def _sender_entry(region, cfg, payload, conn):
+    with _pinned("sender"):
         trojan_send(region, cfg, payload, _ready(conn))
 
 
-def _receiver_entry(region, cfg, payload, cpu, conn):
+def _receiver_entry(region, cfg, payload, conn):
     """Set up the receiver, then report ready: once the epoch comes the
     receive has only its first wait left. Every way out, an epoch that never
     comes included, joins both workers and restores the affinity."""
-    with _accessors(region, cpu) as accessors:
+    with _accessors(region) as accessors:
         return spy_receive(accessors, cfg, _ready(conn), expected=payload)
 
 
@@ -752,9 +764,10 @@ def run_pair(cfg: ChannelConfig, payload: list[int], region_file: str) -> Transm
     region_file, which must hold cfg.region_size bytes, and return the
     receiver's report. An empty or non-bit payload is a ConfigError; then
     the region is opened and check_host(region) runs, all before any fork.
-    Both children inherit the region, marked by that check, and slot 0
-    starts LIVE_LEAD_NS after both have pinned their cores, the receiver
-    has started its workers, and both have reported ready. A child that
+    Both children inherit the region, marked by that check, and no core:
+    each pins its role's core, which _pinned picks, and slot 0 starts
+    LIVE_LEAD_NS after both have pinned, the receiver has started its
+    workers, and both have reported ready. A child that
     fails or exits early raises RunAbort, with its error text when it sent
     one. Every child is reaped before this returns or raises, killed first
     if it still runs after a failure or _reap's bound."""
@@ -763,22 +776,18 @@ def run_pair(cfg: ChannelConfig, payload: list[int], region_file: str) -> Transm
     if not payload:
         raise ConfigError("cannot send an empty payload: it holds no bits")
     check_bits(payload)
-    receiver_cpu, sender_cpu = live_cpus()
     budget = (LIVE_LEAD_NS + (len(payload) + 5) * cfg.sync_period_ns) / 1e9 + 30.0
     with open_region(region_file, cfg) as region:
         check_host(region)
         deadline = time.monotonic() + budget
         children = []
         try:
-            for name, entry, cpu in (
-                ("receiver", _receiver_entry, receiver_cpu),
-                ("sender", _sender_entry, sender_cpu),
-            ):
+            for name, entry in (("receiver", _receiver_entry), ("sender", _sender_entry)):
                 conn, child_conn = connection.Pipe()
                 parent_ends = [c for _, _, c in children] + [conn]
                 util._flush_std_streams()  # or the child writes them out again
                 if (pid := os.fork()) == 0:
-                    _child_main(entry, child_conn, parent_ends, region, cfg, payload, cpu)
+                    _child_main(entry, child_conn, parent_ends, region, cfg, payload)
                 # only the child may hold its end, or its exit would not read
                 # as end of file here; closing before the next fork keeps it so
                 child_conn.close()

@@ -100,12 +100,14 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One row of a sweep; its fields are the CSV columns."""
+    """One row of a sweep, or of one report written by simulate or receive;
+    its fields are the CSV columns. A report's seed is None unless its
+    payload was drawn from that seed."""
 
     variable: str
     value: int
     repetition: int
-    seed: int
+    seed: int | None
     payload_bits: int
     page_gap: int
     region_bytes: int
@@ -116,7 +118,7 @@ class CellResult:
 
     @classmethod
     def from_report(
-        cls, variable: str, value: int, repetition: int, seed: int, cfg, report
+        cls, variable: str, value: int, repetition: int, seed: int | None, cfg, report
     ) -> "CellResult":
         return cls(
             variable=variable,

@@ -30,13 +30,13 @@ def checked(region):
     return region
 
 
-def healthy_sender(region, cfg, payload, cpu, conn):
+def healthy_sender(region, cfg, payload, conn):
     if not region.host_checked:
         os._exit(9)
     live._ready(conn)
 
 
-def healthy_receiver(region, cfg, payload, cpu, conn):
+def healthy_receiver(region, cfg, payload, conn):
     if not region.host_checked:
         os._exit(9)
     live._ready(conn)

@@ -437,14 +437,16 @@ def test_the_calibrate_subcommand_is_gone(capsys):
 UNPINNED_NOTE = "note: one usable core, so the live sender shared the receiver's core"
 
 
-@pytest.mark.parametrize("command", ["sweep"])
+@pytest.mark.parametrize("command", ["sweep", "send"])
 @pytest.mark.parametrize(
     "backend, cores, notes", [("live", {0}, 1), ("live", {0, 1}, 0), ("sim", {0}, 0)]
 )
 def test_live_runs_say_when_the_sender_shared_the_receivers_core(
     tmp_path, monkeypatch, capsys, command, backend, cores, notes
 ):
-    # the live cells run as sim cells, so no live host is needed
+    # the live cells run as sim cells and send's slots are stood in for, so
+    # no live host is needed. A send given --cpu takes the place of a sim
+    # sweep: no core of pfchan's choosing to note
     run_sim = pfchan.sweep.run_sweep
 
     def fake_run_sweep(spec):
@@ -453,9 +455,17 @@ def test_live_runs_say_when_the_sender_shared_the_receivers_core(
     monkeypatch.setattr(pfchan.cli, "run_sweep", fake_run_sweep)
     monkeypatch.setattr(pfchan.sweep, "run_sweep", fake_run_sweep)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cores))
-    argv = [command, "--variable", "page_gap", "--values", "8,16", "--repetitions", "1"]
-    if backend == "live":
-        argv += ["--region-file", str(tmp_path / "r.bin")]
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    fake_live_setup(monkeypatch)
+    monkeypatch.setattr(pfchan.live, "trojan_send", lambda *a, **kw: [])
+    if command == "send":
+        argv = [command, "--region-file", "unused", "--epoch", "+0"]
+        if backend == "sim":
+            argv += ["--cpu", "0"]
+    else:
+        argv = [command, "--variable", "page_gap", "--values", "8,16", "--repetitions", "1"]
+        if backend == "live":
+            argv += ["--region-file", str(tmp_path / "r.bin")]
     code = run_cli(*argv, *SMALL, "--payload-bits", "20")
     assert code == 0
     assert capsys.readouterr().out.splitlines().count(UNPINNED_NOTE) == notes
@@ -481,6 +491,33 @@ def test_report_csv_reflects_actual_payload(tmp_path):
     row = out_csv.read_text().splitlines()[1].split(",")
     assert row[1] == "4"  # value column
     assert row[4] == "4"  # payload_bits column
+
+
+@pytest.mark.parametrize(
+    "command, payload, seed",
+    [
+        ("simulate", ["--payload-bits", "4"], "7"),
+        ("simulate", ["--bits", "0110"], ""),
+        ("simulate", ["--payload-hex", "6"], ""),
+        ("receive", ["--blind", "--payload-bits", "4"], ""),
+    ],
+    ids=["drawn", "literal", "hex", "blind"],
+)
+def test_a_report_row_names_its_seed_only_when_its_payload_was_drawn_from_it(
+    tmp_path, monkeypatch, command, payload, seed
+):
+    # random_payload(7, 4) is [1, 0, 1, 0], so a seed cell of 7 beside the
+    # payload 0110 would name a seed that does not reproduce it
+    fake_live_setup(monkeypatch)
+    report = TransmissionReport.build(None, [0, 1, 1, 0], 4_000_000)
+    monkeypatch.setattr(pfchan.live, "spy_receive", lambda *a, **kw: report)
+    out_csv = tmp_path / "r.csv"
+    argv = [command, *payload, "--seed", "7", "--out", str(out_csv)]
+    if command == "receive":
+        argv += ["--region-file", "unused", "--epoch", "+0"]
+    assert run_cli(*argv) == 0
+    row = dict(zip(CSV_HEADER.split(","), out_csv.read_text().splitlines()[1].split(",")))
+    assert (row["payload_bits"], row["seed"]) == ("4", seed)
 
 
 def test_send_creates_region_on_request(tmp_path, capsys, monkeypatch):
@@ -756,9 +793,11 @@ def _endpoint_masks(monkeypatch, command, *runs) -> list[set[int]]:
 
 
 def test_send_cpu_flag_pins_the_sender(monkeypatch, three_cores):
+    # with no --cpu the sender runs where a sweep's sender runs, on the
+    # second usable core, off the receiver's
     mask, _ = three_cores
-    masks = _endpoint_masks(monkeypatch, "send", [], ["--cpu", "1"])
-    assert masks == [{0, 1, 2}, {1}]
+    masks = _endpoint_masks(monkeypatch, "send", [], ["--cpu", "2"])
+    assert masks == [{1}, {2}]
     assert mask == {0, 1, 2}
 
 
@@ -816,14 +855,14 @@ def test_blind_receive_leaves_the_ber_cell_empty(tmp_path, monkeypatch):
     report = TransmissionReport.build(None, [1, 0, None, 1], 4_000_000)
     assert receive_csv(
         tmp_path, monkeypatch, report, "--blind", "--payload-bits", "4"
-    ) == [CSV_HEADER, "payload_bits,4,0,0,4,64,33554432,20000000,,1000.0,1"]
+    ) == [CSV_HEADER, "payload_bits,4,0,,4,64,33554432,20000000,,1000.0,1"]
 
 
 def test_receive_with_ground_truth_writes_its_ber(tmp_path, monkeypatch):
     report = TransmissionReport.build([1, 0, 1, 1], [1, 0, None, 1], 4_000_000)
     assert receive_csv(tmp_path, monkeypatch, report, "--bits", "1011") == [
         CSV_HEADER,
-        "payload_bits,4,0,0,4,64,33554432,20000000,0.25,1000.0,1",
+        "payload_bits,4,0,,4,64,33554432,20000000,0.25,1000.0,1",
     ]
 
 

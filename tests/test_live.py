@@ -962,6 +962,40 @@ def test_a_receiver_given_no_core_pins_to_the_lowest_usable_one(
     assert pins == [{1, 2}, {1}, {1, 2}] and mask == {1, 2}
 
 
+@pytest.mark.parametrize(
+    "who, cpu, core",
+    [
+        ("sender", None, 1),
+        ("receiver", None, 0),
+        ("probe", None, 0),
+        ("sender", 2, 2),
+        ("receiver", 2, 2),
+    ],
+)
+@pytest.mark.parametrize("raised", [None, RunAbort])
+def test_pinned_puts_each_role_on_its_core_unless_given_one(three_cores, who, cpu, core, raised):
+    # _pinned is the one place a role becomes a core: the sender the second
+    # usable core, every other role the lowest, and a given core wins
+    mask, pins = three_cores
+    with pytest.raises(raised) if raised else nullcontext():
+        with live._pinned(who, cpu):
+            assert os.sched_getaffinity(0) == {core}
+            if raised:
+                raise raised("stopped in slot 3")
+    assert pins == [{core}, {0, 1, 2}] and mask == {0, 1, 2}
+
+
+def test_a_sender_on_a_one_core_host_stays_unpinned(three_cores):
+    mask, pins = three_cores
+    mask.intersection_update({0})
+    with live._pinned("sender"):
+        assert os.sched_getaffinity(0) == {0}
+    assert pins == []
+    with live._pinned("receiver"):
+        assert os.sched_getaffinity(0) == {0}
+    assert pins == [{0}, {0}] and mask == {0}
+
+
 @pytest.mark.parametrize("failing", [None, 4, 8], ids=["both-read", "p1-fails", "p2-fails"])
 def test_a_probe_releases_p1_then_p2_once_both_reads_succeed(
     region_file, monkeypatch, failing
@@ -1534,21 +1568,25 @@ def test_collect_past_its_deadline_names_every_silent_child():
 
 @pytest.mark.parametrize("usable,expected", [({0, 1}, "0 1"), ({0}, "0 None")])
 def test_live_cell_pins_the_endpoints_to_distinct_cores(
-    monkeypatch, tmp_path, usable, expected
+    monkeypatch, tmp_path, three_cores, usable, expected
 ):
-    def recording(name, entry):
-        def wrapped(region, cfg, payload, cpu, conn):
-            (tmp_path / name).write_text(str(cpu))
-            return entry(region, cfg, payload, cpu, conn)
+    # the real entries run in the children, which pick their own cores from
+    # their roles; each endpoint records the pins its child made, "None"
+    # for none, and the receiver's comes back as the cell's result
+    mask, pins = three_cores
+    mask.intersection_update(usable)
 
-        return wrapped
+    def child_pins() -> str:
+        return " ".join(" ".join(map(str, sorted(p))) for p in pins) or "None"
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable))
-    for name, entry in (("sender", healthy_sender), ("receiver", healthy_receiver)):
-        monkeypatch.setattr(live, f"_{name}_entry", recording(name, entry))
-    _run_tiny_cell(monkeypatch, tmp_path)
-    cores = " ".join((tmp_path / name).read_text() for name in ("receiver", "sender"))
-    assert cores == expected
+    def fake_send(region, cfg, payload, epoch_ns):
+        (tmp_path / "sender").write_text(child_pins())
+        return []
+
+    monkeypatch.setattr(live, "trojan_send", fake_send)
+    monkeypatch.setattr(live, "spy_receive", lambda *a, **kw: child_pins())
+    receiver = _run_tiny_cell(monkeypatch, tmp_path)
+    assert f"{receiver} {(tmp_path / 'sender').read_text()}" == expected
 
 
 def test_both_real_entries_are_pinned_when_they_report_ready(monkeypatch, tmp_path):
@@ -1610,7 +1648,7 @@ def test_the_receiver_entry_sets_no_affinity_once_the_epoch_is_handed_over(
     core = live_cpus()[0]
     payload = random_payload(0, TINY.payload_bits)
     with checked(open_region(path, TINY)) as region:
-        report = live._receiver_entry(region, TINY, payload, core, Parent())
+        report = live._receiver_entry(region, TINY, payload, Parent())
     assert report.payload_bits == TINY.payload_bits
     assert events == [("set", {core}), ("ready", None), "epoch", ("set", original)]
 
@@ -1647,7 +1685,7 @@ def test_the_receiver_entry_has_both_workers_running_when_it_reports_ready(tmp_p
     payload = random_payload(0, TINY.payload_bits)
     parent = EntryParent()
     with checked(open_region(path, TINY)) as region:
-        report = live._receiver_entry(region, TINY, payload, core, parent)
+        report = live._receiver_entry(region, TINY, payload, parent)
     assert report.payload_bits == TINY.payload_bits
     assert parent.at_ready == [(("ready", None), [(True, {core}), (True, {core})])]
     assert set(threading.enumerate()) == parent.before
@@ -1662,7 +1700,7 @@ def test_an_epoch_that_never_comes_leaves_no_worker_running(tmp_path, monkeypatc
     parent = EntryParent(epoch_comes=False)
     with checked(open_region(path, TINY)) as region:
         with pytest.raises(EOFError):
-            live._receiver_entry(region, TINY, payload, live_cpus()[0], parent)
+            live._receiver_entry(region, TINY, payload, parent)
     (message, started), = parent.at_ready
     assert message == ("ready", None) and [alive for alive, _ in started] == [True, True]
     assert set(threading.enumerate()) == parent.before
@@ -1687,8 +1725,8 @@ def test_the_receiver_gives_back_the_mask_it_found(
     parent = EntryParent(epoch_comes=ending != "no epoch")
     with checked(open_region(path, TINY)) as region:
         with pytest.raises(raised) if raised else nullcontext():
-            live._receiver_entry(region, TINY, payload, 1, parent)
-    assert pins == [{1}, {0, 1, 2}] and mask == {0, 1, 2}
+            live._receiver_entry(region, TINY, payload, parent)
+    assert pins == [{0}, {0, 1, 2}] and mask == {0, 1, 2}
     assert set(threading.enumerate()) == parent.before
 
 

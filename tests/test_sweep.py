@@ -297,11 +297,11 @@ def test_each_live_cell_checks_its_host_before_it_forks(monkeypatch, tmp_path):
         return READY
 
     def recording(role, healthy):
-        def entry(region, cfg, payload, cpu, conn):
+        def entry(region, cfg, payload, conn):
             # the fork copied the parent's list as it stood at this cell's probe
             name = f"{role}-cell{len(started_before)}"
             (tmp_path / name).write_text(str(region.host_checked))
-            return healthy(region, cfg, payload, cpu, conn)
+            return healthy(region, cfg, payload, conn)
 
         return entry
 
@@ -349,11 +349,11 @@ def test_each_live_cell_opens_its_region_once_and_its_children_inherit_it(
         return region
 
     def recording(role, healthy):
-        def entry(region, cfg, payload, cpu, conn):
+        def entry(region, cfg, payload, conn):
             inherited = opened[-1][0]  # the fork copied the parent's list
             name = f"{role}-cell{len(opened)}-fd{region._fd}"
             (tmp_path / name).write_text(str(region is inherited))
-            return healthy(region, cfg, payload, cpu, conn)
+            return healthy(region, cfg, payload, conn)
 
         return entry
 
