@@ -92,11 +92,13 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def resolve_settings(args) -> tuple[ChannelConfig, dict]:
+def resolve_settings(args, swept: dict | None = None) -> tuple[ChannelConfig, dict]:
     """Settings from the config file, overridden by the flags the subcommand
     has: the ChannelConfig, and the simulator's settings unchecked until a
     command that simulates builds its SimParams from them. A config file may
-    hold every key, whichever subcommand reads it."""
+    hold every key, whichever subcommand reads it. swept maps each setting a
+    sweep's grid gives to its base value, or to None for the built-in
+    default, over both the file and the flags."""
     merged: dict = {}
     if args.config:
         merged.update(load_config_file(args.config))
@@ -104,6 +106,10 @@ def resolve_settings(args) -> tuple[ChannelConfig, dict]:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             merged[key] = cli_value
+    for key, value in (swept or {}).items():
+        merged.pop(key, None)
+        if value is not None:
+            merged[key] = value
     channel_kwargs = {k: v for k, v in merged.items() if k in CHANNEL_KEYS}
     sim_kwargs = {k: v for k, v in merged.items() if k in SIM_KEYS}
     return ChannelConfig(**channel_kwargs), sim_kwargs
@@ -320,19 +326,26 @@ def _print_rate_headline(headline) -> None:
 
 def cmd_sweep(args) -> int:
     """Run a sweep; a page_gap sweep also names the gap with the lowest mean
-    error rate, which is how the gap is calibrated."""
+    error rate, which is how the gap is calibrated.
+
+    The grid gives the swept setting, sync_period_ns for a bit_rate sweep:
+    no flag may, and a config file's is passed over. The base config takes
+    the grid's first value, or for a rate sweep the default period."""
+    swept = "sync_period_ns" if args.variable == "bit_rate" else args.variable
+    refused = {swept: "is the swept setting; --values gives it"}
     if args.region_file is not None:
         # live cells read no simulator setting; a config file may still hold them
-        for key in SIM_KEYS:
-            if getattr(args, key) is not None:
-                flag = "--" + key.replace("_", "-")
-                raise ConfigError(f"{flag} is a simulator setting; this sweep is live")
-    cfg, sim_kwargs = resolve_settings(args)
-    params = SimParams(**sim_kwargs) if args.region_file is None else SimParams()
+        refused.update(dict.fromkeys(SIM_KEYS, "is a simulator setting; this sweep is live"))
+    for key, why in refused.items():
+        if getattr(args, key) is not None:
+            raise ConfigError(f"--{key.replace('_', '-')} {why}")
     if args.values is not None:
         values = _parse_values(args.values)
     else:
         values = DEFAULT_GRIDS[args.variable]
+    first = values[0] if values and args.variable != "bit_rate" else None
+    cfg, sim_kwargs = resolve_settings(args, {swept: first})
+    params = SimParams(**sim_kwargs) if args.region_file is None else SimParams()
     spec = SweepSpec(
         variable=args.variable,
         values=values,

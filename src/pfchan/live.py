@@ -1,10 +1,10 @@
 """Live Linux backend.
 
 The backend is Linux-only, and that is checked in one place: importing this
-module needs mmap's MAP_PRIVATE and MADV_* and libc's memcpy and mincore,
-and open_region refuses a host without posix_fadvise, or whose pages are
-not PAGE_SIZE bytes, with a SetupError. No call falls back to a quieter
-channel that would still print an error rate.
+module needs mmap's MAP_PRIVATE and MADV_*, ctypes.memmove and libc's
+mincore, and open_region refuses a host without posix_fadvise, or whose
+pages are not PAGE_SIZE bytes, with a SetupError. No call falls back to a
+quieter channel that would still print an error rate.
 
 The sender and receiver share a read-only file mapped MAP_PRIVATE. Eviction
 uses posix_fadvise(DONTNEED), which is advisory: the host check confirms at
@@ -17,20 +17,20 @@ DONTNEED refuses to drop a page that any process still has in its page
 tables, so both endpoints are careful about what they map. The sender
 populates its target page with pread, which fills the page cache without
 creating a mapping; the receiver does fault through its mapping (the fault
-is the observable) but releases the pair's page table entries with
-madvise(DONTNEED) right after each probe. A mapped read also maps the
-cached pages around it, in the kernel's fault-around block (16 pages by
-default), MADV_RANDOM or not. So only with a page_gap of at least that
-block does nobody map a page by the time the schedule wraps back to it;
-below it, the receiver still maps other slots' cached pages, and the
-sender's advice on them fails. Kernel readahead is switched off on both
-paths (FADV_RANDOM, MADV_RANDOM) so a touch of one page cannot drag its
-partner into the cache.
+is the observable) but releases, with madvise(DONTNEED) right after each
+probe, every page table entry its reads can have made. A mapped read also
+maps the cached pages around it, MADV_RANDOM or not: those of its
+fault-around block, 64 KiB, the kernel's default fault_around_bytes, which
+only debugfs can change and pfchan never touches. So drop_mapping releases
+the whole block around each page read, and at every page_gap nobody maps a
+page by the time the schedule wraps back to it. Kernel readahead is
+switched off on both paths (FADV_RANDOM, MADV_RANDOM) so a touch of one
+page cannot drag its partner into the cache.
 
 The receiver's two accessors are plain threads that _accessors starts once
 per receive, pinned to one core. They take reads from one queue, and each
-reads one byte of a page through libc memcpy. That detour matters: a
-ctypes call releases the interpreter lock for its duration, so a worker
+reads one byte of a page through ctypes.memmove. That detour matters: a
+foreign call releases the interpreter lock for its duration, so a worker
 stuck in a hard fault lets its sibling run, which is the scheduling
 behavior the channel measures. A plain index into the mmap object would
 hold the lock across the fault and serialize them.
@@ -79,9 +79,11 @@ from .protocol import (
 )
 from .report import TransmissionReport
 
+# the kernel's default fault_around_bytes: a mapped read of a file page
+# also maps the cached pages of the block this long around it
+_FAULT_AROUND_BYTES = 16 * PAGE_SIZE
+
 _libc = ctypes.CDLL(None, use_errno=True)
-_libc.memcpy.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t]
-_libc.memcpy.restype = ctypes.c_void_p
 _libc.mincore.argtypes = [
     ctypes.c_void_p,
     ctypes.c_size_t,
@@ -170,8 +172,7 @@ class SharedRegion:
                 self._mm = _mmap(self._fd, length, MAP_PRIVATE, PROT_READ | PROT_WRITE)
             except (OSError, ValueError) as exc:
                 raise SetupError(f"cannot map backing file {path!r}: {exc}") from exc
-            self._view = (ctypes.c_char * length).from_buffer(self._mm)
-            self._addr = ctypes.addressof(self._view)
+            self._addr = ctypes.addressof(ctypes.c_char.from_buffer(self._mm))
             # readahead off on both access paths, or touching one page of a
             # pair would pull its partner into the cache
             os.posix_fadvise(self._fd, 0, 0, os.POSIX_FADV_RANDOM)
@@ -199,11 +200,12 @@ class SharedRegion:
         return page * PAGE_SIZE
 
     def read_byte(self, page: int) -> int:
-        """Touch one byte of the page and return it. The read goes through
-        libc so the interpreter lock is dropped while a fault is serviced."""
+        """Touch one byte of the page and return it. The read is a foreign
+        call, ctypes.memmove, so the interpreter lock is dropped while a
+        fault is serviced."""
         buf = ctypes.c_ubyte(0)
         addr = self._addr + self._offset(page)
-        _libc.memcpy(ctypes.byref(buf), ctypes.c_void_p(addr), 1)
+        ctypes.memmove(ctypes.byref(buf), addr, 1)
         return buf.value
 
     def load_byte(self, page: int) -> int:
@@ -220,10 +222,17 @@ class SharedRegion:
         return data[0]
 
     def drop_mapping(self, page: int) -> None:
-        """Release this process's page table entry for the page, keeping the
-        page cache untouched. The next mapped read faults again."""
+        """Release this process's page table entries for every page a mapped
+        read of the page can have mapped, keeping the page cache untouched.
+
+        That is the page's fault-around block: _FAULT_AROUND_BYTES aligned on
+        the page's address, or, where that block would start before the
+        region, the same length from the region's first page, as the kernel
+        clamps it to the mapping; either way cut off at the region's end.
+        The next mapped read of any page in it faults again."""
         offset = self._offset(page)  # before the lookup of a closed region's _mm
-        self._mm.madvise(MADV_DONTNEED, offset, PAGE_SIZE)
+        start = max(offset - (self._addr + offset) % _FAULT_AROUND_BYTES, 0)
+        self._mm.madvise(MADV_DONTNEED, start, min(_FAULT_AROUND_BYTES, self.length - start))
 
     def advise_dontneed(self, page: int) -> None:
         os.posix_fadvise(self._fd, self._offset(page), PAGE_SIZE, os.POSIX_FADV_DONTNEED)
@@ -256,7 +265,6 @@ class SharedRegion:
         return resident
 
     def close(self) -> None:
-        self._view = None
         if getattr(self, "_mm", None) is not None:
             self._mm.close()
             self._mm = None
@@ -605,9 +613,9 @@ def _probe_pair(accessors, pair: PagePair) -> ObservedOrder:
     worker may take either read, and each reports the order its read stands
     for, T1_LAST for p1 and T2_LAST for p2, once its page is in: the last
     report names the page that came from disk. Once both reads succeed, p1's
-    then p2's page table entries are released, so a wrap finds the pair
-    evictable, unless, at a page_gap below the fault-around block, a later
-    slot's read maps them again. Nothing reads a clock."""
+    then p2's fault-around blocks are released (drop_mapping), so no read
+    leaves this or another slot's pages mapped, and a wrap finds them
+    evictable at every page_gap. Nothing reads a clock."""
     region, reads, done = accessors
     reads.put((ObservedOrder.T1_LAST, pair.p1))
     reads.put((ObservedOrder.T2_LAST, pair.p2))

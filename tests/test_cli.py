@@ -417,6 +417,37 @@ def test_a_live_sweep_refuses_simulator_flags(
     assert "Traceback" not in err
 
 
+def test_a_page_gap_sweep_takes_its_gap_from_the_grid(tmp_path, capsys):
+    # the base config takes its gap from the grid: the default gap, 64, does
+    # not fit this 4-page region, and a --page-gap the sweep would ignore is
+    # refused by name
+    small = ["--region-size", "16384", "--payload-bits", "8"]
+    argv = ["sweep", "--variable", "page_gap", "--values", "2,4", *small]
+    assert run_cli(*argv) == 0
+    assert "sweep over page_gap" in capsys.readouterr().out
+    assert run_cli(*argv, "--page-gap", "2") == 1
+    assert capsys.readouterr().err == (
+        "error: --page-gap is the swept setting; --values gives it\n"
+    )
+    cfg_file = tmp_path / "chan.cfg"
+    cfg_file.write_text("page_gap = 64\n")  # a config file may still hold it
+    assert run_cli(*argv, "--config", str(cfg_file)) == 0
+
+
+def test_a_bit_rate_sweep_takes_its_period_from_the_grid(tmp_path, capsys):
+    # a rate sets each cell's period, so a period flag is refused by name and
+    # a config file's is passed over, even one, as here, that no config takes
+    argv = ["sweep", "--variable", "bit_rate", "--values", "100", *SMALL[:2]]
+    assert run_cli(*argv, "--payload-bits", "8", "--sync-period-ns", "1") == 1
+    assert capsys.readouterr().err == (
+        "error: --sync-period-ns is the swept setting; --values gives it\n"
+    )
+    cfg_file = tmp_path / "chan.cfg"
+    cfg_file.write_text("sync_period_ns = 1\npayload_bits = 8\n")
+    assert run_cli(*argv, "--config", str(cfg_file)) == 0
+    assert capsys.readouterr().out.splitlines()[2].split() == ["100", "0.0000", "100.0"]
+
+
 def test_calibrate_reports_best_gap(capsys):
     # calibrating is a page_gap sweep; no other variable names a best value
     code = run_cli(

@@ -376,6 +376,53 @@ def test_evict_pair_shape(region_file):
     assert confirmed in (True, False)
 
 
+@pytest.mark.parametrize("misaligned_pages", [0, 3])
+def test_drop_mapping_releases_the_fault_around_block_of_the_page(
+    region_file, misaligned_pages
+):
+    # a mapped read also maps the cached pages of the kernel's 16-page
+    # fault-around block around it, so the whole block is released, or at a
+    # page_gap below 16 the sender's advice on them fails. The block is
+    # aligned on the page's address and clamped to the region as the kernel
+    # clamps it to the mapping, so an aligned and a misaligned mapping are
+    # stood in for
+    calls = []
+    with open_region(region_file, small_cfg()) as region:
+        mapping = region._mm
+        region._mm = SimpleNamespace(madvise=lambda *call: calls.append(call))
+        region._addr = 0x7F00_0000_0000 + misaligned_pages * PAGE_SIZE
+        try:
+            for page in (20, 0, 63):  # interior, first and last
+                region.drop_mapping(page)
+        finally:
+            region._mm = mapping
+    blocks = {0: [(16, 16), (0, 16), (48, 16)], 3: [(13, 16), (0, 16), (61, 3)]}
+    assert calls == [
+        (live.MADV_DONTNEED, first * PAGE_SIZE, pages * PAGE_SIZE)
+        for first, pages in blocks[misaligned_pages]
+    ]
+
+
+def test_a_read_leaves_no_neighbour_mapped_against_eviction_advice(
+    tmp_path, region_file
+):
+    # a mapped read of page 8 also maps the cached pages of its fault-around
+    # block; unless drop_mapping(8) releases them all, advice on page 12
+    # leaves it cached and mapped, its next read takes no fault, and a
+    # wrapped slot at a page_gap below 16 reads its bit wrong
+    if not probe_capabilities(scratch_dir=str(tmp_path)).cache_advice_eviction:
+        pytest.skip("eviction advice is not honored on this filesystem")
+    with checked(open_region(region_file, small_cfg())) as region:
+        for page in range(32):
+            region.load_byte(page)
+        region.read_byte(8)
+        region.drop_mapping(8)
+        region.advise_dontneed(12)
+        before = live._major_faults()
+        region.read_byte(12)
+        assert live._major_faults() - before == 1
+
+
 def test_residency_sees_a_page_arrive_and_leave(tmp_path, region_file):
     if not probe_capabilities(scratch_dir=str(tmp_path)).transmission_ready():
         pytest.skip("eviction advice is not honored on this filesystem")
